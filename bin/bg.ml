@@ -3,9 +3,9 @@
    Subcommands:
      bg analyze <file.csv>         full parameter report of a decay matrix
      bg generate <kind> ...        emit a decay matrix (zoo / radio) as CSV
-     bg evolve ...                 mobility trace + incremental re-analysis
+     bg evolve ...                 mobility trace + per-step re-analysis
      bg capacity <file.csv> ...    run a capacity algorithm on random links
-     bg experiment <id>            run one claim experiment (E1..E28)
+     bg experiment <id>            run one claim experiment (E1..E31)
      bg protocols <file.csv>       run the distributed protocol suite
      bg stats <file.csv>           measurement-style statistics
      bg trace report|flame|diff    analyze a --trace JSONL file offline
@@ -374,8 +374,8 @@ let evolve_cmd =
       value & opt float 4.
       & info [ "r" ] ~docv:"R"
           ~doc:
-            "Also maintain the fading parameter gamma(R) incrementally \
-             across the trace; 0 disables gamma.")
+            "Also track the fading parameter gamma(R) across the trace; \
+             0 disables gamma.")
   in
   let env_arg =
     Arg.(
@@ -387,16 +387,6 @@ let evolve_cmd =
              (pure power law on positions) or office (multi-wall radio \
              propagation over a 3x3 drywall floor plan).")
   in
-  let diff_arg =
-    Arg.(
-      value & flag
-      & info [ "differential" ]
-          ~doc:
-            "Differentially test every step: recompute zeta/phi/gamma \
-             from scratch (uncached) and require the incremental results \
-             — values, witnesses and all — to match bit for bit.  Any \
-             mismatch makes the run exit 1.")
-  in
   let out_arg =
     Arg.(
       value
@@ -404,15 +394,8 @@ let evolve_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the JSONL trace to $(docv) instead of stdout.")
   in
-  let witness_eq (a : Met.witness) (b : Met.witness) =
-    a.Met.x = b.Met.x && a.Met.y = b.Met.y && a.Met.z = b.Met.z
-    && Int64.equal
-         (Int64.bits_of_float a.Met.value)
-         (Int64.bits_of_float b.Met.value)
-  in
   let run n steps dt (speed_min, speed_max) (pause_min, pause_max) corr_dist
-      shadow side seed r env differential out jobs timeout trace profile
-      metrics =
+      shadow side seed r env out jobs timeout trace profile metrics =
     if n < 3 then user_error "--n must be at least 3 (got %d)" n;
     if steps < 0 then user_error "--steps must be non-negative (got %d)" steps;
     if not (dt > 0. && Float.is_finite dt) then
@@ -463,25 +446,11 @@ let evolve_cmd =
       output_string oc (J.to_string j);
       output_char oc '\n'
     in
-    let mismatches = ref 0 in
     let gamma_fields g dg =
       match (g : Incr.gamma_info option) with
       | None -> []
       | Some g ->
           [ ("gamma", J.Num g.Incr.g_value); ("dgamma", J.Num dg) ]
-    in
-    (* One full uncached recompute; true iff bit-identical to [res]. *)
-    let differential_ok (res : Incr.result) space =
-      witness_eq res.Incr.zeta (Met.zeta_witness ~ctx:uctx space)
-      && witness_eq res.Incr.phi (Met.phi_witness ~ctx:uctx space)
-      &&
-      match (r_opt, res.Incr.gamma) with
-      | None, None -> true
-      | Some r, Some g ->
-          Int64.equal
-            (Int64.bits_of_float g.Incr.g_value)
-            (Int64.bits_of_float (Core.Decay.Fading.gamma ~ctx:uctx space ~r))
-      | _ -> false
     in
     Fun.protect
       ~finally:(fun () -> if out <> None then close_out oc)
@@ -497,7 +466,7 @@ let evolve_cmd =
               | Some g -> g.Incr.g_value
               | None -> 0.
             in
-            let step_line s k (res : Incr.result) diff =
+            let step_line s k (res : Incr.result) =
               emit
                 (J.Obj
                    ([ ("type", J.Str "evolve_step"); ("step", J.Num (float_of_int s));
@@ -509,26 +478,13 @@ let evolve_cmd =
                        | Some g -> g.Incr.g_value -. gamma0
                        | None -> 0.)
                    @ [ ("dzeta", J.Num (res.Incr.zeta.Met.value -. zeta0));
-                       ("dphi", J.Num (res.Incr.phi.Met.value -. phi0)) ]
-                   @
-                   match diff with
-                   | None -> []
-                   | Some ok ->
-                       [ ("differential", J.Str (if ok then "ok" else "MISMATCH")) ]))
+                       ("dphi", J.Num (res.Incr.phi.Met.value -. phi0)) ]))
             in
-            let check res space =
-              if not differential then None
-              else begin
-                let ok = differential_ok res space in
-                if not ok then incr mismatches;
-                Some ok
-              end
-            in
-            step_line 0 0 res0 (check res0 (Evolve.space ev));
+            step_line 0 0 res0;
             for s = 1 to steps do
               let space, dirty = Evolve.step ev in
               let res = Incr.step inc ~dirty space in
-              step_line s (Array.length dirty) res (check res space)
+              step_line s (Array.length dirty) res
             done;
             let st = Incr.stats inc in
             emit
@@ -538,37 +494,20 @@ let evolve_cmd =
                    ("steps", J.Num (float_of_int steps));
                    ("seed", J.Num (float_of_int seed));
                    ("dirty_rows", J.Num (float_of_int st.Incr.dirty_nodes));
-                   ("pairs_full", J.Num (float_of_int st.Incr.pairs_full));
-                   ("pairs_patched", J.Num (float_of_int st.Incr.pairs_patched));
-                   ("triples_swept", J.Num (float_of_int st.Incr.triples_swept));
-                   ("triples_full_equiv", J.Num (float_of_int st.Incr.triples_full));
-                   ("savings_work", J.Num (Incr.savings st));
-                   ("gamma_recomputed", J.Num (float_of_int st.Incr.gamma_recomputed));
-                   ("gamma_total", J.Num (float_of_int st.Incr.gamma_total));
-                   ("differential", J.Bool differential);
-                   ("mismatches", J.Num (float_of_int !mismatches)) ])));
-    finish_obs metrics;
-    if !mismatches > 0 then begin
-      Printf.eprintf
-        "bg evolve: %d differential mismatch(es) — incremental results \
-         differ from full recompute\n%!"
-        !mismatches;
-      exit 1
-    end
+                   ("pairs_full", J.Num (float_of_int st.Incr.pairs_full)) ])));
+    finish_obs metrics
   in
   Cmd.v
     (Cmd.info "evolve"
        ~doc:
          "Simulate a time-varying decay space (random-waypoint mobility \
-          under a correlated shadow-fading field) and maintain \
-          zeta/phi/gamma incrementally across the trace, emitting one \
-          JSONL line per step plus a summary with the sweep-work \
-          savings.  With --differential, every step is checked bit for \
-          bit against a full recompute.")
+          under a correlated shadow-fading field) and recompute \
+          zeta/phi/gamma at every step, emitting one JSONL line per step \
+          plus a summary.")
     Term.(
       const run $ nodes_arg $ steps_arg $ dt_arg $ speed_arg $ pause_arg
       $ corr_arg $ shadow_arg $ side_arg $ seed_arg $ r_arg $ env_arg
-      $ diff_arg $ out_arg $ jobs_arg $ timeout_arg $ trace_arg
+      $ out_arg $ jobs_arg $ timeout_arg $ trace_arg
       $ profile_arg $ metrics_arg)
 
 (* ------------------------------------------------------------ capacity *)
@@ -842,48 +781,11 @@ let bench_cmd =
           ~doc:
             "Include the large-n smoke entries in the regression suite:              exact zeta and phi sweeps at n = 2048 over the ambient pool.              Each sweep takes seconds, so this is opt-in; the gate treats              the extra entries like any other benchmark (a baseline              without them simply passes them).")
   in
-  let evolve_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "evolve" ] ~docv:"FILE"
-          ~doc:
-            "Run the incremental-vs-full report instead: one \
-             Incremental.step over k dirty rows (k in {1, 8, 64}) of an \
-             n-node space against a full uncached zeta+phi recompute, \
-             with wall times and the engine's own sweep-work counters. \
-             Writes the JSON report to $(docv) (e.g. BENCH_evolve.json).")
-  in
-  let evolve_n_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "evolve-n" ] ~docv:"N"
-          ~doc:"Space size for the --evolve report.")
-  in
   let run kernels_only max_n json jobs record history check write_baseline
-      reps large evolve evolve_n trace profile metrics =
+      reps large trace profile metrics =
     ignore kernels_only;
     ignore (apply_jobs jobs);
     apply_obs ~profile trace;
-    match evolve with
-    | Some path ->
-        if evolve_n < 3 then user_error "--evolve-n must be at least 3";
-        let cases =
-          or_user_error (fun () ->
-              Benchkit.Regress.write_evolve_report ~n:evolve_n path)
-        in
-        Printf.printf "evolve report written to %s\n%!" path;
-        finish_obs metrics;
-        (* The O(k n^2) claim is the point of the report: fail loudly if
-           the smallest-k case does not clear a 5x work saving. *)
-        (match cases with
-        | c :: _ when c.Benchkit.Regress.e_savings < 5. ->
-            Printf.eprintf
-              "bg bench --evolve: k=%d work savings %.1fx below the 5x bar\n%!"
-              c.Benchkit.Regress.e_k c.Benchkit.Regress.e_savings;
-            exit 4
-        | _ -> ())
-    | None ->
     if record || check <> None || write_baseline <> None then begin
       (* The regression gate: one suite run serves --record, --check and
          --write-baseline in any combination. *)
@@ -940,8 +842,7 @@ let bench_cmd =
     Term.(
       const run $ kernels_only_arg $ max_n_arg $ json_arg $ jobs_arg
       $ record_arg $ history_arg $ check_arg $ write_baseline_arg $ reps_arg
-      $ large_arg $ evolve_arg $ evolve_n_arg $ trace_arg $ profile_arg
-      $ metrics_arg)
+      $ large_arg $ trace_arg $ profile_arg $ metrics_arg)
 
 (* ------------------------------------------------------------- estimate *)
 

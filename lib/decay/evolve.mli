@@ -27,8 +27,7 @@
     in a fixed iteration order, and no parallelism is involved: a
     trajectory is bit-reproducible from [(config, seed)] at any job
     count.  The per-step dirty set (nodes that moved) is exactly the set
-    of rows/columns whose cells may differ from the previous step — the
-    contract {!Incremental} relies on. *)
+    of rows/columns whose cells may differ from the previous step. *)
 
 type config = {
   n : int;  (** number of nodes *)

@@ -170,10 +170,6 @@ let gamma ?(ctx = Ctx.default) d ~r =
     Memo.find_or_add gamma_cache (Decay_space.digest d, r, el) compute
   else compute ()
 
-(* Deprecated optional-argument compat wrapper (see the mli). *)
-let gamma_with ?exact_limit ?jobs ?cache d ~r =
-  gamma ~ctx:(Ctx.make ?jobs ?cache ?exact_limit ()) d ~r
-
 let cache_stats () = (Memo.hits gamma_cache, Memo.misses gamma_cache)
 
 let clear_caches () =

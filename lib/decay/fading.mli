@@ -37,13 +37,6 @@ val gamma : ?ctx:Ctx.t -> Decay_space.t -> r:float -> float
     under [(digest, r, exact_limit)]) and the branch-and-bound
     [exact_limit] forwarded to {!gamma_z}. *)
 
-val gamma_with :
-  ?exact_limit:int -> ?jobs:int -> ?cache:bool -> Decay_space.t -> r:float ->
-  float
-[@@ocaml.deprecated "Use Fading.gamma ?ctx instead."]
-(** Deprecated compat wrapper over {!gamma} preserving the historical
-    optional-argument signature. *)
-
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the gamma cache. *)
 

@@ -1,18 +1,9 @@
-(* Incremental ζ/φ/γ maintenance over dirty rows.  See incremental.mli
-   for the contract; correctness notes inline.
+(* ζ/φ/γ maintenance under churn: every step recomputes on the pruned
+   kernels (see incremental.mli). *)
 
-   Table semantics, per ordered pair (x, y), x <> y:
-     value = max (1., max over z <> x, y of the triple value)
-     z     = the first (smallest) z attaining it, -1 when value = 1.
-   That is exactly the restriction of the naive lexicographic sweep to
-   one pair, so folding pairs in lex order with strict-> improvement
-   rebuilds the sweep's global witness including its tie-break. *)
-
-module Par = Bg_prelude.Parallel
 module Obs = Bg_prelude.Obs
-module F = Decay_space.Flat
 
-type gamma_info = { g_value : float; g_z : int }
+type gamma_info = { g_value : float }
 
 type result = {
   zeta : Metricity.witness;
@@ -20,286 +11,42 @@ type result = {
   gamma : gamma_info option;
 }
 
-type stats = {
-  steps : int;
-  pairs_full : int;
-  pairs_patched : int;
-  triples_swept : int;
-  triples_full : int;
-  gamma_recomputed : int;
-  gamma_total : int;
-  dirty_nodes : int;
-}
-
-let savings s =
-  if s.triples_swept <= 0 then 1.
-  else float_of_int s.triples_full /. float_of_int s.triples_swept
+type stats = { steps : int; pairs_full : int; dirty_nodes : int }
 
 type t = {
   ctx : Ctx.t;
   r : float option;
-  n : int;
   mutable cur : Decay_space.t;
-  zeta_v : float array; (* pair (x, y) at x * n + y *)
-  zeta_z : int array;
-  phi_v : float array;
-  phi_z : int array;
-  gamma_v : float array; (* per listener; empty when r = None *)
+  mutable res : result;
   mutable s_steps : int;
-  mutable s_pairs_full : int;
-  mutable s_pairs_patched : int;
-  mutable s_swept : int;
-  mutable s_full : int;
-  mutable s_gamma_rec : int;
-  mutable s_gamma_tot : int;
   mutable s_dirty : int;
 }
 
 let c_dirty_rows = Obs.counter "incremental.dirty_rows"
-let c_swept = Obs.counter "incremental.triples_swept"
-let c_full_equiv = Obs.counter "incremental.triples_full_equiv"
-let c_gamma_rec = Obs.counter "incremental.gamma_recomputed"
 
-(* Same float expressions as Metricity's naive path: [zeta_triple] is the
-   shared bisection, [triple_holds] the shared predicate (re-stated here
-   because Metricity keeps it private; the differential tests pin the
-   bit-identity down). *)
-let triple_holds ~fxy ~fxz ~fzy z =
-  let t = 1. /. z in
-  exp (t *. log fxz) +. exp (t *. log fzy) >= exp (t *. log fxy)
+let compute ctx r d =
+  {
+    zeta = Metricity.zeta_witness ~ctx d;
+    phi = Metricity.phi_witness ~ctx d;
+    gamma = Option.map (fun r -> { g_value = Fading.gamma ~ctx d ~r }) r;
+  }
 
-(* ---------------------------------------------------- per-pair sweeps *)
-
-(* Full rescan of one pair: the naive sweep restricted to (x, y).  The
-   holds-at-incumbent skip is sound here exactly as in the naive sweep: a
-   holding triple's bisection value cannot exceed the incumbent, and a
-   tie always loses to the incumbent's earlier z. *)
-let scan_zeta_pair ~tol f ft n x y =
-  let row = x * n and yrow = y * n in
-  let fxy = F.unsafe_get f (row + y) in
-  let bv = ref 1. and bz = ref (-1) in
-  for z = 0 to n - 1 do
-    if z <> x && z <> y then begin
-      let fxz = F.unsafe_get f (row + z) and fzy = F.unsafe_get ft (yrow + z) in
-      if fxy <= fxz +. fzy then ()
-      else if triple_holds ~fxy ~fxz ~fzy !bv then ()
-      else begin
-        let v = Metricity.zeta_triple ~tol fxy fxz fzy in
-        if v > !bv then begin
-          bv := v;
-          bz := z
-        end
-      end
-    end
-  done;
-  (!bv, !bz)
-
-let scan_phi_pair f ft n x y =
-  let row = x * n and yrow = y * n in
-  let fxy = F.unsafe_get f (row + y) in
-  let bv = ref 1. and bz = ref (-1) in
-  for z = 0 to n - 1 do
-    if z <> x && z <> y then begin
-      let fxz = F.unsafe_get f (row + z) and fzy = F.unsafe_get ft (yrow + z) in
-      let v = fxy /. (fxz +. fzy) in
-      if v > !bv then begin
-        bv := v;
-        bz := z
-      end
-    end
-  done;
-  (!bv, !bz)
-
-(* Patch a clean pair against the sorted dirty z only.  The stored entry
-   (cv, cz) is, by induction, the first-attaining max over the CLEAN z of
-   the new space (clean cells are bit-unchanged, and cz itself is clean —
-   the caller full-rescans otherwise).  Folding the dirty z in ascending
-   order with the tie rule "equal value wins only against a later stored
-   z" reproduces the full ascending rescan's first-seen argmax.
-
-   Skips during the fold:
-   - plain triangle: value is 1, never beats a >= 1 incumbent strictly,
-     and at incumbent 1 the entry has no z to displace — always safe;
-   - holds-at-incumbent: value <= incumbent, so only a tie could matter,
-     and a tie only matters when this z is SMALLER than the incumbent's —
-     so the skip is taken only when z_d > bz or bz = -1. *)
-let patch_zeta_pair ~tol f ft n x y ~sorted_dirty cv cz =
-  let row = x * n and yrow = y * n in
-  let fxy = F.unsafe_get f (row + y) in
-  let bv = ref cv and bz = ref cz in
-  Array.iter
-    (fun zd ->
-      if zd <> x && zd <> y then begin
-        let fxz = F.unsafe_get f (row + zd)
-        and fzy = F.unsafe_get ft (yrow + zd) in
-        if fxy <= fxz +. fzy then ()
-        else if
-          (!bz < 0 || zd > !bz) && triple_holds ~fxy ~fxz ~fzy !bv
-        then ()
-        else begin
-          let v = Metricity.zeta_triple ~tol fxy fxz fzy in
-          if v > !bv || (v = !bv && !bz >= 0 && zd < !bz) then begin
-            bv := v;
-            bz := zd
-          end
-        end
-      end)
-    sorted_dirty;
-  (!bv, !bz)
-
-let patch_phi_pair f ft n x y ~sorted_dirty cv cz =
-  let row = x * n and yrow = y * n in
-  let fxy = F.unsafe_get f (row + y) in
-  let bv = ref cv and bz = ref cz in
-  Array.iter
-    (fun zd ->
-      if zd <> x && zd <> y then begin
-        let fxz = F.unsafe_get f (row + zd)
-        and fzy = F.unsafe_get ft (yrow + zd) in
-        let v = fxy /. (fxz +. fzy) in
-        if v > !bv || (v = !bv && !bz >= 0 && zd < !bz) then begin
-          bv := v;
-          bz := zd
-        end
-      end)
-    sorted_dirty;
-  (!bv, !bz)
-
-(* --------------------------------------------------------------- gamma *)
-
-let is_candidate d ~r ~z i =
-  i <> z && Decay_space.decay d i z >= r && Decay_space.decay d z i >= r
-
-(* gamma_z must be recomputed iff its inputs may have changed: the
-   listener moved, or some dirty node is a candidate in the old or the
-   new space (covers membership, weight and compat changes — a dirty
-   non-candidate-in-both touches no input of gamma_z). *)
-let gamma_z_dirty ~r ~prev ~next ~sorted_dirty ~in_dirty z =
-  in_dirty.(z)
-  || Array.exists
-       (fun i -> is_candidate prev ~r ~z i || is_candidate next ~r ~z i)
-       sorted_dirty
-
-(* ------------------------------------------------------- global folds *)
-
-let assemble t =
-  let n = t.n in
-  let zbest = ref { Metricity.x = 0; y = 1; z = 2; value = 1. }
-  and pbest = ref { Metricity.x = 0; y = 2; z = 1; value = 1. } in
-  for x = 0 to n - 1 do
-    let row = x * n in
-    for y = 0 to n - 1 do
-      if y <> x then begin
-        let zv = t.zeta_v.(row + y) in
-        if zv > (!zbest).Metricity.value then
-          zbest := { Metricity.x; y; z = t.zeta_z.(row + y); value = zv };
-        let pv = t.phi_v.(row + y) in
-        if pv > (!pbest).Metricity.value then
-          (* phi witnesses store the midpoint in [z] (see Metricity):
-             iterator coords (x, y, zm) persist as {x; y = zm; z = y}. *)
-          pbest := { Metricity.x; y = t.phi_z.(row + y); z = y; value = pv }
-      end
-    done
-  done;
-  let gamma =
-    match t.r with
-    | None -> None
-    | Some _ ->
-        let gv = ref 0. and gz = ref (-1) in
-        for z = 0 to n - 1 do
-          if t.gamma_v.(z) > !gv then begin
-            gv := t.gamma_v.(z);
-            gz := z
-          end
-        done;
-        Some { g_value = !gv; g_z = !gz }
-  in
-  { zeta = !zbest; phi = !pbest; gamma }
+let create ?(ctx = Ctx.default) ?r d =
+  { ctx; r; cur = d; res = compute ctx r d; s_steps = 0; s_dirty = 0 }
 
 let space t = t.cur
-let current t = assemble t
+let current t = t.res
 
 let stats t =
+  let n = Decay_space.n t.cur in
   {
     steps = t.s_steps;
-    pairs_full = t.s_pairs_full;
-    pairs_patched = t.s_pairs_patched;
-    triples_swept = t.s_swept;
-    triples_full = t.s_full;
-    gamma_recomputed = t.s_gamma_rec;
-    gamma_total = t.s_gamma_tot;
+    pairs_full = t.s_steps * n * (n - 1);
     dirty_nodes = t.s_dirty;
   }
 
-(* ------------------------------------------------------- construction *)
-
-let create ?(ctx = Ctx.default) ?r d =
-  let n = Decay_space.n d in
-  let tol = ctx.Ctx.tol in
-  let jobs = Ctx.jobs ctx in
-  let t =
-    {
-      ctx;
-      r;
-      n;
-      cur = d;
-      zeta_v = Array.make (n * n) 1.;
-      zeta_z = Array.make (n * n) (-1);
-      phi_v = Array.make (n * n) 1.;
-      phi_z = Array.make (n * n) (-1);
-      gamma_v = (match r with Some _ -> Array.make n 0. | None -> [||]);
-      s_steps = 0;
-      s_pairs_full = 0;
-      s_pairs_patched = 0;
-      s_swept = 0;
-      s_full = 0;
-      s_gamma_rec = 0;
-      s_gamma_tot = 0;
-      s_dirty = 0;
-    }
-  in
-  if n >= 2 then begin
-    let f = F.data d and ft = F.transpose d in
-    Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ]
-      "incremental_create"
-    @@ fun () ->
-    ignore
-      (Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:()
-         ~map:(fun lo hi ->
-           for x = lo to hi - 1 do
-             let row = x * n in
-             for y = 0 to n - 1 do
-               if y <> x then begin
-                 let zv, zz = scan_zeta_pair ~tol f ft n x y in
-                 t.zeta_v.(row + y) <- zv;
-                 t.zeta_z.(row + y) <- zz;
-                 let pv, pz = scan_phi_pair f ft n x y in
-                 t.phi_v.(row + y) <- pv;
-                 t.phi_z.(row + y) <- pz
-               end
-             done
-           done)
-         ~combine:(fun () () -> ()));
-    match r with
-    | None -> ()
-    | Some r ->
-        ignore
-          (Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:()
-             ~map:(fun lo hi ->
-               for z = lo to hi - 1 do
-                 let v, _ =
-                   Fading.gamma_z ?exact_limit:ctx.Ctx.exact_limit d ~z ~r
-                 in
-                 t.gamma_v.(z) <- v
-               done)
-             ~combine:(fun () () -> ()))
-  end;
-  t
-
-(* --------------------------------------------------------------- step *)
-
 let step t ~dirty next =
-  let n = t.n in
+  let n = Decay_space.n t.cur in
   if Decay_space.n next <> n then
     invalid_arg
       (Printf.sprintf "Incremental.step: node count changed (%d -> %d)" n
@@ -310,100 +57,12 @@ let step t ~dirty next =
         invalid_arg
           (Printf.sprintf "Incremental.step: dirty index %d out of range" i))
     dirty;
-  let sorted_dirty = Array.copy dirty in
-  Array.sort Int.compare sorted_dirty;
-  let in_dirty = Array.make n false in
-  Array.iter (fun i -> in_dirty.(i) <- true) sorted_dirty;
-  let k = Array.length sorted_dirty in
-  let tol = t.ctx.Ctx.tol in
-  let jobs = Ctx.jobs t.ctx in
-  let prev = t.cur in
-  Obs.with_span
-    ~attrs:[ ("n", Obs.I n); ("k", Obs.I k); ("jobs", Obs.I jobs) ]
-    "incremental_step"
+  let k = Array.length dirty in
+  Obs.with_span ~attrs:[ ("n", Obs.I n); ("k", Obs.I k) ] "incremental_step"
   @@ fun () ->
-  if n >= 2 then begin
-    let f = F.data next and ft = F.transpose next in
-    let full, patched, swept =
-      Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(0, 0, 0)
-        ~map:(fun lo hi ->
-          let c_full = ref 0 and c_patch = ref 0 and c_swept = ref 0 in
-          for x = lo to hi - 1 do
-            let row = x * n in
-            for y = 0 to n - 1 do
-              if y <> x then
-                if
-                  in_dirty.(x) || in_dirty.(y)
-                  || (t.zeta_z.(row + y) >= 0 && in_dirty.(t.zeta_z.(row + y)))
-                  || (t.phi_z.(row + y) >= 0 && in_dirty.(t.phi_z.(row + y)))
-                then begin
-                  (* Dirty endpoint, or a stored argmax that went dirty:
-                     the clean-baseline induction breaks, rescan. *)
-                  incr c_full;
-                  c_swept := !c_swept + (2 * (n - 2));
-                  let zv, zz = scan_zeta_pair ~tol f ft n x y in
-                  t.zeta_v.(row + y) <- zv;
-                  t.zeta_z.(row + y) <- zz;
-                  let pv, pz = scan_phi_pair f ft n x y in
-                  t.phi_v.(row + y) <- pv;
-                  t.phi_z.(row + y) <- pz
-                end
-                else begin
-                  incr c_patch;
-                  c_swept := !c_swept + (2 * k);
-                  let zv, zz =
-                    patch_zeta_pair ~tol f ft n x y ~sorted_dirty
-                      t.zeta_v.(row + y)
-                      t.zeta_z.(row + y)
-                  in
-                  t.zeta_v.(row + y) <- zv;
-                  t.zeta_z.(row + y) <- zz;
-                  let pv, pz =
-                    patch_phi_pair f ft n x y ~sorted_dirty
-                      t.phi_v.(row + y)
-                      t.phi_z.(row + y)
-                  in
-                  t.phi_v.(row + y) <- pv;
-                  t.phi_z.(row + y) <- pz
-                end
-            done
-          done;
-          (!c_full, !c_patch, !c_swept))
-        ~combine:(fun (a, b, c) (a', b', c') -> (a + a', b + b', c + c'))
-    in
-    t.s_pairs_full <- t.s_pairs_full + full;
-    t.s_pairs_patched <- t.s_pairs_patched + patched;
-    t.s_swept <- t.s_swept + swept;
-    Obs.add c_swept swept;
-    (match t.r with
-    | None -> ()
-    | Some r ->
-        let recomputed =
-          Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:0
-            ~map:(fun lo hi ->
-              let c = ref 0 in
-              for z = lo to hi - 1 do
-                if gamma_z_dirty ~r ~prev ~next ~sorted_dirty ~in_dirty z
-                then begin
-                  incr c;
-                  let v, _ =
-                    Fading.gamma_z ?exact_limit:t.ctx.Ctx.exact_limit next ~z
-                      ~r
-                  in
-                  t.gamma_v.(z) <- v
-                end
-              done;
-              !c)
-            ~combine:( + )
-        in
-        t.s_gamma_rec <- t.s_gamma_rec + recomputed;
-        t.s_gamma_tot <- t.s_gamma_tot + n;
-        Obs.add c_gamma_rec recomputed)
-  end;
+  t.res <- compute t.ctx t.r next;
+  t.cur <- next;
   t.s_steps <- t.s_steps + 1;
-  t.s_full <- t.s_full + (2 * n * (n - 1) * (n - 2));
   t.s_dirty <- t.s_dirty + k;
   Obs.add c_dirty_rows k;
-  Obs.add c_full_equiv (2 * n * (n - 1) * (n - 2));
-  t.cur <- next;
-  assemble t
+  t.res

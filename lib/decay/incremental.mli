@@ -1,35 +1,23 @@
-(** Incremental maintenance of ζ, φ and γ under row/column churn.
+(** ζ, φ and γ of a decay space maintained across churn steps.
 
-    A full witness sweep is O(n³); under mobility only the rows and
-    columns of the k nodes that moved change between steps.  This module
-    keeps, for every ordered pair [(x, y)], the pair's best triple value
-    and its first-attaining [z] — so a step re-sweeps only triples that
-    touch a dirty node: the O(2kn) dirty pairs in full (O(n) each) and
-    the clean pairs against the k dirty [z] only, O(k·n²) total instead
-    of O(n³).  γ is maintained per listener: [gamma_z] is recomputed only
-    for listeners that moved or whose candidate set gained, lost or moved
-    a member (membership is checked against both the previous and the new
-    space, so compat and weight changes are always caught).
+    Each {!step} recomputes all three on the new space with
+    [Metricity.zeta_witness], [Metricity.phi_witness] and [Fading.gamma],
+    so its cost is one pruned full sweep of each.  The alternative,
+    per-pair tables re-swept over the triples that touch the k dirty
+    nodes (O(k·n²) triple visits), could not use the sweep's
+    global-incumbent pruning, and it measured an order of magnitude
+    slower than the pruned full sweep on churn traces with most rows
+    dirty and with few.
 
-    The contract — enforced by [test/differential.ml] and the
-    [bg evolve --differential] flag — is {e bit-identity}: after any
-    sequence of {!step}s, {!zeta_witness}, {!phi_witness} and {!gamma}
-    equal what [Metricity.zeta_witness], [Metricity.phi_witness] and
-    [Fading.gamma] (uncached) return on the current space, including
-    witness coordinates and tie-breaks, at every job count.  This holds
-    because per-triple values ([Metricity.zeta_triple], [fxy / (fxz +
-    fzy)], [Fading.gamma_z]) are pure functions of cells, skips are only
-    taken when provably value-preserving, and ties re-resolve to the
-    lexicographically first triple exactly as the sweeps do.
-
-    Callers must uphold one invariant: between consecutive steps, every
-    cell [(i, j)] with both [i] and [j] outside the dirty set is
-    bit-identical in the old and new space ({!Evolve.step} guarantees
-    this for its dirty sets). *)
+    The results are the kernels' own, so they are bit-identical to an
+    uncached recompute of the current space at every job count,
+    witnesses and tie-breaks included.  [test/differential.ml] checks
+    this at jobs 1 and 4.  No invariant is asked of the caller: cells
+    outside the dirty set may change too, and [dirty] only feeds the
+    statistics and the [incremental_step] span. *)
 
 type gamma_info = {
   g_value : float;  (** [max_z gamma_z(r)] — equals [Fading.gamma] *)
-  g_z : int;  (** first listener attaining it, [-1] when the max is 0 *)
 }
 
 type result = {
@@ -38,46 +26,31 @@ type result = {
   gamma : gamma_info option;  (** [None] unless [~r] was given *)
 }
 
-(** Cumulative work accounting since {!create} (the creation sweep is not
-    counted; steps only). *)
+(** Cumulative accounting since {!create} (steps only). *)
 type stats = {
   steps : int;
-  pairs_full : int;  (** ordered pairs re-swept over every [z] *)
-  pairs_patched : int;  (** ordered pairs swept over dirty [z] only *)
-  triples_swept : int;  (** z-iterations actually executed (ζ and φ) *)
-  triples_full : int;
-      (** z-iterations a per-step full recompute of ζ and φ would execute *)
-  gamma_recomputed : int;  (** listeners whose [gamma_z] was recomputed *)
-  gamma_total : int;  (** listeners a full γ recompute would visit *)
+  pairs_full : int;
+      (** ordered pairs re-swept over every [z]: n(n−1) per step *)
   dirty_nodes : int;  (** sum of per-step dirty-set sizes *)
 }
-
-val savings : stats -> float
-(** [triples_full / triples_swept] — the headline incremental-vs-full
-    sweep-work ratio (1.0 when no steps ran). *)
 
 type t
 
 val create : ?ctx:Ctx.t -> ?r:float -> Decay_space.t -> t
-(** Build the pair tables with one full sweep of the given space.  [ctx]
-    supplies the bisection tolerance, the job count for the row-parallel
-    table builds (results are identical at every job count) and the
-    branch-and-bound [exact_limit] for γ; its cache flag is irrelevant
-    here (the tables {e are} the cache).  [r] enables γ maintenance at
-    that separation. *)
+(** Compute the witnesses of the given space.  [ctx] (default
+    {!Ctx.default}) is passed unchanged to every kernel call, so its
+    tolerance, job count, [exact_limit] and cache flag all apply.  [r]
+    enables γ at that separation. *)
 
 val space : t -> Decay_space.t
-(** The space the tables currently reflect. *)
+(** The space the current witnesses describe. *)
 
 val current : t -> result
-(** Current witnesses, assembled from the tables in O(n²). *)
+(** The witnesses of {!space}. *)
 
 val step : t -> dirty:int array -> Decay_space.t -> result
-(** Advance to [next]: re-sweep the triples touching [dirty] nodes,
-    update the tables in place, and return the refreshed witnesses.
-    [dirty] need not be sorted; out-of-range indices raise.  An empty
-    [dirty] array with an identical matrix is a no-op returning
-    {!current}.
+(** Advance to [next], recompute its witnesses and return them.  [dirty]
+    names the nodes that moved; it need not be sorted.
     @raise Invalid_argument if [next] has a different node count or a
     dirty index is out of range. *)
 

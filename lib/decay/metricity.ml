@@ -479,13 +479,6 @@ let zeta_witness ?(ctx = Ctx.default) d =
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
 
-(* Deprecated optional-argument compat wrappers (see the mli). *)
-let zeta_witness_with ?tol ?jobs ?cache d =
-  zeta_witness ~ctx:(Ctx.make ?tol ?jobs ?cache ()) d
-
-let zeta_with ?tol ?jobs ?cache d =
-  zeta ~ctx:(Ctx.make ?tol ?jobs ?cache ()) d
-
 let zeta_sampled ?(tol = 1e-9) ~samples rng d =
   let n = Decay_space.n d in
   if n < 3 then invalid_arg "Metricity.zeta_sampled: need at least 3 nodes";
@@ -726,13 +719,6 @@ let phi_witness ?(ctx = Ctx.default) d =
 
 let phi ?ctx d = (phi_witness ?ctx d).value
 let phi_log ?ctx d = Num.log2 (phi ?ctx d)
-
-(* Deprecated optional-argument compat wrappers (see the mli). *)
-let phi_witness_with ?jobs ?cache d =
-  phi_witness ~ctx:(Ctx.make ?jobs ?cache ()) d
-
-let phi_with ?jobs ?cache d = phi ~ctx:(Ctx.make ?jobs ?cache ()) d
-let phi_log_with ?jobs ?cache d = phi_log ~ctx:(Ctx.make ?jobs ?cache ()) d
 
 (* ----------------------------------------------------- cache management *)
 

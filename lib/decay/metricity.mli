@@ -16,9 +16,7 @@
     out (see DESIGN.md §3 and experiment E9).
 
     All sweep entry points take one optional {!Ctx.t} carrying tolerance,
-    parallelism, caching and solver limits; the historical per-function
-    [?tol ?jobs ?cache] signatures survive as deprecated [_with]
-    wrappers. *)
+    parallelism, caching and solver limits. *)
 
 type witness = { x : int; y : int; z : int; value : float }
 (** The triple achieving an extremal parameter, and the value there. *)
@@ -67,30 +65,6 @@ val phi_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
 val phi_log : ?ctx:Ctx.t -> Decay_space.t -> float
 (** [lg phi], the exponent form used by Theorem 6 ([phi_log <= zeta] always,
     by the argument in §4.2). *)
-
-(** {1 Deprecated compatibility wrappers}
-
-    One-line shims preserving the historical optional-argument signatures.
-    New code should pass a {!Ctx.t}; these alert as [deprecated] (an error
-    under this project's build flags — suppress locally with
-    [[@alert "-deprecated"]] while migrating). *)
-
-val zeta_with :
-  ?tol:float -> ?jobs:int -> ?cache:bool -> Decay_space.t -> float
-[@@ocaml.deprecated "Use Metricity.zeta ?ctx instead."]
-
-val zeta_witness_with :
-  ?tol:float -> ?jobs:int -> ?cache:bool -> Decay_space.t -> witness
-[@@ocaml.deprecated "Use Metricity.zeta_witness ?ctx instead."]
-
-val phi_with : ?jobs:int -> ?cache:bool -> Decay_space.t -> float
-[@@ocaml.deprecated "Use Metricity.phi ?ctx instead."]
-
-val phi_witness_with : ?jobs:int -> ?cache:bool -> Decay_space.t -> witness
-[@@ocaml.deprecated "Use Metricity.phi_witness ?ctx instead."]
-
-val phi_log_with : ?jobs:int -> ?cache:bool -> Decay_space.t -> float
-[@@ocaml.deprecated "Use Metricity.phi_log ?ctx instead."]
 
 val zeta_sampled :
   ?tol:float -> samples:int -> Bg_prelude.Rng.t -> Decay_space.t -> float

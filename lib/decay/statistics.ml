@@ -53,9 +53,6 @@ let summarize ?(ctx = Ctx.default) d =
     asymmetry_db = asym;
   }
 
-(* Deprecated optional-argument compat wrapper (see the mli). *)
-let summarize_with ?jobs d = summarize ~ctx:(Ctx.make ?jobs ()) d
-
 let effective_alpha ~positions d =
   let n = Decay_space.n d in
   if Array.length positions <> n then

@@ -18,10 +18,6 @@ val summarize : ?ctx:Ctx.t -> Decay_space.t -> summary
     the domain pool (default {!Bg_prelude.Parallel.default_jobs}); the
     summary is identical at every job count. *)
 
-val summarize_with : ?jobs:int -> Decay_space.t -> summary
-[@@ocaml.deprecated "Use Statistics.summarize ?ctx instead."]
-(** Deprecated compat wrapper over {!summarize}. *)
-
 val effective_alpha :
   positions:Bg_geom.Point.t array -> Decay_space.t -> Bg_prelude.Stats.fit
 (** Log-log regression of decay against inter-node distance: the slope is

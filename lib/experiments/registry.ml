@@ -69,7 +69,7 @@ let all =
       run = Exp_robustness.e29_fault_injection };
     { id = "E30"; claim = "resilience: chaos-injected serving answers exactly once, recovers the journal";
       run = Exp_serving.e30_resilient_serving };
-    { id = "E31"; claim = "churn: incremental analysis is bit-exact under mobility; schedules outlive drift";
+    { id = "E31"; claim = "churn: zeta/phi/gamma tracked under mobility; schedules outlive drift";
       run = Exp_churn.e31_churn_scheduling };
   ]
 

@@ -1,5 +1,5 @@
 (** The experiment registry: every claim-reproduction experiment of
-    DESIGN.md section 5, addressable by id ("E1" .. "E28").  Used by
+    DESIGN.md section 5, addressable by id ("E1" .. "E31").  Used by
     [bench/main.exe] (runs everything) and by the [bg experiment] CLI
     subcommand (runs one or all). *)
 

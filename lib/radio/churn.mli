@@ -9,8 +9,7 @@
     included here — [Evolve] owns those, time-correlated, on top.
 
     The returned function is pure and deterministic, so cells of
-    stationary links stay bit-identical across steps — exactly the
-    invariant {!Bg_decay.Incremental} requires. *)
+    stationary links stay bit-identical across steps. *)
 
 val base_decay :
   ?config:Propagation.config -> Environment.t ->

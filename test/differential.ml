@@ -1,12 +1,11 @@
-(* Differential testing: incremental ζ/φ/γ vs full recompute.
+(* Differential testing: maintained ζ/φ/γ vs full recompute.
 
-   The reusable checkers here are the PR's core correctness tool: given
-   any evolution trace (an [Evolve.t], or an explicit base/next pair with
-   a dirty set), they assert that [Incremental]'s values AND witnesses
-   are bit-identical to a from-scratch [Metricity] / [Fading] run on the
-   current space — at jobs 1 and at jobs 4.  Full recomputes use
-   [Ctx.uncached] so the digest-keyed memo caches can neither mask nor
-   manufacture a mismatch. *)
+   Given any evolution trace (an [Evolve.t], or an explicit base/next
+   pair with a dirty set), the checkers here assert that [Incremental]'s
+   values AND witnesses are bit-identical to a from-scratch [Metricity] /
+   [Fading] run on the current space — at jobs 1 and at jobs 4.  Full
+   recomputes use [Ctx.uncached] so the digest-keyed memo caches can
+   neither mask nor manufacture a mismatch. *)
 
 module Decay = Core.Decay
 module Metricity = Decay.Metricity
@@ -62,9 +61,9 @@ let mismatches ?(jobs_list = [ 1; 4 ]) ?r ~label (res : Incremental.result)
 
 (* Drive [steps] steps of an evolution trace through an incremental state
    per job count, checking bit-identity at every step.  The incremental
-   state itself is also rebuilt per job count, so the table updates too
-   are exercised at jobs 1 vs 4.  Raises [Failure] with the first few
-   mismatches; returns the per-step dirty sizes on success. *)
+   state itself is also rebuilt per job count, so its own sweeps run at
+   jobs 1 and 4 too.  Raises [Failure] with the first few mismatches;
+   returns the per-step dirty sizes on success. *)
 let check_trace ?(jobs_list = [ 1; 4 ]) ?r ~steps ~seed cfg =
   let dirty_sizes = ref [] in
   List.iter
@@ -167,9 +166,8 @@ let test_radio_base_trace () =
       done)
     [ 1; 4 ]
 
-(* Work accounting sanity on the acceptance trace: savings must be
-   meaningful (> 1) and the dirty-row counter must match the trace. *)
-let test_savings_accounting () =
+(* The step and dirty-row counters must match the trace. *)
+let test_step_accounting () =
   let cfg = { small_cfg with n = 24 } in
   let ev = Evolve.create ~seed:5 cfg in
   let inc = Incremental.create ~ctx:Ctx.uncached (Evolve.space ev) in
@@ -182,10 +180,34 @@ let test_savings_accounting () =
   let st = Incremental.stats inc in
   Testutil.check_int "steps counted" 40 st.Incremental.steps;
   Testutil.check_int "dirty nodes counted" !total_dirty
-    st.Incremental.dirty_nodes;
-  Testutil.check_true "incremental swept less than full"
-    (st.Incremental.triples_swept < st.Incremental.triples_full);
-  Testutil.check_true "savings ratio sane" (Incremental.savings st >= 1.)
+    st.Incremental.dirty_nodes
+
+(* A step must refuse a space of another size and a dirty index outside
+   [0, n), before touching its state. *)
+let test_step_rejects_node_count_change () =
+  let base = Testutil.random_asym_space ~n:8 41 in
+  let inc = Incremental.create ~ctx:Ctx.uncached base in
+  Alcotest.check_raises "9-node space after 8"
+    (Invalid_argument "Incremental.step: node count changed (8 -> 9)")
+    (fun () ->
+      ignore
+        (Incremental.step inc ~dirty:[| 8 |]
+           (Testutil.random_asym_space ~n:9 42)));
+  Testutil.check_true "state kept" (Incremental.space inc == base)
+
+let test_step_rejects_bad_dirty_index () =
+  let base = Testutil.random_asym_space ~n:8 43 in
+  let inc = Incremental.create ~ctx:Ctx.uncached base in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "dirty index %d" i)
+        (Invalid_argument
+           (Printf.sprintf "Incremental.step: dirty index %d out of range" i))
+        (fun () -> ignore (Incremental.step inc ~dirty:[| 0; i |] base)))
+    [ 8; -1 ];
+  Testutil.check_int "no step counted" 0
+    (Incremental.stats inc).Incremental.steps
 
 let suite =
   [
@@ -195,6 +217,10 @@ let suite =
           test_hundred_step_trace;
         Testutil.case "radio-environment base trace bit-identical"
           test_radio_base_trace;
-        Testutil.case "work accounting and savings" test_savings_accounting;
+        Testutil.case "step and dirty-node counts" test_step_accounting;
+        Testutil.case "step rejects a node-count change"
+          test_step_rejects_node_count_change;
+        Testutil.case "step rejects an out-of-range dirty index"
+          test_step_rejects_bad_dirty_index;
       ] );
   ]

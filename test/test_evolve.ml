@@ -1,10 +1,12 @@
-(* Property tests for the Evolve mobility layer and QCheck differential
-   coverage of Incremental over random dirty-row sets. *)
+(* Property tests for the Evolve mobility layer, QCheck differential
+   coverage of Incremental over random dirty-row sets, and the bg evolve
+   CLI end to end. *)
 
 module Decay = Core.Decay
 module Decay_space = Decay.Decay_space
 module Evolve = Decay.Evolve
 module Incremental = Decay.Incremental
+module J = Obs_tools.Jsonl
 
 let cfg ?(n = 10) ?(speed = (0.8, 2.5)) ?(shadow = 4.) () =
   {
@@ -183,6 +185,48 @@ let test_multi_step_random_dirt () =
     cur := next
   done
 
+(* ------------------------------------------------------ bg evolve CLI *)
+
+(* A seeded 60-step trace through the binary: 61 step lines numbered
+   0..60, each with every drift field, one summary line, and at least one
+   dirty row somewhere in the trace. *)
+let test_cli_trace () =
+  if not (Sys.file_exists Testutil.bg_exe) then Alcotest.skip ()
+  else begin
+    let out = Filename.temp_file "bg-evolve" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    let code =
+      Sys.command
+        (Filename.quote_command Testutil.bg_exe ~stdout:"/dev/null"
+           [ "evolve"; "-n"; "24"; "--steps"; "60"; "--seed"; "2026";
+             "--out"; out ])
+    in
+    Testutil.check_int "bg evolve exit code" 0 code;
+    let events = J.parse_lines (J.read_file out) in
+    let of_type t = List.filter (fun e -> J.mem_str "type" e = Some t) events in
+    let steps = of_type "evolve_step" in
+    Testutil.check_int "61 step lines" 61 (List.length steps);
+    Testutil.check_true "steps numbered 0..60"
+      (List.map (J.mem_num "step") steps
+      = List.init 61 (fun i -> Some (float_of_int i)));
+    List.iter
+      (fun s ->
+        List.iter
+          (fun k ->
+            if J.member k s = None then
+              Alcotest.failf "step line lacks %s: %s" k (J.to_string s))
+          [ "zeta"; "phi"; "gamma"; "dzeta"; "dphi"; "dgamma"; "dirty" ])
+      steps;
+    Testutil.check_int "one summary line" 1
+      (List.length (of_type "evolve_summary"));
+    let dirty =
+      List.fold_left
+        (fun acc s -> acc +. Option.value ~default:0. (J.mem_num "dirty" s))
+        0. steps
+    in
+    Testutil.check_true "some row went dirty" (dirty > 0.)
+  end
+
 let suite =
   [
     ( "evolve",
@@ -196,5 +240,6 @@ let suite =
         prop_random_dirty_rows;
         Testutil.case "multi-step random dirty sets (jobs 2)"
           test_multi_step_random_dirt;
+        Testutil.case "bg evolve trace lines" test_cli_trace;
       ] );
   ]

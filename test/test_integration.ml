@@ -30,32 +30,29 @@ let test_analysis_gamma_field () =
       check_float "gamma" 2.5 g
   | _ -> Alcotest.fail "expected one gamma entry"
 
-let test_kernel_compat_wrappers () =
-  (* The historical optional-argument entry points must keep agreeing with
-     the [?ctx] API while they are still exported.  The alert suppression
-     is scoped to exactly these calls; everywhere else a deprecated use is
-     a build error. *)
+let test_kernel_ctx_variants () =
+  (* Job count and caching are plumbing: the [~ctx] variants of each
+     kernel entry point must agree with each other. *)
   let module Met = Core.Decay.Metricity in
   let module Fad = Core.Decay.Fading in
   let module St = Core.Decay.Statistics in
   let module Ctx = Core.Decay.Ctx in
   let d = random_asym_space ~n:14 31 in
-  check_float "zeta wrapper"
-    (Met.zeta ~ctx:(Ctx.make ~jobs:2 ~cache:false ()) d)
-    ((Met.zeta_with [@alert "-deprecated"]) ~jobs:2 ~cache:false d);
-  check_true "zeta_witness wrapper"
-    (Met.zeta_witness ~ctx:Ctx.uncached d
-    = (Met.zeta_witness_with [@alert "-deprecated"]) ~cache:false d);
-  check_float "phi wrapper"
-    (Met.phi ~ctx:Ctx.uncached d)
-    ((Met.phi_with [@alert "-deprecated"]) ~cache:false d);
-  check_float "gamma wrapper"
-    (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ~cache:false ()) d ~r:2.)
-    ((Fad.gamma_with [@alert "-deprecated"]) ~exact_limit:10 ~cache:false d
-       ~r:2.);
-  check_true "summarize wrapper"
-    (St.summarize ~ctx:(Ctx.make ~jobs:2 ()) d
-    = (St.summarize_with [@alert "-deprecated"]) ~jobs:2 d)
+  check_float "zeta: jobs 2 uncached = default"
+    (Met.zeta d)
+    (Met.zeta ~ctx:(Ctx.make ~jobs:2 ~cache:false ()) d);
+  check_true "zeta_witness: uncached = cached"
+    (Met.zeta_witness ~ctx:Ctx.default d
+    = Met.zeta_witness ~ctx:Ctx.uncached d);
+  check_float "phi: uncached = cached"
+    (Met.phi ~ctx:Ctx.default d)
+    (Met.phi ~ctx:Ctx.uncached d);
+  check_float "gamma: uncached = cached at exact_limit 10"
+    (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ()) d ~r:2.)
+    (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ~cache:false ()) d ~r:2.);
+  check_true "summarize: jobs 2 = jobs 1"
+    (St.summarize ~ctx:Ctx.sequential d
+    = St.summarize ~ctx:(Ctx.make ~jobs:2 ()) d)
 
 let test_analysis_table_renders () =
   let d = Core.Decay.Spaces.uniform 5 in
@@ -216,7 +213,7 @@ let suite =
       [
         case "geo report" test_analysis_geo;
         case "gamma field" test_analysis_gamma_field;
-        case "deprecated kernel wrappers" test_kernel_compat_wrappers;
+        case "ctx variants agree" test_kernel_ctx_variants;
         case "table renders" test_analysis_table_renders;
       ] );
     ( "core.solve",

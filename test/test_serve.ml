@@ -821,14 +821,6 @@ let test_chaotic_replies_recovered_by_retries () =
 
 (* ------------------------------------------------- end-to-end daemon *)
 
-(* Under `dune runtest` the cwd is _build/default/test (the dep puts the
-   binary one level up); under `dune exec` from the root it is the
-   project root. *)
-let bg_exe =
-  List.find_opt Sys.file_exists
-    [ "../bin/bg.exe"; "_build/default/bin/bg.exe" ]
-  |> Option.value ~default:"../bin/bg.exe"
-
 let test_pipe_driver_against_real_daemon () =
   if not (Sys.file_exists bg_exe) then
     Alcotest.skip ()

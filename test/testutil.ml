@@ -14,6 +14,14 @@ let case name fn = Alcotest.test_case name `Quick fn
 let qcheck ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 
+(* The bg binary for subprocess tests.  Under `dune runtest` the cwd is
+   _build/default/test (the dep puts the binary one level up); under
+   `dune exec` from the root it is the project root. *)
+let bg_exe =
+  List.find_opt Sys.file_exists
+    [ "../bin/bg.exe"; "_build/default/bin/bg.exe" ]
+  |> Option.value ~default:"../bin/bg.exe"
+
 (* A small random symmetric decay space with decays in [0.5, range]. *)
 let random_space ?(n = 8) ?(range = 50.) seed =
   let g = rng seed in
