@@ -13,9 +13,9 @@
 module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
 module Ctx = Core.Decay.Ctx
-module KS = Core.Decay.Kernel_stats
 module Num = Core.Prelude.Numerics
 module Obs = Core.Prelude.Obs
+module J = Core.Prelude.Jsonl
 module T = Core.Prelude.Table
 
 type witness = Met.witness = { x : int; y : int; z : int; value : float }
@@ -89,19 +89,18 @@ let geo_space n =
     (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 2024) ~n
        ~side:30.)
 
-type entry = {
-  n : int;
-  naive_s : float;
-  opt_seq_s : float;
-  opt_par_s : float;
-  seq_speedup : float;
-  par_speedup : float;
-  identical : bool;
-  pruned_fraction : float;
-  exp_evals : int;
-  bisections : int;
-  cached_s : float;
-}
+(* The sweep's [kernel.*] counters, read as deltas of the Obs registry
+   around [f ()]: the same numbers `bg analyze --metrics` prints. *)
+let kernel_deltas f =
+  let read name = Obs.counter_value (Obs.counter ("kernel." ^ name)) in
+  let names =
+    [ "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
+      "bisections" ]
+  in
+  let before = List.map read names in
+  let v = f () in
+  let deltas = List.map2 (fun k b -> (k, read k - b)) names before in
+  (v, fun k -> List.assoc k deltas)
 
 let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
     =
@@ -125,12 +124,11 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
         let w_naive, naive_s =
           Timing.time_best ~reps:naive_reps (fun () -> naive_zeta_witness space)
         in
-        KS.reset ();
-        let w_seq, opt_seq_s =
-          Timing.time_best ~reps (fun () ->
-              Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ~cache:false ()) space)
+        let (w_seq, opt_seq_s), delta =
+          kernel_deltas (fun () ->
+              Timing.time_best ~reps (fun () ->
+                  Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ~cache:false ()) space))
         in
-        let stats = KS.snapshot () in
         let w_par, opt_par_s =
           Timing.time_best ~reps (fun () ->
               Met.zeta_witness ~ctx:(Ctx.make ~jobs:par_jobs ~cache:false ()) space)
@@ -145,25 +143,32 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
         let identical = w_naive = w_seq && w_seq = w_par && w_par = w_cached in
         let seq_speedup = naive_s /. Float.max 1e-9 opt_seq_s in
         let par_speedup = naive_s /. Float.max 1e-9 opt_par_s in
-        let pruned_fraction = KS.pruned_fraction stats in
+        (* Covered triples the row/pair/tile bounds eliminated wholesale,
+           never touched by the inner loop. *)
+        let pruned_fraction =
+          let tr = delta "triples" in
+          if tr = 0 then 0.
+          else
+            float_of_int
+              (tr - delta "plain_skips" - delta "cheap_skips" - delta "deep")
+            /. float_of_int tr
+        in
         T.add_row table
           [ T.I n; T.F2 (naive_s *. 1e3); T.F2 (opt_seq_s *. 1e3);
             T.F2 (opt_par_s *. 1e3); T.F2 seq_speedup; T.F2 par_speedup;
             T.F2 pruned_fraction; T.F2 (cached_s *. 1e6);
             T.S (string_of_bool identical) ];
-        {
-          n;
-          naive_s;
-          opt_seq_s;
-          opt_par_s;
-          seq_speedup;
-          par_speedup;
-          identical;
-          pruned_fraction;
-          exp_evals = stats.KS.exp_evals;
-          bisections = stats.KS.bisections;
-          cached_s;
-        })
+        ( identical,
+          J.Obj
+            [ ("n", J.Num (float_of_int n)); ("naive_s", J.Num naive_s);
+              ("opt_seq_s", J.Num opt_seq_s); ("opt_par_s", J.Num opt_par_s);
+              ("seq_speedup", J.Num seq_speedup);
+              ("par_speedup", J.Num par_speedup);
+              ("pruned_fraction", J.Num pruned_fraction);
+              ("exp_evals", J.Num (float_of_int (delta "exp_evals")));
+              ("bisections", J.Num (float_of_int (delta "bisections")));
+              ("cached_lookup_s", J.Num cached_s);
+              ("identical", J.Bool identical) ] ))
       sizes
   in
   T.print table;
@@ -176,34 +181,22 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
       print_endline
         "disabled-span overhead: skipped (a trace sink is installed)");
   let mh, mm = Met.cache_stats () in
-  let oc = open_out json_path in
-  Printf.fprintf oc "{\n  \"benchmark\": \"flat_logdomain_kernels\",\n";
-  Printf.fprintf oc "  \"sweep\": \"zeta\",\n";
-  Printf.fprintf oc "  \"jobs_parallel\": %d,\n" par_jobs;
-  Printf.fprintf oc "  \"domains_available\": %d,\n"
-    (Core.Prelude.Parallel.auto_jobs ());
-  Printf.fprintf oc "  \"span_off_overhead_ns\": %s,\n"
-    (match span_off_ns with
-    | Some c -> Printf.sprintf "%.1f" c
-    | None -> "null");
-  Printf.fprintf oc "  \"cache\": {\"hits\": %d, \"misses\": %d},\n" mh mm;
-  Printf.fprintf oc "  \"results\": [\n";
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"naive_s\": %.6f, \"opt_seq_s\": %.6f, \
-         \"opt_par_s\": %.6f, \"seq_speedup\": %.3f, \"par_speedup\": \
-         %.3f, \"pruned_fraction\": %.4f, \"exp_evals\": %d, \
-         \"bisections\": %d, \"cached_lookup_s\": %.9f, \"identical\": \
-         %b}%s\n"
-        e.n e.naive_s e.opt_seq_s e.opt_par_s e.seq_speedup e.par_speedup
-        e.pruned_fraction e.exp_evals e.bisections e.cached_s e.identical
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let num_i i = J.Num (float_of_int i) in
+  Out_channel.with_open_text json_path (fun oc ->
+      output_string oc
+        (J.to_string
+           (J.Obj
+              [ ("benchmark", J.Str "flat_logdomain_kernels");
+                ("sweep", J.Str "zeta"); ("jobs_parallel", num_i par_jobs);
+                ( "domains_available",
+                  num_i (Core.Prelude.Parallel.auto_jobs ()) );
+                ( "span_off_overhead_ns",
+                  match span_off_ns with Some c -> J.Num c | None -> J.Null );
+                ("cache", J.Obj [ ("hits", num_i mh); ("misses", num_i mm) ]);
+                ("results", J.Arr (List.map snd entries)) ]));
+      output_char oc '\n');
   Printf.printf "kernel bench written to %s\n%!" json_path;
-  if not (List.for_all (fun e -> e.identical) entries) then begin
+  if not (List.for_all fst entries) then begin
     prerr_endline "FATAL: optimized kernel witness diverged from naive sweep";
     exit 1
   end;

@@ -1,77 +1,122 @@
-(* The reproduction harness: runs every claim experiment (E1-E14, DESIGN.md
-   section 5) and then the micro-benchmarks.
+(* Bechamel micro-benchmarks for the library's hot paths: metricity
+   computation, capacity algorithms, feasibility checks, the fading
+   estimator and the radio pipeline.  One OLS-estimated cost per operation,
+   rendered as the table EXPERIMENTS.md records.  Run it as
+   `dune exec bench/main.exe`; the claim experiments run through
+   `bg experiment`, the kernel bench and perf gate through `bg bench`. *)
 
-   Usage:
-     bench/main.exe                     run everything
-     bench/main.exe E7 E8               run selected experiments only
-     bench/main.exe --no-micro          skip the bechamel micro-benchmarks
-     bench/main.exe --no-kernels        skip the flat-kernel benchmark
-     bench/main.exe --kernels-only      run only the flat-kernel benchmark
-     bench/main.exe --kernels-max-n N   cap the kernel benchmark size
-     bench/main.exe --trace FILE        write a JSONL observability trace
-     bench/main.exe --metrics           print the metrics registry at exit *)
+open Bechamel
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let no_micro = List.mem "--no-micro" args in
-  let no_kernels = List.mem "--no-kernels" args in
-  let kernels_only = List.mem "--kernels-only" args in
-  let metrics = List.mem "--metrics" args in
-  let find_val flag default parse =
-    let rec find = function
-      | f :: v :: _ when f = flag -> parse v
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
+let planar_instance n_links =
+  Core.Sinr.Instance.random_planar (Core.Prelude.Rng.create 77) ~n_links
+    ~side:30. ~alpha:3. ~lmin:1. ~lmax:2.
+
+let tests () =
+  let pts30 =
+    Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 1) ~n:30 ~side:20.
   in
-  let kernels_max_n = find_val "--kernels-max-n" 512 int_of_string in
-  (match find_val "--trace" None (fun v -> Some v) with
-  | Some path -> Core.Prelude.Obs.set_trace_file path
-  | None -> ());
-  let finish code =
-    Core.Prelude.Obs.flush_metrics ();
-    if metrics then Core.Prelude.Obs.print_summary ();
-    exit code
+  let space30 = Core.Decay.Decay_space.of_points ~alpha:3. pts30 in
+  let inst40 = planar_instance 40 in
+  let inst16 = planar_instance 16 in
+  let links40 = Array.to_list inst40.Core.Sinr.Instance.links in
+  let power = Core.Sinr.Power.uniform 1. in
+  let rng = Core.Prelude.Rng.create 3 in
+  let env =
+    Core.Radio.Environment.office ~rooms_x:3 ~rooms_y:3 ~room_size:6.
+      Core.Radio.Material.drywall
   in
-  if kernels_only then begin
-    Benchkit.Kernels.run ~max_n:kernels_max_n ();
-    finish 0
-  end;
-  let selected =
-    let rec drop_flags = function
-      | ("--kernels-max-n" | "--trace") :: _ :: rest -> drop_flags rest
-      | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" ->
-          drop_flags rest
-      | a :: rest -> a :: drop_flags rest
-      | [] -> []
-    in
-    drop_flags args
+  let nodes =
+    Core.Radio.Node.of_points
+      (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 4) ~n:20 ~side:17.)
   in
-  print_endline "Beyond Geometry (PODC 2014) — claim-reproduction harness";
-  print_endline
-    "Each experiment reproduces a numbered claim of the paper; see DESIGN.md section 5 and EXPERIMENTS.md.";
-  print_newline ();
-  let verdicts =
-    match selected with
-    | [] -> Bg_experiments.Registry.run_all ()
-    | ids ->
-        List.map
-          (fun id ->
-            match Bg_experiments.Registry.find id with
-            | Some e ->
-                Printf.printf "--- %s: %s ---\n%!" e.Bg_experiments.Registry.id
-                  e.Bg_experiments.Registry.claim;
-                (e.Bg_experiments.Registry.id, e.Bg_experiments.Registry.run ())
-            | None -> failwith ("unknown experiment id: " ^ id))
-          ids
+  Test.make_grouped ~name:"bg"
+    [
+      Test.make ~name:"zeta exact (n=30)"
+        (Staged.stage (fun () -> Core.Decay.Metricity.zeta space30));
+      Test.make ~name:"zeta sampled (2k triples, n=30)"
+        (Staged.stage (fun () ->
+             Core.Decay.Estimators.zeta_triples ~samples:2000 rng
+               (Core.Decay.Estimators.of_space space30)));
+      Test.make ~name:"phi (n=30)"
+        (Staged.stage (fun () -> Core.Decay.Metricity.phi space30));
+      Test.make ~name:"alg1 (40 links)"
+        (Staged.stage (fun () -> Core.Capacity.Alg1.run inst40));
+      Test.make ~name:"affectance greedy (40 links)"
+        (Staged.stage (fun () -> Core.Capacity.Greedy.affectance_greedy inst40));
+      Test.make ~name:"exact capacity (16 links)"
+        (Staged.stage (fun () -> Core.Capacity.Exact.capacity inst16));
+      Test.make ~name:"feasibility check (40 links)"
+        (Staged.stage (fun () ->
+             Core.Sinr.Feasibility.is_feasible inst40 power links40));
+      Test.make ~name:"gamma(r=1) greedy (n=30)"
+        (Staged.stage (fun () ->
+             Core.Decay.Fading.gamma
+               ~ctx:(Core.Decay.Ctx.make ~exact_limit:0 ())
+               space30 ~r:1.));
+      Test.make ~name:"radio decay matrix (20 nodes)"
+        (Staged.stage (fun () -> Core.Radio.Measure.decay_space env nodes));
+      Test.make ~name:"first-fit schedule (40 links)"
+        (Staged.stage (fun () -> Core.Sched.Scheduler.first_fit inst40));
+      Test.make ~name:"weighted exact (16 links)"
+        (Staged.stage
+           (let w = Array.make 16 1.5 in
+            fun () -> Core.Capacity.Weighted.exact inst16 w));
+      Test.make ~name:"auction w/ payments (16 links)"
+        (Staged.stage
+           (let bids =
+              Array.init 16 (fun i -> 1. +. float_of_int (i mod 5))
+            in
+            fun () -> Core.Capacity.Auction.run inst16 ~bids));
+      Test.make ~name:"conflict graph build (40 links)"
+        (Staged.stage (fun () -> Core.Sched.Conflict_graph.build inst40));
+      Test.make ~name:"rayleigh success prob (40 interferers)"
+        (Staged.stage (fun () ->
+             Core.Sinr.Rayleigh.success_probability inst40 power
+               ~interferers:links40 (List.hd links40)));
+      Test.make ~name:"zeta subsampled (8 x 12 of 30)"
+        (Staged.stage (fun () ->
+             Core.Decay.Estimators.zeta ~replicates:8 ~nodes:12 rng
+               (Core.Decay.Estimators.of_space space30)));
+      Test.make ~name:"min connectivity power (n=30)"
+        (Staged.stage (fun () ->
+             Core.Distrib.Connectivity.min_uniform_power space30 ~beta:1.5
+               ~noise:0.5));
+    ]
+
+let run () =
+  let cfg =
+    Benchmark.cfg ~limit:300 ~quota:(Time.second 0.4) ~kde:None ()
   in
-  print_endline "=== experiment verdicts ===";
-  Bg_experiments.Registry.print_verdicts verdicts;
-  print_newline ();
-  if not no_micro then begin
-    Micro.run ();
-    Micro.run_parallel ()
-  end;
-  if not no_kernels then Benchkit.Kernels.run ~max_n:kernels_max_n ();
-  finish (if Bg_experiments.Registry.all_pass verdicts then 0 else 1)
+  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (tests ()) in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let table =
+    Core.Prelude.Table.create ~title:"micro-benchmarks (monotonic clock, OLS)"
+      [ "operation"; "time/op"; "r^2" ]
+  in
+  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
+  List.iter
+    (fun (name, ols_result) ->
+      let estimate =
+        match Analyze.OLS.estimates ols_result with
+        | Some (e :: _) -> e
+        | _ -> Float.nan
+      in
+      let r2 =
+        match Analyze.OLS.r_square ols_result with Some r -> r | None -> Float.nan
+      in
+      let human =
+        if estimate >= 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
+        else if estimate >= 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
+        else if estimate >= 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
+        else Printf.sprintf "%.0f ns" estimate
+      in
+      Core.Prelude.Table.add_row table
+        [ Core.Prelude.Table.S name; Core.Prelude.Table.S human;
+          Core.Prelude.Table.F2 r2 ])
+    (List.sort compare rows);
+  Core.Prelude.Table.print table
+
+let () = run ()

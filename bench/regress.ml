@@ -23,7 +23,7 @@ module Met = Core.Decay.Metricity
 module Fad = Core.Decay.Fading
 module Obs = Core.Prelude.Obs
 module T = Core.Prelude.Table
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 
 type sample = {
   name : string;

@@ -1,7 +1,7 @@
-(* Wall-clock best-of-N timing, shared by the kernel and parallel
-   benches and by the `bg bench` subcommand.  Best-of (not mean) because
-   the quantity tracked across PRs is the code's floor, not the
-   machine's jitter. *)
+(* Wall-clock best-of-N timing, shared by the kernel bench and the
+   perf-regression suite behind the `bg bench` subcommand.  Best-of (not
+   mean) because the quantity tracked across PRs is the code's floor,
+   not the machine's jitter. *)
 
 let time_best ~reps f =
   let best = ref infinity in

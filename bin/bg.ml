@@ -17,6 +17,7 @@
      bg zoo                        list the built-in constructions *)
 
 open Cmdliner
+module J = Core.Prelude.Jsonl
 
 (* Every user-facing failure — missing file, unreadable CSV, a validation
    reject — prints one clear line on stderr and exits 2, the same code
@@ -33,7 +34,7 @@ let or_user_error f =
   try f () with
   | Invalid_argument msg | Failure msg -> user_error "%s" msg
   | Sys_error msg -> user_error "%s" msg
-  | Obs_tools.Jsonl.Bad msg -> user_error "malformed JSON: %s" msg
+  | J.Bad msg -> user_error "malformed JSON: %s" msg
   | Core.Prelude.Parallel.Timeout -> user_error "wall-clock budget exceeded"
 
 let space_of_file path = or_user_error (fun () -> Core.Decay.Decay_io.load path)
@@ -323,7 +324,6 @@ let evolve_cmd =
   let module Evolve = Core.Decay.Evolve in
   let module Incr = Core.Decay.Incremental in
   let module Met = Core.Decay.Metricity in
-  let module J = Obs_tools.Jsonl in
   let steps_arg =
     Arg.(
       value & opt int 50
@@ -707,16 +707,6 @@ let protocols_cmd =
 (* ---------------------------------------------------------------- bench *)
 
 let bench_cmd =
-  let kernels_only_arg =
-    Arg.(
-      value & flag
-      & info [ "kernels-only" ]
-          ~doc:
-            "Run only the kernel benchmark (currently the default and only \
-             suite of this subcommand; the flag exists so the invocation \
-             documented in EXPERIMENTS.md stays stable if more suites are \
-             added).")
-  in
   let max_n_arg =
     Arg.(
       value & opt int 512
@@ -781,9 +771,8 @@ let bench_cmd =
           ~doc:
             "Include the large-n smoke entries in the regression suite:              exact zeta and phi sweeps at n = 2048 over the ambient pool.              Each sweep takes seconds, so this is opt-in; the gate treats              the extra entries like any other benchmark (a baseline              without them simply passes them).")
   in
-  let run kernels_only max_n json jobs record history check write_baseline
-      reps large trace profile metrics =
-    ignore kernels_only;
+  let run max_n json jobs record history check write_baseline reps large
+      trace profile metrics =
     ignore (apply_jobs jobs);
     apply_obs ~profile trace;
     if record || check <> None || write_baseline <> None then begin
@@ -840,7 +829,7 @@ let bench_cmd =
           --record/--check/--write-baseline, run the perf-regression \
           suite against committed baselines.")
     Term.(
-      const run $ kernels_only_arg $ max_n_arg $ json_arg $ jobs_arg
+      const run $ max_n_arg $ json_arg $ jobs_arg
       $ record_arg $ history_arg $ check_arg $ write_baseline_arg $ reps_arg
       $ large_arg $ trace_arg $ profile_arg $ metrics_arg)
 
@@ -1684,51 +1673,40 @@ let loadgen_cmd =
       (fun path ->
         or_user_error (fun () ->
             Core.Decay.Decay_io.with_atomic_out path (fun oc ->
+                let num_i i = J.Num (float_of_int i) in
                 let j =
-                  Obs_tools.Jsonl.Obj
-                    ([ ("suite", Obs_tools.Jsonl.Str "serve");
-                      ( "workload",
-                        Obs_tools.Jsonl.Obj
-                          [ ("seed", Obs_tools.Jsonl.Num (float_of_int seed));
-                            ( "requests",
-                              Obs_tools.Jsonl.Num (float_of_int requests) );
-                            ( "spaces",
-                              Obs_tools.Jsonl.Num (float_of_int spaces) );
-                            ("nodes", Obs_tools.Jsonl.Num (float_of_int nodes));
-                            ("zipf", Obs_tools.Jsonl.Num zipf);
-                            ( "window",
-                              Obs_tools.Jsonl.Num (float_of_int window) ) ] );
-                      ( "resilience",
-                        Obs_tools.Jsonl.Obj
-                          ((match chaos with
-                           | Some s ->
-                               [ ("chaos", Obs_tools.Jsonl.Str s);
-                                 ( "chaos_seed",
-                                   Obs_tools.Jsonl.Num
-                                     (float_of_int chaos_seed) ) ]
-                           | None -> [])
-                          @ (match deadline with
-                            | Some d ->
-                                [ ("deadline_s", Obs_tools.Jsonl.Num d) ]
+                  J.Obj
+                    ([ ("suite", J.Str "serve");
+                       ( "workload",
+                         J.Obj
+                           [ ("seed", num_i seed); ("requests", num_i requests);
+                             ("spaces", num_i spaces); ("nodes", num_i nodes);
+                             ("zipf", J.Num zipf); ("window", num_i window) ] );
+                       ( "resilience",
+                         J.Obj
+                           ((match chaos with
+                            | Some s ->
+                                [ ("chaos", J.Str s);
+                                  ("chaos_seed", num_i chaos_seed) ]
                             | None -> [])
-                          @ (match client_retries with
-                            | Some n ->
-                                [ ( "client_retries",
-                                    Obs_tools.Jsonl.Num (float_of_int n) ) ]
-                            | None -> [])
-                          @ [ ("supervise", Obs_tools.Jsonl.Bool supervise) ])
-                      );
-                      ("report", L.report_to_json report) ]
+                           @ (match deadline with
+                             | Some d -> [ ("deadline_s", J.Num d) ]
+                             | None -> [])
+                           @ (match client_retries with
+                             | Some n -> [ ("client_retries", num_i n) ]
+                             | None -> [])
+                           @ [ ("supervise", J.Bool supervise) ]) );
+                       ("report", L.report_to_json report) ]
                     @
                     match slo_statuses with
                     | None -> []
                     | Some statuses ->
                         [ ( "slo",
-                            Obs_tools.Jsonl.Arr
+                            J.Arr
                               (List.map Bg_serve.Slo.status_to_json statuses)
                           ) ])
                 in
-                output_string oc (Obs_tools.Jsonl.to_string j);
+                output_string oc (J.to_string j);
                 output_char oc '\n'));
         Printf.printf "report written to %s\n%!" path)
       json;
@@ -1782,18 +1760,16 @@ let loadgen_cmd =
 
 (* ------------------------------------------------------------------ top *)
 
-(* Shared JSON digging for bg top / bg slo: every accessor degrades to a
-   zero, never an exception — telemetry is observed, not validated. *)
-let j_num j k =
-  Option.value ~default:0. (Obs_tools.Jsonl.mem_num k j)
+(* JSON digging for bg top: every accessor degrades to a zero, never an
+   exception — telemetry is observed, not validated. *)
+let j_num j k = Option.value ~default:0. (J.mem_num k j)
 
 let j_obj j k =
-  match Obs_tools.Jsonl.member k j with
-  | Some (Obs_tools.Jsonl.Obj kvs) -> kvs
+  match J.member k j with
+  | Some (J.Obj kvs) -> kvs
   | _ -> []
 
 let top_cmd =
-  let module J = Obs_tools.Jsonl in
   let module P = Bg_serve.Protocol in
   let socket_arg =
     Arg.(
@@ -2048,7 +2024,6 @@ let top_cmd =
 (* ------------------------------------------------------------------ slo *)
 
 let slo_cmd =
-  let module J = Obs_tools.Jsonl in
   let spec_arg =
     Arg.(
       required
@@ -2076,74 +2051,7 @@ let slo_cmd =
       |> List.filter (fun l -> J.mem_str "type" l = Some "telemetry")
     in
     if lines = [] then user_error "%s: no telemetry snapshots" path;
-    let counter_delta line name =
-      match List.assoc_opt name (j_obj line "counters") with
-      | Some c -> int_of_float (j_num c "delta")
-      | None -> 0
-    in
-    let latency_hist line =
-      List.assoc_opt "serve.latency_s" (j_obj line "histograms")
-    in
-    let buckets_delta h =
-      List.filter_map
-        (fun (k, v) ->
-          match (int_of_string_opt k, J.num v) with
-          | Some b, Some c -> Some (b, int_of_float c)
-          | _ -> None)
-        (j_obj h "buckets_delta")
-    in
-    (* Replay the ring: sum deltas per objective.  Latency objectives
-       read the latency histogram at log2-bucket resolution; the error
-       objective reads the admission counters (rejected and failed are
-       bad, accepted + rejected is the request total). *)
-    let statuses =
-      List.map
-        (fun objective ->
-          let total = ref 0 and bad = ref 0 in
-          List.iter
-            (fun line ->
-              match objective with
-              | Bg_serve.Slo.Latency { threshold_s; _ } -> (
-                  match latency_hist line with
-                  | None -> ()
-                  | Some h ->
-                      total := !total + int_of_float (j_num h "count_delta");
-                      bad :=
-                        !bad
-                        + Bg_serve.Slo.bad_latency_of_buckets ~threshold_s
-                            (buckets_delta h))
-              | Bg_serve.Slo.Error_rate _ ->
-                  let rejected = counter_delta line "serve.rejected" in
-                  total :=
-                    !total + counter_delta line "serve.accepted" + rejected;
-                  bad := !bad + counter_delta line "serve.failed" + rejected)
-            lines;
-          let budget =
-            match objective with
-            | Bg_serve.Slo.Latency { quantile; _ } -> 1. -. quantile
-            | Bg_serve.Slo.Error_rate b -> b
-          in
-          let frac =
-            if !total = 0 then 0.
-            else float_of_int !bad /. float_of_int !total
-          in
-          let burn =
-            if budget > 0. then frac /. budget
-            else if !bad > 0 then infinity
-            else 0.
-          in
-          {
-            Bg_serve.Slo.objective;
-            window_total = !total;
-            window_bad = !bad;
-            window_burn = burn;
-            lifetime_total = !total;
-            lifetime_bad = !bad;
-            lifetime_burn = burn;
-            healthy = burn <= 1.;
-          })
-        spec
-    in
+    let statuses = Bg_serve.Slo.eval_telemetry spec lines in
     let t =
       Core.Prelude.Table.create
         ~title:(Printf.sprintf "SLO report: %s over %s" spec_text path)

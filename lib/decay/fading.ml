@@ -1,4 +1,6 @@
 module Memo = Bg_prelude.Memo
+module Obs = Bg_prelude.Obs
+module Par = Bg_prelude.Parallel
 module F = Decay_space.Flat
 
 let is_separated d ~r nodes =
@@ -139,9 +141,10 @@ let gamma_z ?(exact_limit = 24) d ~z ~r =
 let gamma_cache : (string * float * int, float) Memo.t =
   Memo.create ~max_size:512 ~name:"gamma" ()
 
+(* A gamma sweep counts as a kernel sweep of 0 triples. *)
+let sweeps = Obs.counter "kernel.sweeps"
+
 let gamma_sweep ?exact_limit ~jobs d ~r =
-  let module Par = Bg_prelude.Parallel in
-  let module Obs = Bg_prelude.Obs in
   (* Warm the views on the caller's thread (construction is race-free
      either way; this keeps the build out of the parallel region). *)
   ignore (F.data d);
@@ -150,7 +153,7 @@ let gamma_sweep ?exact_limit ~jobs d ~r =
     ~attrs:[ ("n", Obs.I (Decay_space.n d)); ("jobs", Obs.I jobs) ]
     "gamma_sweep"
   @@ fun () ->
-  Kernel_stats.record_sweep ~triples:0;
+  Obs.incr sweeps;
   Par.map_reduce_chunks ~jobs ~lo:0 ~hi:(Decay_space.n d) ~neutral:0.
     ~map:(fun lo hi ->
       let best = ref 0. in

@@ -2,7 +2,6 @@ module Num = Bg_prelude.Numerics
 module Par = Bg_prelude.Parallel
 module Memo = Bg_prelude.Memo
 module Obs = Bg_prelude.Obs
-module K = Kernel_stats
 module F = Decay_space.Flat
 
 type witness = { x : int; y : int; z : int; value : float }
@@ -216,6 +215,75 @@ let better_phi a b =
   if b.value > a.value then b
   else if b.value = a.value && lex_before b.x b.z b.y a.x a.z a.y then b
   else a
+
+(* ------------------------------------------------------ kernel counters *)
+
+(* Pruning diagnostics, published as [kernel.*] Obs counters; they never
+   influence results.  Chunks never write shared state from worker
+   domains: each fills a private [tally], tallies are summed in the
+   deterministic combine of [Par.map_reduce_chunks], and the caller
+   publishes the total once per sweep, so the counts do not depend on
+   worker interleaving. *)
+
+let sweeps = Obs.counter "kernel.sweeps"
+let triples = Obs.counter "kernel.triples"
+let plain_skips = Obs.counter "kernel.plain_skips"
+let cheap_skips = Obs.counter "kernel.cheap_skips"
+let deep = Obs.counter "kernel.deep"
+let exp_evals = Obs.counter "kernel.exp_evals"
+let bisections = Obs.counter "kernel.bisections"
+let row_prunes = Obs.counter "kernel.row_prunes"
+let pair_prunes = Obs.counter "kernel.pair_prunes"
+let tile_prunes = Obs.counter "kernel.tile_prunes"
+
+type tally = {
+  t_plain : int; (* dismissed by the plain triangle inequality *)
+  t_cheap : int; (* dismissed by the log-domain incumbent bound *)
+  t_deep : int; (* reached the exp check / bisection stage *)
+  t_exp : int; (* ran the 3-exp holds test *)
+  t_bis : int; (* ran the full bisection *)
+  t_rows : int; (* whole rows skipped by the row bound *)
+  t_pairs : int; (* whole z-loops skipped by the pair bound *)
+  t_tiles : int; (* z-tiles skipped by the tile bound *)
+}
+
+let empty_tally =
+  { t_plain = 0; t_cheap = 0; t_deep = 0; t_exp = 0; t_bis = 0; t_rows = 0;
+    t_pairs = 0; t_tiles = 0 }
+
+let merge a b =
+  {
+    t_plain = a.t_plain + b.t_plain;
+    t_cheap = a.t_cheap + b.t_cheap;
+    t_deep = a.t_deep + b.t_deep;
+    t_exp = a.t_exp + b.t_exp;
+    t_bis = a.t_bis + b.t_bis;
+    t_rows = a.t_rows + b.t_rows;
+    t_pairs = a.t_pairs + b.t_pairs;
+    t_tiles = a.t_tiles + b.t_tiles;
+  }
+
+(* Count one executed sweep over all ordered triples of n nodes. *)
+let record_sweep n =
+  Obs.incr sweeps;
+  Obs.add triples (n * (n - 1) * (n - 2))
+
+let publish t =
+  Obs.add plain_skips t.t_plain;
+  Obs.add cheap_skips t.t_cheap;
+  Obs.add deep t.t_deep;
+  Obs.add exp_evals t.t_exp;
+  Obs.add bisections t.t_bis;
+  Obs.add row_prunes t.t_rows;
+  Obs.add pair_prunes t.t_pairs;
+  Obs.add tile_prunes t.t_tiles;
+  (* When tracing, pin the sweep's pruning story to its span. *)
+  if Obs.tracing () then begin
+    Obs.add_span_attr "plain_skips" (Obs.I t.t_plain);
+    Obs.add_span_attr "cheap_skips" (Obs.I t.t_cheap);
+    Obs.add_span_attr "deep" (Obs.I t.t_deep);
+    Obs.add_span_attr "bisections" (Obs.I t.t_bis)
+  end
 
 (* ----------------------------------------------------------- zeta sweep *)
 
@@ -433,7 +501,7 @@ let zeta_chunk ~tol d bb init x_lo x_hi =
   done;
   ( !best,
     {
-      K.t_plain = !c_plain - !c_phantom;
+      t_plain = !c_plain - !c_phantom;
       t_cheap = !c_scanned - !c_plain - !c_deep;
       t_deep = !c_deep;
       t_exp = !c_exp;
@@ -451,14 +519,14 @@ let zeta_sweep ~tol ~jobs d =
   let bb = build_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "zeta_sweep"
   @@ fun () ->
-  K.record_sweep ~triples:(n * (n - 1) * (n - 2));
+  record_sweep n;
   let init = { x = 0; y = 1; z = 2; value = 1. } in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, K.empty_tally)
+    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, empty_tally)
       ~map:(fun x_lo x_hi -> zeta_chunk ~tol d bb init x_lo x_hi)
-      ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, K.merge t1 t2))
+      ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, merge t1 t2))
   in
-  K.publish tally;
+  publish tally;
   witness
 
 let zeta_cache : (string * float, witness) Memo.t =
@@ -478,44 +546,6 @@ let zeta_witness ?(ctx = Ctx.default) d =
   end
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
-
-let zeta_sampled ?(tol = 1e-9) ~samples rng d =
-  let n = Decay_space.n d in
-  if n < 3 then invalid_arg "Metricity.zeta_sampled: need at least 3 nodes";
-  let best = ref 1. in
-  for _ = 1 to samples do
-    let x = Bg_prelude.Rng.int rng n in
-    let y = ref (Bg_prelude.Rng.int rng n) in
-    while !y = x do
-      y := Bg_prelude.Rng.int rng n
-    done;
-    let z = ref (Bg_prelude.Rng.int rng n) in
-    while !z = x || !z = !y do
-      z := Bg_prelude.Rng.int rng n
-    done;
-    let fxy = Decay_space.decay d x !y
-    and fxz = Decay_space.decay d x !z
-    and fzy = Decay_space.decay d !z !y in
-    if fxy > fxz +. fzy && not (triple_holds ~fxy ~fxz ~fzy !best) then begin
-      let v = zeta_triple ~tol fxy fxz fzy in
-      if v > !best then best := v
-    end
-  done;
-  !best
-
-let zeta_subsampled ?tol ?(rounds = 8) ~nodes rng d =
-  let n = Decay_space.n d in
-  if nodes < 3 || nodes > n then
-    invalid_arg "Metricity.zeta_subsampled: need 3 <= nodes <= n";
-  let all = Array.init n Fun.id in
-  let best = ref 1. in
-  for _ = 1 to rounds do
-    let idx = Bg_prelude.Rng.sample rng nodes all in
-    let sub = Decay_space.sub_space d idx in
-    let w = zeta_witness ~ctx:(Ctx.make ?tol ()) sub in
-    if w.value > !best then best := w.value
-  done;
-  !best
 
 let zeta_upper_bound ?jobs d =
   let n = Decay_space.n d in
@@ -685,8 +715,8 @@ let phi_chunk d bb init x_lo x_hi =
   done;
   ( !best,
     {
-      K.empty_tally with
-      K.t_deep = !c_deep;
+      empty_tally with
+      t_deep = !c_deep;
       t_rows = !c_rows;
       t_pairs = !c_pairs;
       t_tiles = !c_tiles;
@@ -697,14 +727,14 @@ let phi_sweep ~jobs d =
   let bb = build_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "phi_sweep"
   @@ fun () ->
-  K.record_sweep ~triples:(n * (n - 1) * (n - 2));
+  record_sweep n;
   let init = { x = 0; y = 2; z = 1; value = 1. } in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, K.empty_tally)
+    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, empty_tally)
       ~map:(fun x_lo x_hi -> phi_chunk d bb init x_lo x_hi)
-      ~combine:(fun (w1, t1) (w2, t2) -> (better_phi w1 w2, K.merge t1 t2))
+      ~combine:(fun (w1, t1) (w2, t2) -> (better_phi w1 w2, merge t1 t2))
   in
-  K.publish tally;
+  publish tally;
   witness
 
 let phi_witness ?(ctx = Ctx.default) d =

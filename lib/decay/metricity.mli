@@ -16,7 +16,16 @@
     out (see DESIGN.md §3 and experiment E9).
 
     All sweep entry points take one optional {!Ctx.t} carrying tolerance,
-    parallelism, caching and solver limits. *)
+    parallelism, caching and solver limits.
+
+    Each executed (uncached) sweep adds its pruning tally to the
+    {!Bg_prelude.Obs} counters [kernel.sweeps], [kernel.triples],
+    [kernel.plain_skips], [kernel.cheap_skips], [kernel.deep],
+    [kernel.exp_evals], [kernel.bisections], [kernel.row_prunes],
+    [kernel.pair_prunes] and [kernel.tile_prunes], once per sweep and
+    identically at every job count; when tracing, the sweep's span also
+    carries [plain_skips], [cheap_skips], [deep] and [bisections].  The
+    counts are diagnostics and never influence a result. *)
 
 type witness = { x : int; y : int; z : int; value : float }
 (** The triple achieving an extremal parameter, and the value there. *)
@@ -65,25 +74,6 @@ val phi_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
 val phi_log : ?ctx:Ctx.t -> Decay_space.t -> float
 (** [lg phi], the exponent form used by Theorem 6 ([phi_log <= zeta] always,
     by the argument in §4.2). *)
-
-val zeta_sampled :
-  ?tol:float -> samples:int -> Bg_prelude.Rng.t -> Decay_space.t -> float
-[@@ocaml.deprecated
-  "Use Estimators.zeta_triples (stratified, with confidence bounds) \
-   instead."]
-(** Lower-bound estimate of the metricity from uniformly sampled triples.
-    Superseded by {!Estimators.zeta_triples}, which stratifies the sample
-    and reports a confidence interval.  Requires [n >= 3]. *)
-
-val zeta_subsampled :
-  ?tol:float -> ?rounds:int -> nodes:int -> Bg_prelude.Rng.t ->
-  Decay_space.t -> float
-[@@ocaml.deprecated
-  "Use Estimators.zeta (stratified node subsampling, with confidence \
-   bounds) instead."]
-(** Lower-bound estimate from exact metricity of random induced
-    sub-spaces.  Superseded by {!Estimators.zeta}.  Requires
-    [3 <= nodes <= n]. *)
 
 (** {1 The analysis cache}
 

@@ -3,7 +3,7 @@
     An experiment is more than a boolean: almost every claim in the paper is
     of the form "measured quantity m stays on the right side of bound b".
     Recording [measured] and [bound] alongside [pass] lets every consumer
-    ([bg experiment], [bench/main.exe], CI logs) print measured-vs-bound
+    ([bg experiment], its traces, CI logs) print measured-vs-bound
     columns and lets a regression be diagnosed from the report alone. *)
 
 type t = {

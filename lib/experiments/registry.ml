@@ -76,41 +76,3 @@ let all =
 let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> e.id = id) all
-
-let run_all () =
-  let module Obs = Core.Prelude.Obs in
-  List.map
-    (fun e ->
-      Printf.printf "--- %s: %s ---\n%!" e.id e.claim;
-      let o =
-        (* Same span shape as Isolate.run_entry, so a trace of the bench
-           harness (which runs entries directly) tells the same story. *)
-        Obs.with_span ~attrs:[ ("id", Obs.S e.id) ] "experiment" (fun () ->
-            let o = e.run () in
-            Obs.add_span_attr "verdict"
-              (Obs.S (if o.pass then "PASS" else "FAIL"));
-            Obs.add_span_attr "pass" (Obs.B o.pass);
-            o)
-      in
-      (e.id, o))
-    all
-
-let all_pass results = List.for_all (fun (_, o) -> o.pass) results
-
-let print_verdicts results =
-  let t =
-    Bg_prelude.Table.create ~title:"experiment verdicts"
-      [ "id"; "verdict"; "measured"; "bound"; "detail" ]
-  in
-  List.iter
-    (fun (id, o) ->
-      Bg_prelude.Table.add_row t
-        [
-          Bg_prelude.Table.S id;
-          Bg_prelude.Table.S (if o.pass then "PASS" else "FAIL");
-          Bg_prelude.Table.S (Outcome.float_cell o.measured);
-          Bg_prelude.Table.S (Outcome.float_cell o.bound);
-          Bg_prelude.Table.S o.detail;
-        ])
-    results;
-  Bg_prelude.Table.print t

@@ -1,7 +1,7 @@
 (** The experiment registry: every claim-reproduction experiment of
-    DESIGN.md section 5, addressable by id ("E1" .. "E31").  Used by
-    [bench/main.exe] (runs everything) and by the [bg experiment] CLI
-    subcommand (runs one or all). *)
+    DESIGN.md section 5, addressable by id ("E1" .. "E31").  The
+    [bg experiment] CLI subcommand runs one, several or all of them, each
+    under {!Isolate}. *)
 
 type outcome = Outcome.t = {
   pass : bool;
@@ -21,13 +21,3 @@ val all : entry list
 
 val find : string -> entry option
 (** Case-insensitive lookup by id. *)
-
-val run_all : unit -> (string * outcome) list
-(** Run every experiment in order (tables go to stdout); returns the
-    per-experiment outcomes. *)
-
-val all_pass : (string * outcome) list -> bool
-(** Did every experiment pass? *)
-
-val print_verdicts : (string * outcome) list -> unit
-(** Print the measured-vs-bound verdict table to stdout. *)

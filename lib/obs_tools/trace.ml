@@ -21,6 +21,7 @@
 
 module Table = Bg_prelude.Table
 module Obs = Bg_prelude.Obs
+module Jsonl = Bg_prelude.Jsonl
 
 type span = {
   id : int;
@@ -215,31 +216,6 @@ type kind_stats = {
   max_s : float;
 }
 
-(* Quantiles from the same log2 bucketing as the live registry: the
-   smallest bucket whose cumulative count reaches the rank, estimated at
-   the bucket's geometric midpoint (sqrt 2 times its lower edge). *)
-let bucket_estimate i =
-  if i <= 0 then 0.
-  else if i >= Obs.num_buckets - 1 then Obs.bucket_lower_bound i
-  else Obs.bucket_lower_bound i *. Float.sqrt 2.
-
-let quantile_of_buckets buckets count q =
-  if count = 0 then 0.
-  else begin
-    let rank = int_of_float (Float.round (q *. float_of_int (count - 1))) in
-    let i = ref 0 and seen = ref 0 in
-    (try
-       for b = 0 to Array.length buckets - 1 do
-         seen := !seen + buckets.(b);
-         if !seen > rank then begin
-           i := b;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    bucket_estimate !i
-  end
-
 type acc = {
   mutable a_count : int;
   mutable a_errors : int;
@@ -249,6 +225,11 @@ type acc = {
   mutable a_max : float;
   a_buckets : int array;
 }
+
+let quantile a q =
+  Obs.quantile_of_buckets
+    (List.mapi (fun i c -> (i, c)) (Array.to_list a.a_buckets))
+    q
 
 let aggregate spans =
   let idx = index spans in
@@ -292,8 +273,8 @@ let aggregate spans =
         kself_s = a.a_self;
         kchild_s = a.a_total -. a.a_self;
         alloc_b = a.a_alloc;
-        p50_s = quantile_of_buckets a.a_buckets a.a_count 0.50;
-        p99_s = quantile_of_buckets a.a_buckets a.a_count 0.99;
+        p50_s = quantile a 0.50;
+        p99_s = quantile a 0.99;
         max_s = a.a_max;
       }
       :: out)

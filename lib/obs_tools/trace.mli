@@ -8,10 +8,10 @@
 
     Self time is [dur - min(dur, sum of children dur)], so
     [self + child = total] holds {e exactly} per span and per kind.
-    Quantiles are estimated from the same log2 bucketing the live
-    metrics registry uses ({!Bg_prelude.Obs.bucket_of}), at the
-    geometric midpoint of the selected bucket, so offline p50/p99 are
-    comparable with online histogram flushes. *)
+    Quantiles bucket span durations with {!Bg_prelude.Obs.bucket_of}
+    and read them with {!Bg_prelude.Obs.quantile_of_buckets}, the
+    estimator the live registry uses, so offline p50/p99 are comparable
+    with online histogram flushes. *)
 
 type span = {
   id : int;
@@ -21,7 +21,7 @@ type span = {
   start_s : float;
   dur_s : float; (* clamped non-negative on load *)
   ok : bool;
-  attrs : (string * Jsonl.t) list;
+  attrs : (string * Bg_prelude.Jsonl.t) list;
 }
 
 (** {1 Loading} *)
@@ -29,13 +29,13 @@ type span = {
 val load : string -> span list
 (** Parse a JSONL trace file and keep its span events, in file order
     (children precede parents — spans are emitted on close).  Raises
-    {!Jsonl.Bad} on malformed JSON and [Sys_error] on an unreadable
-    file. *)
+    {!Bg_prelude.Jsonl.Bad} on malformed JSON and [Sys_error] on an
+    unreadable file. *)
 
-val load_events : string -> Jsonl.t list
+val load_events : string -> Bg_prelude.Jsonl.t list
 (** Every event of the file (spans, counters, gauges, histograms). *)
 
-val spans : Jsonl.t list -> span list
+val spans : Bg_prelude.Jsonl.t list -> span list
 (** The span events among [events]; non-span lines are ignored. *)
 
 val attr_num : span -> string -> float option

@@ -1,8 +1,9 @@
-(** Minimal dependency-free JSON / JSONL reader and writer.
+(** Minimal dependency-free JSON / JSONL reader and writer: the one
+    JSON codec of the repo.
 
-    The trace lines written by {!Bg_prelude.Obs}, the bench baselines
-    and the speedscope profiles emitted by {!Trace} are all small JSON;
-    this module parses and serializes them without an external library.
+    The trace lines written by {!Obs}, the wire protocol, telemetry, the
+    bench records and the speedscope profiles are all small JSON; this
+    module parses and serializes them without an external library.
     It handles full JSON (arrays, nesting, string escapes); numbers are
     parsed as [float] (JSON's own number model).  Non-BMP [\u] escapes
     and surrogate pairs are out of scope: code points [>= 0x80] decode
@@ -38,8 +39,21 @@ val read_file : string -> string
 val to_string : t -> string
 (** Compact (single-line) serialization.  Integral {!Num} values print
     without a decimal point; non-finite floats are emitted as strings
-    (["infinity"], ["nan"]) mirroring the {!Bg_prelude.Obs} convention,
-    so output always reparses. *)
+    (["infinity"], ["-infinity"], ["nan"]), so output always
+    reparses. *)
+
+val buf_add_string : Buffer.t -> string -> unit
+(** Append a quoted JSON string.  Quote, backslash, newline, carriage
+    return and tab get their two-character escapes, the other control
+    bytes a six-character [u00XX] escape; all other bytes are copied
+    verbatim. *)
+
+val buf_add_num : Buffer.t -> float -> unit
+(** Append a number as {!to_string} writes a {!Num}: integral values
+    below 1e15 in magnitude without a decimal point, other finite values
+    as [%.17g] (which round-trips every double), non-finite ones as the
+    strings above.  {!Obs} writes its trace lines with these two
+    functions, straight into its line buffer. *)
 
 (** {1 Accessors} *)
 

@@ -31,52 +31,50 @@ let now_s = Unix.gettimeofday
 
 (* ------------------------------------------------------------- JSON out *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-(* JSON has no inf/nan literals; map them to strings so every line stays
-   parseable by any reader. *)
-let buf_add_json_float b f =
-  (* %.17g round-trips every double: epoch timestamps need the full
-     mantissa or sub-second precision is lost. *)
-  if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else buf_add_json_string b (Printf.sprintf "%h" f)
+(* Lines are written with Jsonl's buffer writers straight into one
+   buffer per line; building a [Jsonl.t] per span would nearly double
+   the cost of a traced span.  Ints go through [string_of_int], so ids
+   and counts keep all their bits. *)
+let buf_add_int b i = Buffer.add_string b (string_of_int i)
+let buf_add_bool b x = Buffer.add_string b (if x then "true" else "false")
 
 let buf_add_value b = function
-  | S s -> buf_add_json_string b s
-  | I i -> Buffer.add_string b (string_of_int i)
-  | F f -> buf_add_json_float b f
-  | B x -> Buffer.add_string b (if x then "true" else "false")
+  | S s -> Jsonl.buf_add_string b s
+  | I i -> buf_add_int b i
+  | F f -> Jsonl.buf_add_num b f
+  | B x -> buf_add_bool b x
 
 let buf_add_attrs b attrs =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
+      Jsonl.buf_add_string b k;
       Buffer.add_char b ':';
       buf_add_value b v)
     attrs;
   Buffer.add_char b '}'
 
-let value_to_string = function
-  | S s -> s
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%g" f
-  | B b -> string_of_bool b
+let span_line ~id ~parent ~name ~start_s ~dur_s ~ok attrs =
+  let b = Buffer.create 160 in
+  Buffer.add_string b "{\"type\":\"span\",\"id\":";
+  buf_add_int b id;
+  Buffer.add_string b ",\"parent\":";
+  buf_add_int b parent;
+  Buffer.add_string b ",\"domain\":";
+  buf_add_int b (Domain.self () :> int);
+  Buffer.add_string b ",\"name\":";
+  Jsonl.buf_add_string b name;
+  Buffer.add_string b ",\"start_s\":";
+  Jsonl.buf_add_num b start_s;
+  Buffer.add_string b ",\"dur_s\":";
+  Jsonl.buf_add_num b dur_s;
+  Buffer.add_string b ",\"ok\":";
+  buf_add_bool b ok;
+  Buffer.add_string b ",\"attrs\":";
+  buf_add_attrs b attrs;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* ---------------------------------------------------------- trace sink *)
 
@@ -197,31 +195,15 @@ let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let emit_span s ~parent ~ok fr =
-  let dur = now_s () -. fr.start in
+  let dur_s = now_s () -. fr.start in
   (* Profiling deltas are closed out before serialization so they appear
      with the user attributes; reversal below restores addition order. *)
   (match fr.prof with
   | None -> ()
   | Some p0 -> fr.fattrs <- List.rev_append (alloc_attrs p0) fr.fattrs);
-  let b = Buffer.create 160 in
-  Buffer.add_string b "{\"type\":\"span\",\"id\":";
-  Buffer.add_string b (string_of_int fr.id);
-  Buffer.add_string b ",\"parent\":";
-  Buffer.add_string b (string_of_int parent);
-  Buffer.add_string b ",\"domain\":";
-  Buffer.add_string b (string_of_int (Domain.self () :> int));
-  Buffer.add_string b ",\"name\":";
-  buf_add_json_string b fr.sname;
-  Buffer.add_string b ",\"start_s\":";
-  buf_add_json_float b fr.start;
-  Buffer.add_string b ",\"dur_s\":";
-  buf_add_json_float b dur;
-  Buffer.add_string b ",\"ok\":";
-  Buffer.add_string b (if ok then "true" else "false");
-  Buffer.add_string b ",\"attrs\":";
-  buf_add_attrs b (List.rev fr.fattrs);
-  Buffer.add_char b '}';
-  emit_line s (Buffer.contents b)
+  emit_line s
+    (span_line ~id:fr.id ~parent ~name:fr.sname ~start_s:fr.start ~dur_s ~ok
+       (List.rev fr.fattrs))
 
 let with_span ?(attrs = []) name f =
   match Atomic.get sink with
@@ -300,25 +282,7 @@ let emit_span_at ?(attrs = []) ?parent ?id ?(ok = true) ~name ~start_s
             | fr :: _ -> fr.id)
       in
       let id = match id with Some i -> i | None -> alloc_span_id () in
-      let b = Buffer.create 160 in
-      Buffer.add_string b "{\"type\":\"span\",\"id\":";
-      Buffer.add_string b (string_of_int id);
-      Buffer.add_string b ",\"parent\":";
-      Buffer.add_string b (string_of_int parent);
-      Buffer.add_string b ",\"domain\":";
-      Buffer.add_string b (string_of_int (Domain.self () :> int));
-      Buffer.add_string b ",\"name\":";
-      buf_add_json_string b name;
-      Buffer.add_string b ",\"start_s\":";
-      buf_add_json_float b start_s;
-      Buffer.add_string b ",\"dur_s\":";
-      buf_add_json_float b dur_s;
-      Buffer.add_string b ",\"ok\":";
-      Buffer.add_string b (if ok then "true" else "false");
-      Buffer.add_string b ",\"attrs\":";
-      buf_add_attrs b attrs;
-      Buffer.add_char b '}';
-      emit_line s (Buffer.contents b);
+      emit_line s (span_line ~id ~parent ~name ~start_s ~dur_s ~ok attrs);
       id
 
 (* -------------------------------------------------------------- metrics *)
@@ -433,35 +397,39 @@ let histogram_count h = Atomic.get h.hcount
 let histogram_sum h = h.hsum
 let histogram_bucket h i = Atomic.get h.buckets.(i)
 
-(* Quantiles from the log2 buckets: the smallest bucket whose cumulative
-   count reaches the rank, estimated at the bucket's geometric midpoint
-   (sqrt 2 times its lower edge) — the same estimator Obs_tools.Trace
-   applies to recorded traces, so online and offline p50/p99 agree. *)
-let histogram_quantile h q =
-  let count = Atomic.get h.hcount in
-  if count = 0 then 0.
+(* Occupied buckets as [(index, count)] pairs in index order. *)
+let sparse_buckets h =
+  let acc = ref [] in
+  for i = num_buckets - 1 downto 0 do
+    let n = Atomic.get h.buckets.(i) in
+    if n > 0 then acc := (i, n) :: !acc
+  done;
+  !acc
+
+(* The smallest bucket whose cumulative count exceeds the rank,
+   estimated at its geometric midpoint (sqrt 2 times its lower edge).
+   This is the one log2-bucket estimator: live histograms, telemetry,
+   the serve metrics op and trace reports all call it, so every p50/p99
+   the repo prints is comparable with every other. *)
+let quantile_of_buckets buckets q =
+  let total = List.fold_left (fun n (_, c) -> n + c) 0 buckets in
+  if total = 0 then 0.
   else begin
     let q = Float.min 1. (Float.max 0. q) in
-    let rank = int_of_float (Float.round (q *. float_of_int (count - 1))) in
-    let result = ref 0. and seen = ref 0 in
-    (try
-       for b = 0 to num_buckets - 1 do
-         seen := !seen + Atomic.get h.buckets.(b);
-         if !seen > rank then begin
-           result :=
-             (if b <= 0 then 0.
-              else if b >= num_buckets - 1 then bucket_lower_bound b
-              else bucket_lower_bound b *. Float.sqrt 2.);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
+    let rank = int_of_float (Float.round (q *. float_of_int (total - 1))) in
+    let rec go seen = function
+      | [] -> 0.
+      | (b, c) :: rest ->
+          let seen = seen + c in
+          if seen <= rank then go seen rest
+          else if b <= 0 then 0.
+          else if b >= num_buckets - 1 then bucket_lower_bound b
+          else bucket_lower_bound b *. Float.sqrt 2.
+    in
+    go 0 buckets
   end
 
-let time_histogram h f =
-  let t0 = now_s () in
-  Fun.protect ~finally:(fun () -> observe h (now_s () -. t0)) f
+let histogram_quantile h q = quantile_of_buckets (sparse_buckets h) q
 
 let sorted_metrics () =
   Mutex.lock registry_lock;
@@ -488,14 +456,9 @@ let snapshot () =
         | C c -> Counter_snapshot (Atomic.get c.c)
         | G g -> Gauge_snapshot g.g
         | H h ->
-            let buckets = ref [] in
-            for i = num_buckets - 1 downto 0 do
-              let n = Atomic.get h.buckets.(i) in
-              if n > 0 then buckets := (i, n) :: !buckets
-            done;
             Histogram_snapshot
               { count = Atomic.get h.hcount; sum = h.hsum;
-                buckets = !buckets }
+                buckets = sparse_buckets h }
       in
       (name, v))
     (sorted_metrics ())
@@ -516,48 +479,46 @@ let reset_metrics () =
           Mutex.unlock h.hlock)
     (sorted_metrics ())
 
+let metric_line name m =
+  let b = Buffer.create 96 in
+  let head kind =
+    Buffer.add_string b "{\"type\":\"";
+    Buffer.add_string b kind;
+    Buffer.add_string b "\",\"name\":";
+    Jsonl.buf_add_string b name
+  in
+  (match m with
+  | C c ->
+      head "counter";
+      Buffer.add_string b ",\"value\":";
+      buf_add_int b (Atomic.get c.c)
+  | G g ->
+      head "gauge";
+      Buffer.add_string b ",\"value\":";
+      Jsonl.buf_add_num b g.g
+  | H h ->
+      head "histogram";
+      Buffer.add_string b ",\"count\":";
+      buf_add_int b (Atomic.get h.hcount);
+      Buffer.add_string b ",\"sum\":";
+      Jsonl.buf_add_num b h.hsum;
+      Buffer.add_string b ",\"buckets\":{";
+      List.iteri
+        (fun k (i, n) ->
+          if k > 0 then Buffer.add_char b ',';
+          Jsonl.buf_add_string b (string_of_int i);
+          Buffer.add_char b ':';
+          buf_add_int b n)
+        (sparse_buckets h);
+      Buffer.add_char b '}');
+  Buffer.add_char b '}';
+  Buffer.contents b
+
 let flush_metrics () =
   match Atomic.get sink with
   | None -> ()
   | Some s ->
-      List.iter
-        (fun (name, m) ->
-          let b = Buffer.create 96 in
-          (match m with
-          | C c ->
-              Buffer.add_string b "{\"type\":\"counter\",\"name\":";
-              buf_add_json_string b name;
-              Buffer.add_string b ",\"value\":";
-              Buffer.add_string b (string_of_int (Atomic.get c.c));
-              Buffer.add_char b '}'
-          | G g ->
-              Buffer.add_string b "{\"type\":\"gauge\",\"name\":";
-              buf_add_json_string b name;
-              Buffer.add_string b ",\"value\":";
-              buf_add_json_float b g.g;
-              Buffer.add_char b '}'
-          | H h ->
-              Buffer.add_string b "{\"type\":\"histogram\",\"name\":";
-              buf_add_json_string b name;
-              Buffer.add_string b ",\"count\":";
-              Buffer.add_string b (string_of_int (Atomic.get h.hcount));
-              Buffer.add_string b ",\"sum\":";
-              buf_add_json_float b h.hsum;
-              Buffer.add_string b ",\"buckets\":{";
-              let first = ref true in
-              Array.iteri
-                (fun i bk ->
-                  let v = Atomic.get bk in
-                  if v > 0 then begin
-                    if not !first then Buffer.add_char b ',';
-                    first := false;
-                    buf_add_json_string b (string_of_int i);
-                    Buffer.add_char b ':';
-                    Buffer.add_string b (string_of_int v)
-                  end)
-                h.buckets;
-              Buffer.add_string b "}}");
-          emit_line s (Buffer.contents b))
+      List.iter (fun (name, m) -> emit_line s (metric_line name m))
         (sorted_metrics ())
 
 (* ------------------------------------------------------------- summary *)

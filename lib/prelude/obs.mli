@@ -18,7 +18,8 @@
     span becomes one JSONL line when it {e closes}; children therefore
     appear before their parents in the file, linked by [parent] id.
 
-    Trace event shapes:
+    Trace event shapes (strings and floats are written by
+    {!Jsonl.buf_add_string} and {!Jsonl.buf_add_num}):
     {v
 {"type":"span","id":N,"parent":N,"domain":N,"name":"...",
  "start_s":F,"dur_s":F,"ok":true,"attrs":{...}}
@@ -30,12 +31,9 @@
 type value = S of string | I of int | F of float | B of bool
 (** Span attribute values: string, int, float, bool. *)
 
-val value_to_string : value -> string
-(** Human rendering (no JSON quoting). *)
-
 val now_s : unit -> float
 (** Wall clock in seconds ([Unix.gettimeofday]); the clock used for all
-    span timestamps and histogram timing helpers. *)
+    span timestamps. *)
 
 (** {1 Tracing} *)
 
@@ -156,10 +154,6 @@ val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
 
-val time_histogram : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and {!observe} its wall-clock duration in seconds,
-    also on exceptional exit. *)
-
 val histogram_count : histogram -> int
 
 val histogram_sum : histogram -> float
@@ -170,11 +164,19 @@ val histogram_bucket : histogram -> int -> int
 (** Count in bucket [i], [0 <= i < num_buckets]. *)
 
 val histogram_quantile : histogram -> float -> float
-(** [histogram_quantile h q] estimates the [q]-quantile ([0 <= q <= 1],
-    clamped) of the observed values from the log2 buckets, at the
-    geometric midpoint of the selected bucket — the same estimator
-    {!Obs_tools.Trace} uses offline, so a live [p99] and a trace-derived
-    one are comparable.  [0.] on an empty histogram. *)
+(** [histogram_quantile h q] is {!quantile_of_buckets} over [h]'s
+    buckets. *)
+
+val quantile_of_buckets : (int * int) list -> float -> float
+(** [quantile_of_buckets buckets q] estimates the [q]-quantile
+    ([0 <= q <= 1], clamped) of a log2-bucket histogram given as
+    [(bucket, count)] pairs in bucket order (sparse or dense): the
+    smallest bucket whose cumulative count exceeds the rank
+    [round (q * (total - 1))], read at its geometric midpoint ([sqrt 2]
+    times its lower edge).  Bucket 0 reads as [0.], the overflow bucket
+    as its lower edge; an empty histogram gives [0.].  Every p50/p99 in
+    the repo comes from this one function: live histograms, telemetry
+    snapshots, the serve [metrics] op and trace reports. *)
 
 val num_buckets : int
 (** 64. *)

@@ -1,8 +1,8 @@
 (** ASCII table rendering for experiment output.
 
-    Every experiment in [bench/main.exe] prints its rows through this module
-    so that the "paper-style" tables recorded in EXPERIMENTS.md have a
-    uniform, diff-friendly shape.  Also provides CSV output for downstream
+    Every experiment run by [bg experiment] prints its rows through this
+    module so that the "paper-style" tables recorded in EXPERIMENTS.md
+    have a uniform, diff-friendly shape.  Also provides CSV output for downstream
     plotting. *)
 
 type cell = S of string | I of int | F of float | F2 of float | F4 of float

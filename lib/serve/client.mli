@@ -88,7 +88,7 @@ val request : conn -> Protocol.request -> (Protocol.response, string) result
     [client.request] root span with each wire attempt and each backoff
     sleep as child spans, and the wire carries the trace id plus the
     attempt span's id — the other half of the cross-process causal tree
-    {!Obs_tools.Trace.merge} assembles. *)
+    [Obs_tools.Trace.merge] assembles. *)
 
 val ping : conn -> (Protocol.response, string) result
 (** {!request} with the [ping] health op. *)

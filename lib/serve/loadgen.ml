@@ -31,7 +31,7 @@
    (sorted-sample) p50/p99 latencies. *)
 
 module P = Protocol
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 module D = Core.Decay.Decay_space
 module Spaces = Core.Decay.Spaces
 module Rng = Core.Prelude.Rng

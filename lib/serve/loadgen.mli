@@ -23,7 +23,7 @@
     preallocate a [client.request] root span id per request, send it on
     the wire as [parent_span], and emit the (backdated) root span when
     the request resolves — the client half of the cross-process causal
-    tree {!Obs_tools.Trace.merge} assembles. *)
+    tree [Obs_tools.Trace.merge] assembles. *)
 
 val zipf_cdf : s:float -> n:int -> float array
 (** Cumulative distribution of the zipf([s]) law on ranks [1..n]
@@ -96,7 +96,7 @@ val build_report :
   report
 (** Fold [(response, latency_s)] observations into a report. *)
 
-val report_to_json : report -> Obs_tools.Jsonl.t
+val report_to_json : report -> Core.Prelude.Jsonl.t
 val pp_report : Format.formatter -> report -> unit
 
 val drive_inproc :

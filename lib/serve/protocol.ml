@@ -17,12 +17,12 @@
    load watermark.  The flag is omitted when false, so pre-resilience
    response lines parse identically.
 
-   All parsing goes through Obs_tools.Jsonl (floats round-trip via
+   All parsing goes through Core.Prelude.Jsonl (floats round-trip via
    %.17g), so a workload generated from a seed produces bit-identical
    request lines — and therefore identical space digests — on every
    run, which is what makes the persistent cache hit across restarts. *)
 
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 
 type op =
   | Zeta

@@ -32,7 +32,7 @@
     confidence interval.  The flag is omitted when false, so
     pre-resilience response lines parse unchanged.
 
-    Floats are serialized with [%.17g] ({!Obs_tools.Jsonl}), so a
+    Floats are serialized with [%.17g] ({!Core.Prelude.Jsonl}), so a
     workload generated from a seed produces bit-identical request lines
     — and therefore identical space digests — on every run, which is
     what makes the persistent cache hit across daemon restarts. *)
@@ -63,7 +63,7 @@ type trace_context = { trace_id : string; parent_span : int }
 (** Cross-process trace identity.  [trace_id] names the logical request
     across every process it touches; [parent_span] is the sender's span
     id in its own trace file (0 = unknown), which lets
-    {!Obs_tools.Trace.merge} re-parent the server's spans under the
+    [Obs_tools.Trace.merge] re-parent the server's spans under the
     client's.  Serialized as top-level [trace_id] / [parent_span] wire
     fields, omitted when absent, so pre-tracing lines parse unchanged. *)
 
@@ -86,7 +86,7 @@ type response =
   | Done of {
       id : string;
       op_name : string;
-      result : Obs_tools.Jsonl.t;
+      result : Core.Prelude.Jsonl.t;
       cache : cache_outcome;
       queue_wait_s : float;  (** admission to batch start *)
       batch : int;  (** id of the batch that served it *)
@@ -125,10 +125,10 @@ val request_of_string : string -> (request, string) result
 (** Parse one request line; [Error] carries a one-line reason suitable
     for a [Failed] response. *)
 
-val request_to_json : request -> Obs_tools.Jsonl.t
-val request_of_json : Obs_tools.Jsonl.t -> (request, string) result
+val request_to_json : request -> Core.Prelude.Jsonl.t
+val request_of_json : Core.Prelude.Jsonl.t -> (request, string) result
 
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
-val response_to_json : response -> Obs_tools.Jsonl.t
-val response_of_json : Obs_tools.Jsonl.t -> (response, string) result
+val response_to_json : response -> Core.Prelude.Jsonl.t
+val response_of_json : Core.Prelude.Jsonl.t -> (response, string) result

@@ -50,7 +50,7 @@
    work. *)
 
 module P = Protocol
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 module D = Core.Decay.Decay_space
 module Io = Core.Decay.Decay_io
 module Met = Core.Decay.Metricity
@@ -319,32 +319,12 @@ let metrics_result t ~queue_depth =
           counters := (name, J.Num (float_of_int v)) :: !counters
       | Obs.Gauge_snapshot v -> gauges := (name, J.Num v) :: !gauges
       | Obs.Histogram_snapshot { count; sum; buckets } ->
-          let q q' =
-            let total = count in
-            if total = 0 then 0.
-            else begin
-              let rank =
-                int_of_float (Float.round (q' *. float_of_int (total - 1)))
-              in
-              let rec go seen = function
-                | [] -> 0.
-                | (b, c) :: rest ->
-                    let seen = seen + c in
-                    if seen > rank then
-                      if b <= 0 then 0.
-                      else if b >= Obs.num_buckets - 1 then
-                        Obs.bucket_lower_bound b
-                      else Obs.bucket_lower_bound b *. Float.sqrt 2.
-                    else go seen rest
-              in
-              go 0 buckets
-            end
-          in
           histograms :=
             ( name,
               J.Obj
                 [ ("count", J.Num (float_of_int count)); ("sum", J.Num sum);
-                  ("p50", J.Num (q 0.5)); ("p99", J.Num (q 0.99)) ] )
+                  ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
+                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99)) ] )
             :: !histograms)
     (Obs.snapshot ());
   J.Obj

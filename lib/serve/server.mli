@@ -39,7 +39,7 @@
     registry.  A request that carried {!Protocol.trace_context} gets the
     [trace_id] / [parent_span] recorded on its [serve.request] span and
     backdated [serve.queue_wait] / [serve.kernel] child spans, so
-    {!Obs_tools.Trace.merge} can stitch the server's work under the
+    [Obs_tools.Trace.merge] can stitch the server's work under the
     originating client root. *)
 
 type degrade = {

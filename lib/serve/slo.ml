@@ -13,7 +13,7 @@
    evicts from the front on report.  Lifetime totals are kept as plain
    sums per objective and never evicted. *)
 
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 module Obs = Core.Prelude.Obs
 
 type objective =
@@ -200,6 +200,21 @@ let report t ~now_s =
 
 let violated statuses = List.exists (fun s -> not s.healthy) statuses
 
+(* One objective scored over a finished set of events: window and
+   lifetime coincide. *)
+let score objective ~bad ~total =
+  let b = burn ~bad ~total ~budget:(budget objective) in
+  {
+    objective;
+    window_total = total;
+    window_bad = bad;
+    window_burn = b;
+    lifetime_total = total;
+    lifetime_bad = bad;
+    lifetime_burn = b;
+    healthy = b <= 1.;
+  }
+
 let eval_samples spec samples =
   let total = List.length samples in
   List.map
@@ -210,17 +225,7 @@ let eval_samples spec samples =
             if is_bad o { at = 0.; latency_s; ok } then n + 1 else n)
           0 samples
       in
-      let b = burn ~bad ~total ~budget:(budget o) in
-      {
-        objective = o;
-        window_total = total;
-        window_bad = bad;
-        window_burn = b;
-        lifetime_total = total;
-        lifetime_bad = bad;
-        lifetime_burn = b;
-        healthy = b <= 1.;
-      })
+      score o ~bad ~total)
     spec
 
 let bad_latency_of_buckets ~threshold_s buckets =
@@ -228,6 +233,45 @@ let bad_latency_of_buckets ~threshold_s buckets =
   List.fold_left
     (fun n (i, count) -> if i > threshold_bucket then n + count else n)
     0 buckets
+
+(* Replay telemetry lines: sum each snapshot's deltas per objective.
+   Latency objectives read the serve.latency_s buckets; the error
+   objective reads the admission counters (rejected and failed are bad,
+   accepted + rejected is the request total).  A missing field reads as
+   zero — telemetry is observed, not validated. *)
+let eval_telemetry spec lines =
+  let fields k j = match J.member k j with Some (J.Obj kvs) -> kvs | _ -> [] in
+  let int k j = Option.fold ~none:0 ~some:int_of_float (J.mem_num k j) in
+  let counter line name =
+    Option.fold ~none:0 ~some:(int "delta")
+      (List.assoc_opt name (fields "counters" line))
+  in
+  let buckets h =
+    List.filter_map
+      (fun (k, v) ->
+        match (int_of_string_opt k, J.num v) with
+        | Some b, Some c -> Some (b, int_of_float c)
+        | _ -> None)
+      (fields "buckets_delta" h)
+  in
+  let add objective (bad, total) line =
+    match objective with
+    | Latency { threshold_s; _ } -> (
+        match List.assoc_opt "serve.latency_s" (fields "histograms" line) with
+        | None -> (bad, total)
+        | Some h ->
+            ( bad + bad_latency_of_buckets ~threshold_s (buckets h),
+              total + int "count_delta" h ))
+    | Error_rate _ ->
+        let rejected = counter line "serve.rejected" in
+        ( bad + counter line "serve.failed" + rejected,
+          total + counter line "serve.accepted" + rejected )
+  in
+  List.map
+    (fun o ->
+      let bad, total = List.fold_left (add o) (0, 0) lines in
+      score o ~bad ~total)
+    spec
 
 let status_to_json s =
   J.Obj

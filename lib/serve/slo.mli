@@ -17,7 +17,7 @@
 
     The tracker ({!t}) is what a live server threads its responses
     through; {!eval_samples} scores a finished loadgen run;
-    {!bad_latency_of_buckets} scores recorded telemetry (log2-bucket
+    {!eval_telemetry} scores a recorded telemetry ring (log2-bucket
     resolution: a bucket straddling the threshold counts as good). *)
 
 type objective =
@@ -71,6 +71,15 @@ val eval_samples : spec -> (float * bool) list -> status list
 (** Score a finished run: each sample is [(latency_s, ok)].  Window and
     lifetime coincide. *)
 
+val eval_telemetry : spec -> Core.Prelude.Jsonl.t list -> status list
+(** Score a recorded [--telemetry] ring ({!Telemetry}): per objective,
+    sum every snapshot's deltas.  A latency objective counts the
+    [serve.latency_s] [count_delta] as events and
+    {!bad_latency_of_buckets} of its [buckets_delta] as bad; the error
+    objective counts [serve.accepted] + [serve.rejected] as events and
+    [serve.failed] + [serve.rejected] as bad.  Missing fields read as
+    zero.  Window and lifetime coincide, as in {!eval_samples}. *)
+
 val bad_latency_of_buckets :
   threshold_s:float -> (int * int) list -> int
 (** How many observations in a sparse log2-bucket histogram (as recorded
@@ -79,6 +88,6 @@ val bad_latency_of_buckets :
     approximation — observations sharing the threshold's bucket count as
     good. *)
 
-val status_to_json : status -> Obs_tools.Jsonl.t
+val status_to_json : status -> Core.Prelude.Jsonl.t
 (** [{"objective":"p99<=0.05","window":{"total":N,"bad":N,"burn":F},
     "lifetime":{...},"healthy":B}] *)

@@ -32,7 +32,7 @@
    that fail to parse are counted and skipped (a damaged entry costs one
    recompute); journal damage truncates to the valid prefix. *)
 
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 module Memo = Core.Prelude.Memo
 module Obs = Core.Prelude.Obs
 

@@ -49,11 +49,11 @@ val open_ :
     and [mid-snapshot] crash points inside {!flush}.
     @raise Invalid_argument if [flush_every < 1]. *)
 
-val find : t -> string -> Obs_tools.Jsonl.t option
+val find : t -> string -> Core.Prelude.Jsonl.t option
 (** Cached result under a key ([<digest>/<op_key>]); refreshes LRU
     recency and counts a hit or miss. *)
 
-val add : t -> string -> Obs_tools.Jsonl.t -> unit
+val add : t -> string -> Core.Prelude.Jsonl.t -> unit
 (** Insert a computed result: journal it ([store.wal_appends]), evict
     LRU entries beyond the cap, and compact when the flush threshold is
     reached.  Durable after the next {!sync} or {!flush}. *)

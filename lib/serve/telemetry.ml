@@ -14,7 +14,7 @@
    never sees a torn file. *)
 
 module Obs = Core.Prelude.Obs
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 
 let delta ~prev ~cur = if cur >= prev then cur - prev else cur
 let delta_f ~prev ~cur = if cur >= prev then cur -. prev else cur
@@ -116,30 +116,6 @@ let snapshot_json t ~now snap =
                 match v with J.Num 0. -> None | _ -> Some (k, v))
               buckets
           in
-          let q h q' =
-            (* quantile over absolute buckets, same estimator as
-               Obs.histogram_quantile but from the sparse snapshot *)
-            let total = List.fold_left (fun n (_, c) -> n + c) 0 h in
-            if total = 0 then 0.
-            else begin
-              let rank =
-                int_of_float
-                  (Float.round (q' *. float_of_int (total - 1)))
-              in
-              let rec go seen = function
-                | [] -> 0.
-                | (b, c) :: rest ->
-                    let seen = seen + c in
-                    if seen > rank then
-                      if b <= 0 then 0.
-                      else if b >= Obs.num_buckets - 1 then
-                        Obs.bucket_lower_bound b
-                      else Obs.bucket_lower_bound b *. Float.sqrt 2.
-                    else go seen rest
-              in
-              go 0 h
-            end
-          in
           histograms :=
             ( name,
               obj_of_pairs
@@ -148,8 +124,8 @@ let snapshot_json t ~now snap =
                     J.Num (float_of_int (delta ~prev:pcount ~cur:count)) );
                   ("sum", J.Num sum);
                   ("sum_delta", J.Num (delta_f ~prev:psum ~cur:sum));
-                  ("p50", J.Num (q buckets 0.5));
-                  ("p99", J.Num (q buckets 0.99));
+                  ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
+                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99));
                   ("buckets_delta", J.Obj bd) ] )
             :: !histograms)
     snap;

@@ -6,7 +6,7 @@ module Decay = Core.Decay
 module Decay_space = Decay.Decay_space
 module Evolve = Decay.Evolve
 module Incremental = Decay.Incremental
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 
 let cfg ?(n = 10) ?(speed = (0.8, 2.5)) ?(shadow = 4.) () =
   {

@@ -8,7 +8,6 @@ module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
 module Fad = Core.Decay.Fading
 module Sp = Core.Decay.Spaces
-module KS = Core.Decay.Kernel_stats
 module Memo = Core.Prelude.Memo
 module Rng = Core.Prelude.Rng
 module Ctx = Core.Decay.Ctx
@@ -101,6 +100,45 @@ let test_holds_at_matches_naive () =
         [ 1.; 2.; 3.; 8. ])
     (families ())
 
+let test_tiled_kernels_match_naive () =
+  (* n = 512 is where the zeta/phi sweeps switch to z-tiles and x-panels
+     (Metricity's tile_threshold); the families above never reach it.
+     The square root of Euclidean distance is a metric; a few planted 6x
+     violations give both kernels a witness above 1, and a sweep that
+     prunes some tiles and scans others.  The naive reference dominates
+     the cost (~1.3 s at jobs=2 on a 2-core box); the optimized sweeps
+     take ~25 ms each. *)
+  let n = 512 in
+  let base =
+    D.of_points ~alpha:0.5 (Sp.random_points (Rng.create 2025) ~n ~side:100.)
+  in
+  let planted = [ (0, 511); (3, 400); (77, 78); (10, 250); (300, 301) ] in
+  let d =
+    D.of_fn ~name:"near-metric" n (fun i j ->
+        let f = D.decay base i j in
+        if List.mem (min i j, max i j) planted then 6. *. f else f)
+  in
+  let zeta = Naive_ref.zeta_witness ~jobs:2 d in
+  let phi = Naive_ref.phi_witness ~jobs:2 d in
+  check_true "planted violations raise zeta" (zeta.value > 1.);
+  check_true "planted violations raise phi" (phi.value > 1.);
+  let (), k =
+    kernel_deltas (fun () ->
+        List.iter
+          (fun jobs ->
+            check_witness
+              (Printf.sprintf "tiled zeta witness jobs=%d" jobs)
+              zeta
+              (Met.zeta_witness ~ctx:(ctx_j jobs) d);
+            check_witness
+              (Printf.sprintf "tiled phi witness jobs=%d" jobs)
+              phi
+              (Met.phi_witness ~ctx:(ctx_j jobs) d))
+          [ 1; 2 ])
+  in
+  check_true "the tiled path ran: z-tiles were pruned"
+    (List.assoc "tile_prunes" k > 0)
+
 let prop_random_witness_identity =
   qcheck ~count:40 "optimized zeta/phi witnesses = naive on random spaces"
     QCheck.(pair (int_range 0 10_000) bool)
@@ -130,8 +168,7 @@ let prop_random_gamma_identity =
 
 let reset_all () =
   Met.clear_caches ();
-  Fad.clear_caches ();
-  KS.reset ()
+  Fad.clear_caches ()
 
 let test_second_run_sweeps_nothing () =
   reset_all ();
@@ -139,12 +176,11 @@ let test_second_run_sweeps_nothing () =
   let config =
     { Core.Analysis.gamma_at = [ 2. ]; ctx = Ctx.make ~jobs:2 () }
   in
-  let r1 = Core.Analysis.run ~config d in
-  let sweeps_after_first = (KS.snapshot ()).KS.sweeps in
-  check_true "first run sweeps" (sweeps_after_first >= 3);
-  let r2 = Core.Analysis.run ~config d in
-  check_int "second run performs zero sweep work" sweeps_after_first
-    (KS.snapshot ()).KS.sweeps;
+  let r1, first = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
+  check_true "first run sweeps" (List.assoc "sweeps" first >= 3);
+  let r2, second = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
+  check_int "second run performs zero sweep work" 0
+    (List.assoc "sweeps" second);
   let mh, _ = Met.cache_stats () in
   let fh, _ = Fad.cache_stats () in
   check_true "zeta/phi/gamma all served from cache" (mh >= 2 && fh >= 1);
@@ -281,15 +317,17 @@ let test_views_race_free_under_pool () =
 let test_pruning_counters () =
   reset_all ();
   let d = random_space ~n:10 123 in
-  ignore (Met.zeta_witness ~ctx:(ctx_j 1) d);
-  let s = KS.snapshot () in
+  let (), s =
+    kernel_deltas (fun () -> ignore (Met.zeta_witness ~ctx:(ctx_j 1) d))
+  in
+  let k name = List.assoc name s in
   let n = 10 in
-  check_int "one sweep" 1 s.KS.sweeps;
-  check_int "triple count" (n * (n - 1) * (n - 2)) s.KS.triples;
+  check_int "one sweep" 1 (k "sweeps");
+  check_int "triple count" (n * (n - 1) * (n - 2)) (k "triples");
   check_true "visited <= triples"
-    (s.KS.plain_skips + s.KS.cheap_skips + s.KS.deep <= s.KS.triples);
-  check_true "bisections only on deep triples" (s.KS.bisections <= s.KS.deep);
-  let fr = KS.pruned_fraction s in
+    (k "plain_skips" + k "cheap_skips" + k "deep" <= k "triples");
+  check_true "bisections only on deep triples" (k "bisections" <= k "deep");
+  let fr = pruned_fraction s in
   check_true "pruned fraction in [0,1]" (fr >= 0. && fr <= 1.)
 
 let suite =
@@ -300,6 +338,7 @@ let suite =
         case "phi witness = naive, all families" test_phi_matches_naive;
         case "gamma = naive, all families" test_gamma_matches_naive;
         case "holds_at = naive" test_holds_at_matches_naive;
+        case "tiled zeta/phi = naive at n=512" test_tiled_kernels_match_naive;
         prop_random_witness_identity;
         prop_random_gamma_identity;
         case "second Analysis.run sweeps nothing"

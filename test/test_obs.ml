@@ -10,29 +10,26 @@ module Par = Core.Prelude.Parallel
 module Met = Core.Decay.Metricity
 module Ctx = Core.Decay.Ctx
 module Fad = Core.Decay.Fading
-module KS = Core.Decay.Kernel_stats
-module Jsonl = Obs_tools.Jsonl
+module Jsonl = Core.Prelude.Jsonl
 open Testutil
 
 (* Run [f] with a fresh temp-file trace sink installed and return the
-   parsed JSONL events it produced.  The sink is always closed and the
-   file removed, also on exceptional exit. *)
-let trace_to_events f =
+   text it wrote.  The sink is always closed and the file removed, also
+   on exceptional exit. *)
+let trace_to_text f =
   let path = Filename.temp_file "bg_obs_test" ".jsonl" in
   Obs.set_trace_file path;
-  let cleanup () =
-    Obs.close_trace ();
-    if Sys.file_exists path then Sys.remove path
-  in
-  match f () with
-  | () ->
+  Fun.protect
+    ~finally:(fun () ->
       Obs.close_trace ();
-      let text = Jsonl.read_file path in
-      Sys.remove path;
-      Jsonl.parse_lines text
-  | exception e ->
-      cleanup ();
-      raise e
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      f ();
+      Obs.close_trace ();
+      Jsonl.read_file path)
+
+(* ... and parsed as JSONL events. *)
+let trace_to_events f = Jsonl.parse_lines (trace_to_text f)
 
 let spans_of events =
   List.filter (fun e -> Jsonl.mem_str "type" e = Some "span") events
@@ -406,6 +403,106 @@ let test_unwritable_trace_path () =
     | exception Sys_error _ -> true);
   check_false "sink not installed after failure" (Obs.tracing ())
 
+(* ----------------------------------------------------- pinned line bytes *)
+
+(* The trace format is a contract with every reader (bg trace, perfbench,
+   jq).  These literals are the bytes the encoder wrote before Obs moved
+   onto Jsonl's buffer writers: string escapes, 63-bit ints and every
+   float class (negative zero, infinities, NaN, subnormal, integral,
+   1e15) must keep them. *)
+let tricky = "q\"b\\s\nn\tt\rr\001c\031e"
+
+let pinned_spans =
+  [ {|{"type":"span","id":7,"parent":3,"domain":0,"name":"span q\"b\\s\nn\tt\rr\u0001c\u001fe","start_s":1234567890.125,"dur_s":4.9406564584124654e-324,"ok":false,"attrs":{"s":"q\"b\\s\nn\tt\rr\u0001c\u001fe","neg":-42,"max":4611686018427387903,"min":-4611686018427387904,"negzero":-0,"inf":"infinity","ninf":"-infinity","nan":"nan","sub":4.9406564584124654e-324,"int":3,"big":1000000000000000,"frac":0.10000000000000001,"t":true,"f":false}}|};
+    {|{"type":"span","id":4611686018427387903,"parent":0,"domain":0,"name":"plain","start_s":1000000000000000,"dur_s":-0,"ok":true,"attrs":{}}|};
+    {|{"type":"span","id":_,"parent":0,"domain":0,"name":"outer","start_s":_,"dur_s":_,"ok":true,"attrs":{"a":-1,"later":2.5}}|} ]
+
+let pinned_metrics =
+  [ {|{"type":"counter","name":"test.obs.pin.c q\"b\\s\nn\tt\rr\u0001c\u001fe","value":4611686018427387903}|};
+    {|{"type":"counter","name":"test.obs.pin.c.neg","value":-7}|};
+    {|{"type":"gauge","name":"test.obs.pin.g0","value":-0}|};
+    {|{"type":"gauge","name":"test.obs.pin.g1","value":"infinity"}|};
+    {|{"type":"gauge","name":"test.obs.pin.g2","value":"-infinity"}|};
+    {|{"type":"gauge","name":"test.obs.pin.g3","value":"nan"}|};
+    {|{"type":"gauge","name":"test.obs.pin.g4","value":4.9406564584124654e-324}|};
+    {|{"type":"gauge","name":"test.obs.pin.g5","value":3}|};
+    {|{"type":"gauge","name":"test.obs.pin.g6","value":1000000000000000}|};
+    {|{"type":"gauge","name":"test.obs.pin.g7","value":0.10000000000000001}|};
+    {|{"type":"gauge","name":"test.obs.pin.g8","value":-2.4999999999999999e-07}|};
+    {|{"type":"histogram","name":"test.obs.pin.h","count":5,"sum":1e+40,"buckets":{"0":1,"21":1,"31":1,"32":1,"63":1}}|};
+    {|{"type":"histogram","name":"test.obs.pin.h.empty","count":0,"sum":0,"buckets":{}}|} ]
+
+(* Replace the value of [key] (up to the next comma) by "_": with_span's
+   id and timings differ run to run, its layout must not. *)
+let mask key line =
+  let pat = Printf.sprintf "\"%s\":" key in
+  let rec find i =
+    if String.sub line i (String.length pat) = pat then i + String.length pat
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from line start ',' in
+  String.sub line 0 start ^ "_"
+  ^ String.sub line stop (String.length line - stop)
+
+let test_pinned_line_bytes () =
+  let text =
+    trace_to_text (fun () ->
+        ignore
+          (Obs.emit_span_at ~parent:3 ~id:7 ~ok:false ~name:("span " ^ tricky)
+             ~start_s:1234567890.125 ~dur_s:4.9e-324
+             ~attrs:
+               [ ("s", Obs.S tricky); ("neg", Obs.I (-42));
+                 ("max", Obs.I max_int); ("min", Obs.I min_int);
+                 ("negzero", Obs.F (-0.)); ("inf", Obs.F infinity);
+                 ("ninf", Obs.F neg_infinity); ("nan", Obs.F Float.nan);
+                 ("sub", Obs.F 5e-324); ("int", Obs.F 3.);
+                 ("big", Obs.F 1e15); ("frac", Obs.F 0.1);
+                 ("t", Obs.B true); ("f", Obs.B false) ]
+             ());
+        ignore
+          (Obs.emit_span_at ~name:"plain" ~parent:0 ~id:max_int ~start_s:1e15
+             ~dur_s:(-0.) ());
+        Obs.with_span ~attrs:[ ("a", Obs.I (-1)) ] "outer" (fun () ->
+            Obs.add_span_attr "later" (Obs.F 2.5));
+        let c = Obs.counter ("test.obs.pin.c " ^ tricky) in
+        Obs.reset_counter c;
+        Obs.add c max_int;
+        let neg = Obs.counter "test.obs.pin.c.neg" in
+        Obs.reset_counter neg;
+        Obs.add neg (-7);
+        List.iteri
+          (fun i v ->
+            Obs.set_gauge (Obs.gauge (Printf.sprintf "test.obs.pin.g%d" i)) v)
+          [ -0.; infinity; neg_infinity; Float.nan; 5e-324; 3.; 1e15; 0.1;
+            -2.5e-7 ];
+        let h = Obs.histogram "test.obs.pin.h" in
+        List.iter (Obs.observe h) [ -0.5; 1.5; 3.0; 1e40; 0.001 ];
+        ignore (Obs.histogram "test.obs.pin.h.empty");
+        Obs.flush_metrics ())
+  in
+  let lines = String.split_on_char '\n' text in
+  let has_prefix p l = String.starts_with ~prefix:p l in
+  let spans =
+    List.filter (has_prefix {|{"type":"span"|}) lines
+    |> List.map (fun l ->
+           if has_prefix {|{"type":"span","id":7,|} l
+              || has_prefix {|{"type":"span","id":4611686018427387903,|} l
+           then l
+           else mask "dur_s" (mask "start_s" (mask "id" l)))
+  in
+  Alcotest.(check (list string)) "span lines" pinned_spans spans;
+  let metrics =
+    List.filter
+      (fun l ->
+        l <> ""
+        && (not (has_prefix {|{"type":"span"|} l))
+        && String.starts_with ~prefix:"test.obs.pin."
+             (Option.value ~default:"" (Jsonl.mem_str "name" (Jsonl.parse l))))
+      lines
+  in
+  Alcotest.(check (list string)) "metric lines" pinned_metrics metrics
+
 (* ------------------------------------ determinism across job counts *)
 
 let memo_counters_for ~jobs =
@@ -413,18 +510,19 @@ let memo_counters_for ~jobs =
   let hits = Obs.counter "memo.zeta.hits" in
   let misses = Obs.counter "memo.zeta.misses" in
   let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
-  KS.reset ();
   let sp = random_space ~n:16 77 in
-  let w1 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
-  let w2 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
-  check_true "cached witness identical"
-    (w1.Met.x = w2.Met.x && w1.Met.y = w2.Met.y && w1.Met.z = w2.Met.z
-    && Float.equal w1.Met.value w2.Met.value);
-  let s = KS.snapshot () in
+  let (), k =
+    kernel_deltas (fun () ->
+        let w1 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
+        let w2 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
+        check_true "cached witness identical"
+          (w1.Met.x = w2.Met.x && w1.Met.y = w2.Met.y && w1.Met.z = w2.Met.z
+          && Float.equal w1.Met.value w2.Met.value))
+  in
   ( Obs.counter_value hits - h0,
     Obs.counter_value misses - m0,
-    s.KS.sweeps,
-    s.KS.triples )
+    List.assoc "sweeps" k,
+    List.assoc "triples" k )
 
 let test_cache_metrics_job_invariant () =
   (* Cache hits/misses and executed-sweep accounting are deterministic
@@ -444,27 +542,25 @@ let test_kernel_stats_deterministic_at_jobs4 () =
      disagree.  Now a sweep's tally is a pure function of (space, jobs). *)
   let sp = random_space ~n:20 912 in
   let snap jobs =
-    KS.reset ();
-    ignore (Met.zeta_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp);
-    KS.snapshot ()
+    snd
+      (kernel_deltas (fun () ->
+           ignore (Met.zeta_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp)))
   in
   let a = snap 4 and b = snap 4 in
+  let k name = List.assoc name a in
   check_true "jobs=4 tallies reproducible" (a = b);
-  check_int "one sweep per run" 1 a.KS.sweeps;
-  check_int "triple coverage recorded" (20 * 19 * 18) a.KS.triples;
-  check_true "counters non-negative"
-    (a.KS.plain_skips >= 0 && a.KS.cheap_skips >= 0 && a.KS.deep >= 0
-    && a.KS.exp_evals >= 0 && a.KS.bisections >= 0 && a.KS.row_prunes >= 0
-    && a.KS.pair_prunes >= 0 && a.KS.tile_prunes >= 0);
-  check_true "bisections only on deep triples" (a.KS.bisections <= a.KS.deep);
-  check_true "deep triples are covered triples" (a.KS.deep <= a.KS.triples);
-  let f = KS.pruned_fraction a in
+  check_int "one sweep per run" 1 (k "sweeps");
+  check_int "triple coverage recorded" (20 * 19 * 18) (k "triples");
+  check_true "counters non-negative" (List.for_all (fun (_, v) -> v >= 0) a);
+  check_true "bisections only on deep triples" (k "bisections" <= k "deep");
+  check_true "deep triples are covered triples" (k "deep" <= k "triples");
+  let f = pruned_fraction a in
   check_true "pruned fraction in [0,1]" (f >= 0. && f <= 1.);
   (* phi sweeps merge tallies through the same path. *)
   let psnap jobs =
-    KS.reset ();
-    ignore (Met.phi_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp);
-    KS.snapshot ()
+    snd
+      (kernel_deltas (fun () ->
+           ignore (Met.phi_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp)))
   in
   check_true "phi jobs=4 tallies reproducible" (psnap 4 = psnap 4)
 
@@ -577,6 +673,42 @@ let test_golden_e1_trace () =
   in
   Alcotest.(check (list string))
     "trace shape matches the committed golden" golden (normalize_spans spans)
+
+(* The traced CLI run CI archives, checked in tier-1: `bg experiment E1
+   --trace FILE --profile --metrics` writes a file whose every line the
+   one codec parses, with span, counter and histogram lines, and an
+   experiment span carrying the verdict and the profiling deltas. *)
+let test_cli_experiment_trace () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else begin
+    let out = Filename.temp_file "bg-experiment" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    let code =
+      Sys.command
+        (Filename.quote_command bg_exe ~stdout:"/dev/null"
+           [ "experiment"; "E1"; "--trace"; out; "--profile"; "--metrics" ])
+    in
+    check_int "bg experiment exit code" 0 code;
+    let events = Jsonl.parse_lines (Jsonl.read_file out) in
+    let kinds = List.filter_map (Jsonl.mem_str "type") events in
+    List.iter
+      (fun k -> check_true (k ^ " lines present") (List.mem k kinds))
+      [ "span"; "counter"; "histogram" ];
+    match
+      List.filter (fun s -> span_name s = "experiment") (spans_of events)
+    with
+    | [ e ] ->
+        let attr k = List.assoc_opt k (span_attrs e) in
+        check_true "experiment span names its id"
+          (attr "id" = Some (Jsonl.Str "E1"));
+        check_true "experiment span records the verdict"
+          (attr "verdict" = Some (Jsonl.Str "PASS"));
+        check_true "experiment span records pass"
+          (attr "pass" = Some (Jsonl.Bool true));
+        check_true "--profile adds allocation deltas"
+          (attr "gc.alloc_bytes" <> None)
+    | l -> Alcotest.failf "expected one experiment span, got %d" (List.length l)
+  end
 
 (* ------------------------------------------------- quantile estimation *)
 
@@ -716,6 +848,8 @@ let suite =
         case "span structure, attrs, errors" test_span_structure;
         fuzz_span_nesting;
         case "flush_metrics round-trips" test_flush_metrics_round_trip;
+        case "span and metric lines pinned byte for byte"
+          test_pinned_line_bytes;
         case "alloc + backdated emit_span_at" test_alloc_and_emit_backdated;
         case "emit_span_at without a sink" test_emit_span_at_without_sink;
       ] );
@@ -732,5 +866,7 @@ let suite =
           test_kernel_stats_deterministic_at_jobs4;
         case "per-worker tallies merge" test_worker_tally_merge;
       ] );
-    ("obs.golden", [ case "E1 trace shape" test_golden_e1_trace ]);
+    ( "obs.golden",
+      [ case "E1 trace shape" test_golden_e1_trace;
+        case "bg experiment --trace lines" test_cli_experiment_trace ] );
   ]

@@ -9,7 +9,7 @@ module P = Bg_serve.Protocol
 module Server = Bg_serve.Server
 module Store = Bg_serve.Store
 module L = Bg_serve.Loadgen
-module J = Obs_tools.Jsonl
+module J = Core.Prelude.Jsonl
 module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
 module Fad = Core.Decay.Fading
@@ -1159,6 +1159,49 @@ let test_slo_spec_and_burn () =
   check_int "threshold's own bucket counts as good" 0
     (Bg_serve.Slo.bad_latency_of_buckets ~threshold_s:1.5 [ (b_slow, 3) ])
 
+let test_slo_scores_telemetry_ring () =
+  (* What `bg slo` decides, in-process: two snapshot lines of a
+     synthetic ring, 100 requests of which 1 failed and 10 were slow.
+     A spec whose objectives all hold is healthy (exit 0); a p99
+     objective burns its 1% budget 10x and is violated (exit 3). *)
+  let fast = Obs.bucket_of 0.01 and slow = Obs.bucket_of 0.2 in
+  let snapshot ~accepted ~failed ~buckets =
+    Printf.sprintf
+      {|{"type":"telemetry","seq":1,"counters":{"serve.accepted":{"value":0,"delta":%d},"serve.rejected":{"value":0,"delta":0},"serve.failed":{"value":0,"delta":%d}},"histograms":{"serve.latency_s":{"count":0,"count_delta":%d,"buckets_delta":{%s}}}}|}
+      accepted failed
+      (List.fold_left (fun n (_, c) -> n + c) 0 buckets)
+      (String.concat ","
+         (List.map (fun (b, c) -> Printf.sprintf {|"%d":%d|} b c) buckets))
+  in
+  let ring =
+    J.parse_lines
+      (snapshot ~accepted:90 ~failed:1 ~buckets:[ (fast, 80); (slow, 10) ]
+      ^ "\n"
+      ^ snapshot ~accepted:10 ~failed:0 ~buckets:[ (fast, 10) ])
+  in
+  let score text =
+    match Bg_serve.Slo.parse_spec text with
+    | Ok spec -> Bg_serve.Slo.eval_telemetry spec ring
+    | Error e -> Alcotest.failf "spec rejected: %s" e
+  in
+  (match score "p50<=0.05,err<=5%" with
+  | [ lat; err ] as statuses ->
+      check_int "latency events" 100 lat.Bg_serve.Slo.window_total;
+      check_int "slow requests" 10 lat.Bg_serve.Slo.window_bad;
+      check_float ~eps:1e-12 "p50 burn" 0.2 lat.Bg_serve.Slo.window_burn;
+      check_int "admitted requests" 100 err.Bg_serve.Slo.window_total;
+      check_int "failed requests" 1 err.Bg_serve.Slo.window_bad;
+      check_float ~eps:1e-12 "error burn" 0.2 err.Bg_serve.Slo.window_burn;
+      check_false "healthy spec: exit 0" (Bg_serve.Slo.violated statuses)
+  | _ -> Alcotest.fail "two objectives expected");
+  match score "p99<=0.05,err<=5%" with
+  | [ lat; err ] as statuses ->
+      check_float ~eps:1e-9 "p99 burns 10x" 10. lat.Bg_serve.Slo.window_burn;
+      check_false "p99 violated" lat.Bg_serve.Slo.healthy;
+      check_true "error objective still holds" err.Bg_serve.Slo.healthy;
+      check_true "violated spec: exit 3" (Bg_serve.Slo.violated statuses)
+  | _ -> Alcotest.fail "two objectives expected"
+
 let test_telemetry_ring_and_deltas () =
   check_int "monotonic counter delta" 5 (Bg_serve.Telemetry.delta ~prev:10 ~cur:15);
   check_int "reset counter yields the new count" 3
@@ -1307,6 +1350,7 @@ let suite =
         case "supervisor lineage env round-trips"
           test_supervisor_lineage_env_round_trip;
         case "slo spec grammar and burn rates" test_slo_spec_and_burn;
+        case "slo scores a telemetry ring" test_slo_scores_telemetry_ring;
         case "telemetry ring deltas, reset clamp"
           test_telemetry_ring_and_deltas;
         case "prometheus text rendering" test_prometheus_rendering;

@@ -12,7 +12,7 @@
         -o test/golden_speedscope.json *)
 
 module Trace = Obs_tools.Trace
-module Jsonl = Obs_tools.Jsonl
+module Jsonl = Core.Prelude.Jsonl
 module Regress = Benchkit.Regress
 open Testutil
 

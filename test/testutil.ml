@@ -42,3 +42,27 @@ let planar_instance ?(n_links = 8) ?(alpha = 3.) ?(side = 20.) seed =
     ~lmax:2.
 
 let ids links = List.sort compare (List.map (fun l -> l.Core.Sinr.Link.id) links)
+
+(* The kernel.* Obs counters, read as deltas over [f ()] and keyed by the
+   name after "kernel." — the registry is process-wide, so tests never
+   read absolute values. *)
+let kernel_deltas f =
+  let module Obs = Core.Prelude.Obs in
+  let names =
+    [ "sweeps"; "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
+      "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes" ]
+  in
+  let read () =
+    List.map (fun k -> Obs.counter_value (Obs.counter ("kernel." ^ k))) names
+  in
+  let before = read () in
+  let v = f () in
+  (v, List.combine names (List.map2 ( - ) (read ()) before))
+
+(* Covered triples eliminated wholesale by the row/pair/tile bounds. *)
+let pruned_fraction deltas =
+  let k name = List.assoc name deltas in
+  if k "triples" = 0 then 0.
+  else
+    float_of_int (k "triples" - k "plain_skips" - k "cheap_skips" - k "deep")
+    /. float_of_int (k "triples")
