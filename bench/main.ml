@@ -3,7 +3,9 @@
    estimator and the radio pipeline.  One OLS-estimated cost per operation,
    rendered as the table EXPERIMENTS.md records.  Run it as
    `dune exec bench/main.exe`; the claim experiments run through
-   `bg experiment`, the kernel bench and perf gate through `bg bench`. *)
+   `bg experiment`, the kernel bench and perf gate through `bg bench`.
+   Kernel rows pass an uncached ctx, so every call times a sweep rather
+   than a memo lookup. *)
 
 open Bechamel
 
@@ -32,13 +34,15 @@ let tests () =
   Test.make_grouped ~name:"bg"
     [
       Test.make ~name:"zeta exact (n=30)"
-        (Staged.stage (fun () -> Core.Decay.Metricity.zeta space30));
+        (Staged.stage (fun () ->
+             Core.Decay.Metricity.zeta ~ctx:Core.Decay.Ctx.uncached space30));
       Test.make ~name:"zeta sampled (2k triples, n=30)"
         (Staged.stage (fun () ->
              Core.Decay.Estimators.zeta_triples ~samples:2000 rng
                (Core.Decay.Estimators.of_space space30)));
       Test.make ~name:"phi (n=30)"
-        (Staged.stage (fun () -> Core.Decay.Metricity.phi space30));
+        (Staged.stage (fun () ->
+             Core.Decay.Metricity.phi ~ctx:Core.Decay.Ctx.uncached space30));
       Test.make ~name:"alg1 (40 links)"
         (Staged.stage (fun () -> Core.Capacity.Alg1.run inst40));
       Test.make ~name:"affectance greedy (40 links)"
@@ -51,7 +55,7 @@ let tests () =
       Test.make ~name:"gamma(r=1) greedy (n=30)"
         (Staged.stage (fun () ->
              Core.Decay.Fading.gamma
-               ~ctx:(Core.Decay.Ctx.make ~exact_limit:0 ())
+               ~ctx:(Core.Decay.Ctx.make ~exact_limit:0 ~cache:false ())
                space30 ~r:1.));
       Test.make ~name:"radio decay matrix (20 nodes)"
         (Staged.stage (fun () -> Core.Radio.Measure.decay_space env nodes));

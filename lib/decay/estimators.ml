@@ -203,7 +203,7 @@ let gamma_z_oracle ~exact_limit o ~z ~r =
       i = j
       || (o.decay arr.(i) arr.(j) >= r && o.decay arr.(j) arr.(i) >= r)
     in
-    let value, _ =
+    let value =
       if k <= exact_limit then begin
         let adj = Bytes.make (k * k) '\000' in
         for i = 0 to k - 1 do
@@ -214,8 +214,11 @@ let gamma_z_oracle ~exact_limit o ~z ~r =
             end
           done
         done;
-        Fading.weighted_mis ~weights ~compat:(fun i j ->
-            i = j || Bytes.unsafe_get adj ((i * k) + j) = '\001')
+        let v, _, _ =
+          Fading.weighted_mis ~weights ~compat:(fun i j ->
+              i = j || Bytes.unsafe_get adj ((i * k) + j) = '\001')
+        in
+        v
       end
       else begin
         let order = Array.init k Fun.id in
@@ -226,7 +229,7 @@ let gamma_z_oracle ~exact_limit o ~z ~r =
             if List.for_all (fun j -> compat_direct i j) !pick then
               pick := i :: !pick)
           order;
-        (List.fold_left (fun a i -> a +. weights.(i)) 0. !pick, !pick)
+        List.fold_left (fun a i -> a +. weights.(i)) 0. !pick
       end
     in
     r *. value

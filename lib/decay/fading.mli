@@ -14,10 +14,14 @@ val is_separated : Decay_space.t -> r:float -> int list -> bool
     least [r]. *)
 
 val weighted_mis :
-  weights:float array -> compat:(int -> int -> bool) -> float * int list
+  weights:float array ->
+  compat:(int -> int -> bool) ->
+  float * int list * bool
 (** Maximum-weight independent set of the compatibility graph: exact
     branch and bound with a remaining-weight bound and a 2M-node budget
-    falling back to the greedy incumbent.  Exposed for the estimator tier
+    falling back to the greedy incumbent.  Returns the weight, the set and
+    whether the budget cut the search short (the set is then the best
+    found, not necessarily the maximum).  Exposed for the estimator tier
     ({!Estimators.gamma}), which runs the same search over oracle-backed
     candidate sets. *)
 
@@ -27,15 +31,35 @@ val gamma_z :
     witnessing separated sender set.  Maximizing over separated subsets is a
     weighted independent-set problem; solved exactly by branch and bound for
     small candidate sets (default limit 24, with the compatibility relation
-    tabulated into a dense byte table first), by greedy + swap local search
-    otherwise (then a lower bound). *)
+    tabulated into a dense byte table first), otherwise by one greedy pass
+    in decreasing weight order (then a lower bound). *)
 
 val gamma : ?ctx:Ctx.t -> Decay_space.t -> r:float -> float
 (** The fading parameter [max_z gamma_z(r)].  [ctx] (default
     {!Ctx.default}) carries the job count for the listener sweep (the
     result is identical at every job count), the cache flag (memoized
     under [(digest, r, exact_limit)]) and the branch-and-bound
-    [exact_limit] forwarded to {!gamma_z}. *)
+    [exact_limit] forwarded to {!gamma_z}.
+
+    {b Listener ladder.}  The sweep skips listeners that cannot change
+    the maximum.  Every candidate weight [1/f(x,z)] is positive, so
+    [r * sum_{x in C_z} 1/f(x,z)] over listener [z]'s candidate set [C_z]
+    bounds [gamma_z(r)] from above, for the exact search and the greedy
+    pass alike.  The sweep computes all [n] bounds (O(n^2)), visits
+    listeners in decreasing bound order, dealt round-robin to [jobs]
+    stripes, and a stripe stops at its first listener whose
+    [bound * (1 + 1e-9)] is strictly below the stripe's running maximum.
+    The margin covers float reassociation: a k-term positive sum is
+    within a factor [1 +- (k-1)u] ([u = 2^-53]) of the exact sum in any
+    order, so a skipped listener's computed [gamma_z] is below the
+    maximum too, for up to 4 million candidates per listener.  The result
+    is a max of floats, so it is bit-identical to visiting every
+    listener.  Each sweep adds to the counters [kernel.gamma_visited],
+    [kernel.gamma_skipped] (the two sum to [n]), [kernel.gamma_exact],
+    [kernel.gamma_greedy] (the two sum to the visited count) and
+    [kernel.gamma_budget_cutoffs] (exact searches that exhausted
+    {!weighted_mis}'s budget), and attaches the same counts to its
+    [gamma_sweep] span when tracing. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the gamma cache. *)

@@ -9,15 +9,21 @@ type summary = {
 
 let db x = 10. *. log10 x
 
+(* Filled from the back: reverse row-major order, as documented. *)
 let decays_db d =
   let n = Decay_space.n d in
-  let acc = ref [] in
+  let f = Decay_space.Flat.data d in
+  let out = Array.make (n * (n - 1)) 0. in
+  let k = ref (Array.length out) in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j then acc := db (Decay_space.decay d i j) :: !acc
+      if i <> j then begin
+        decr k;
+        out.(!k) <- db (Decay_space.Flat.unsafe_get f ((i * n) + j))
+      end
     done
   done;
-  Array.of_list !acc
+  out
 
 let summarize ?(ctx = Ctx.default) d =
   let module Par = Bg_prelude.Parallel in

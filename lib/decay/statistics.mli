@@ -26,4 +26,5 @@ val effective_alpha :
     (the paper's point is that indoors it explains little). *)
 
 val decays_db : Decay_space.t -> float array
-(** All ordered off-diagonal decays in dB (for histograms). *)
+(** All ordered off-diagonal decays in dB (for histograms), in reverse
+    row-major order: [f(n-1,n-2)] first, [f(0,1)] last. *)

@@ -4,30 +4,37 @@ let make a b = { a; b }
 let length s = Point.dist s.a s.b
 let midpoint s = Point.lerp s.a s.b 0.5
 
-(* Robust-enough orientation test for our synthetic floor plans. *)
-let orientation p q r =
-  let v = Point.cross (Point.sub q p) (Point.sub r p) in
+(* Robust-enough orientation test for our synthetic floor plans: the sign
+   of cross (q - p) (r - p), written on the raw coordinates with the same
+   IEEE operations in the same order as [Point.cross (Point.sub q p)
+   (Point.sub r p)], so the answer is bit-identical and nothing is
+   allocated. *)
+let[@inline] orientation px py qx qy rx ry =
+  let v = ((qx -. px) *. (ry -. py)) -. ((qy -. py) *. (rx -. px)) in
   if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
 
-let on_segment p q r =
-  (* Assuming p, q, r collinear: does q lie on [p, r]? *)
-  Float.min p.Point.x r.Point.x <= q.Point.x
-  && q.Point.x <= Float.max p.Point.x r.Point.x
-  && Float.min p.Point.y r.Point.y <= q.Point.y
-  && q.Point.y <= Float.max p.Point.y r.Point.y
+(* Assuming p, q, r collinear: does q lie on [p, r]? *)
+let[@inline] on_segment px py qx qy rx ry =
+  Float.min px rx <= qx
+  && qx <= Float.max px rx
+  && Float.min py ry <= qy
+  && qy <= Float.max py ry
 
 let intersects s1 s2 =
-  let p1 = s1.a and q1 = s1.b and p2 = s2.a and q2 = s2.b in
-  let o1 = orientation p1 q1 p2 in
-  let o2 = orientation p1 q1 q2 in
-  let o3 = orientation p2 q2 p1 in
-  let o4 = orientation p2 q2 q1 in
+  let p1x = s1.a.Point.x and p1y = s1.a.Point.y in
+  let q1x = s1.b.Point.x and q1y = s1.b.Point.y in
+  let p2x = s2.a.Point.x and p2y = s2.a.Point.y in
+  let q2x = s2.b.Point.x and q2y = s2.b.Point.y in
+  let o1 = orientation p1x p1y q1x q1y p2x p2y in
+  let o2 = orientation p1x p1y q1x q1y q2x q2y in
+  let o3 = orientation p2x p2y q2x q2y p1x p1y in
+  let o4 = orientation p2x p2y q2x q2y q1x q1y in
   if o1 <> o2 && o3 <> o4 then true
   else
-    (o1 = 0 && on_segment p1 p2 q1)
-    || (o2 = 0 && on_segment p1 q2 q1)
-    || (o3 = 0 && on_segment p2 p1 q2)
-    || (o4 = 0 && on_segment p2 q1 q2)
+    (o1 = 0 && on_segment p1x p1y p2x p2y q1x q1y)
+    || (o2 = 0 && on_segment p1x p1y q2x q2y q1x q1y)
+    || (o3 = 0 && on_segment p2x p2y p1x p1y q2x q2y)
+    || (o4 = 0 && on_segment p2x p2y q1x q1y q2x q2y)
 
 let intersection s1 s2 =
   let d1 = Point.sub s1.b s1.a and d2 = Point.sub s2.b s2.a in

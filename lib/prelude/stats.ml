@@ -30,24 +30,87 @@ let geometric_mean xs =
 
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
-  Array.fold_left
-    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
-    (xs.(0), xs.(0))
-    xs
+  let lo = ref xs.(0) and hi = ref xs.(0) in
+  for i = 0 to Array.length xs - 1 do
+    lo := Float.min !lo xs.(i);
+    hi := Float.max !hi xs.(i)
+  done;
+  (!lo, !hi)
+
+let lt x y = Float.compare x y < 0
+
+(* Introselect under [Float.compare]: rearrange [a] so that [a.(k)] holds
+   the element a sort would put there, everything before it sorts no
+   later and everything after it no earlier.  Hoare partitions around a
+   median-of-three pivot narrow [lo, hi] to [k]; past 2 log2 n rounds
+   (adversarial input) the remaining range is sorted instead. *)
+let select a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  let depth = ref 0 in
+  let len = ref (Array.length a) in
+  while !len > 1 do
+    depth := !depth + 2;
+    len := !len / 2
+  done;
+  while !lo < !hi do
+    if !depth = 0 then begin
+      let len = !hi - !lo + 1 in
+      let part = Array.sub a !lo len in
+      Array.sort Float.compare part;
+      Array.blit part 0 a !lo len;
+      lo := !hi
+    end
+    else begin
+      decr depth;
+      let x =
+        let u = a.(!lo) and v = a.(!lo + ((!hi - !lo) / 2)) and w = a.(!hi) in
+        if lt u v then if lt v w then v else if lt u w then w else u
+        else if lt u w then u
+        else if lt v w then w
+        else v
+      in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while lt a.(!i) x do
+          incr i
+        done;
+        while lt x a.(!j) do
+          decr j
+        done;
+        if !i <= !j then begin
+          let t = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- t;
+          incr i;
+          decr j
+        end
+      done;
+      (* Now a.(lo..j) sort no later than x, a.(i..hi) no earlier, and
+         anything between equals x. *)
+      if !j < k then lo := !i;
+      if k < !i then hi := !j
+    end
+  done
 
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty array";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
   let rank = p /. 100. *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) in
   let hi = int_of_float (Float.ceil rank) in
-  if lo = hi then sorted.(lo)
+  let a = Array.copy xs in
+  select a lo;
+  if lo = hi then a.(lo)
   else begin
+    (* Everything past [lo] sorts no earlier than a.(lo), so the next
+       order statistic is the smallest of them. *)
+    let next = ref a.(hi) in
+    for i = hi + 1 to n - 1 do
+      if lt a.(i) !next then next := a.(i)
+    done;
     let w = rank -. float_of_int lo in
-    ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+    ((1. -. w) *. a.(lo)) +. (w *. !next)
   end
 
 let median xs = percentile xs 50.

@@ -19,7 +19,11 @@ val min_max : float array -> float * float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between
-    order statistics.  Does not modify [xs]. *)
+    order statistics.  Does not modify [xs].  Selects rather than sorts:
+    introselect under [Float.compare] (nan lowest) finds the order
+    statistic at [floor rank] in expected linear time, and the next one is
+    the minimum of the part above it — the same floats a sort would
+    give, up to the order of ties (-0. and 0., nan payloads). *)
 
 val median : float array -> float
 (** 50th percentile. *)

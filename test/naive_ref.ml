@@ -1,6 +1,6 @@
 (* Verbatim pre-optimization kernels, kept as the reference implementation
-   the optimized flat/log-domain kernels in [Bg_decay.Metricity] and
-   [Bg_decay.Fading] are tested against.  Everything here works off
+   the optimized flat/log-domain kernels in [Bg_decay.Metricity],
+   [Bg_decay.Fading] and [Bg_decay.Statistics] are tested against.  Everything here works off
    [Decay_space.matrix] / [Decay_space.decay] (bounds-checked, row-copied)
    exactly as the shipped code did before the flat-layout rewrite; do not
    "improve" this module — its value is that it stays naive. *)
@@ -196,3 +196,83 @@ let gamma ?exact_limit ?jobs d ~r =
       done;
       !best)
     ~combine:(fun a b -> if b > a then b else a)
+
+(* --------------------------------------------------------- statistics *)
+
+(* The list-and-sort summary: [decays_db] conses every dB value onto a
+   list, [min_max] folds a tuple and [percentile] sorts a copy. *)
+
+type summary = Core.Decay.Statistics.summary = {
+  n : int;
+  min_db : float;
+  max_db : float;
+  median_db : float;
+  dynamic_range_db : float;
+  asymmetry_db : float;
+}
+
+let db x = 10. *. log10 x
+
+let decays_db d =
+  let n = Decay_space.n d in
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then acc := db (Decay_space.decay d i j) :: !acc
+    done
+  done;
+  Array.of_list !acc
+
+let min_max xs =
+  if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
+  Array.fold_left
+    (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
+    (xs.(0), xs.(0))
+    xs
+
+let percentile xs p =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Stats.percentile: empty array";
+  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let rank = p /. 100. *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = int_of_float (Float.ceil rank) in
+  if lo = hi then sorted.(lo)
+  else begin
+    let w = rank -. float_of_int lo in
+    ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+  end
+
+let median xs = percentile xs 50.
+
+let summarize ?jobs d =
+  let n = Decay_space.n d in
+  if n < 2 then invalid_arg "Statistics.summarize: need at least 2 nodes";
+  let xs = decays_db d in
+  let lo, hi = min_max xs in
+  let asym =
+    Par.map_reduce_chunks ~jobs:(Par.resolve_jobs jobs) ~lo:0 ~hi:n ~neutral:0.
+      ~map:(fun i_lo i_hi ->
+        let worst = ref 0. in
+        for i = i_lo to i_hi - 1 do
+          for j = i + 1 to n - 1 do
+            let a =
+              Float.abs
+                (db (Decay_space.decay d i j /. Decay_space.decay d j i))
+            in
+            if a > !worst then worst := a
+          done
+        done;
+        !worst)
+      ~combine:(fun a b -> if b > a then b else a)
+  in
+  {
+    n;
+    min_db = lo;
+    max_db = hi;
+    median_db = median xs;
+    dynamic_range_db = hi -. lo;
+    asymmetry_db = asym;
+  }

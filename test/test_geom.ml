@@ -72,6 +72,76 @@ let test_intersects_collinear_disjoint () =
   let s2 = S.make (P.make 2. 0.) (P.make 3. 0.) in
   check_false "collinear disjoint" (S.intersects s1 s2)
 
+(* The predicate written with [Point.sub] and [Point.cross], kept as the
+   reference: [intersects] must answer exactly as this does. *)
+let reference_intersects (s1 : S.t) (s2 : S.t) =
+  let orientation p q r =
+    let v = P.cross (P.sub q p) (P.sub r p) in
+    if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
+  in
+  let on_segment (p : P.t) (q : P.t) (r : P.t) =
+    Float.min p.x r.x <= q.x
+    && q.x <= Float.max p.x r.x
+    && Float.min p.y r.y <= q.y
+    && q.y <= Float.max p.y r.y
+  in
+  let p1 = s1.a and q1 = s1.b and p2 = s2.a and q2 = s2.b in
+  let o1 = orientation p1 q1 p2 in
+  let o2 = orientation p1 q1 q2 in
+  let o3 = orientation p2 q2 p1 in
+  let o4 = orientation p2 q2 q1 in
+  if o1 <> o2 && o3 <> o4 then true
+  else
+    (o1 = 0 && on_segment p1 p2 q1)
+    || (o2 = 0 && on_segment p1 q2 q1)
+    || (o3 = 0 && on_segment p2 p1 q2)
+    || (o4 = 0 && on_segment p2 q1 q2)
+
+(* Endpoints on a small integer grid (touching, collinear, overlapping),
+   anywhere in a box, or within 1e-11..1e-14 of the line y = x/2 (near-
+   collinear, inside the orientation tolerance); some segments have zero
+   length. *)
+let prop_intersects_matches_reference =
+  let open QCheck.Gen in
+  let grid =
+    map
+      (fun (x, y) -> P.make (float_of_int x) (float_of_int y))
+      (pair (int_range (-3) 3) (int_range (-3) 3))
+  in
+  let free =
+    map
+      (fun (x, y) -> P.make x y)
+      (pair (float_range (-10.) 10.) (float_range (-10.) 10.))
+  in
+  let near =
+    map
+      (fun (t, e, k) ->
+        P.make t ((0.5 *. t) +. (e *. (10. ** float_of_int (-k)))))
+      (triple (float_range (-3.) 3.) (float_range (-1.) 1.) (int_range 11 14))
+  in
+  let point = frequency [ (2, grid); (1, free); (2, near) ] in
+  let segment =
+    frequency
+      [ (4, map (fun (a, b) -> S.make a b) (pair point point));
+        (1, map (fun a -> S.make a a) point) ]
+  in
+  let print (s : S.t) =
+    Printf.sprintf "(%h,%h)-(%h,%h)" s.a.x s.a.y s.b.x s.b.y
+  in
+  qcheck ~count:3000 "intersects = Point-based reference"
+    (QCheck.make ~print:QCheck.Print.(pair print print) (pair segment segment))
+    (fun (s1, s2) ->
+      Bool.equal (S.intersects s1 s2) (reference_intersects s1 s2))
+
+let test_intersects_tolerance_case () =
+  (* Orientations 0, 1, 1, 0 under the 1e-12 tolerance: reported as
+     crossing although the segments are 0.57 m apart, which is why a
+     bounding-box pre-filter would change answers. *)
+  let path = S.make (P.make 0. 0.) (P.make 1. 0.) in
+  let wall = S.make (P.make 1.5667 1e-12) (P.make 2.5667 2.5e-12) in
+  check_true "reference reports a crossing" (reference_intersects path wall);
+  check_true "intersects agrees" (S.intersects path wall)
+
 let test_intersection_point () =
   let s1 = S.make (P.make 0. 0.) (P.make 2. 2.) in
   let s2 = S.make (P.make 0. 2.) (P.make 2. 0.) in
@@ -211,6 +281,8 @@ let suite =
         case "touching" test_intersects_touching;
         case "collinear overlap" test_intersects_collinear_overlap;
         case "collinear disjoint" test_intersects_collinear_disjoint;
+        case "tolerance crossing" test_intersects_tolerance_case;
+        prop_intersects_matches_reference;
         case "intersection point" test_intersection_point;
         case "no intersection point" test_intersection_none;
         case "length/midpoint" test_length_midpoint;

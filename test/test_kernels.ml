@@ -154,15 +154,106 @@ let prop_random_witness_identity =
           && Met.phi_witness ~ctx:(ctx_j jobs) d = pw)
         [ 1; 4 ])
 
+(* exact_limit 0 sends every listener down the greedy pass; 24 (the
+   default) solves the smaller candidate sets exactly. *)
 let prop_random_gamma_identity =
   qcheck ~count:25 "optimized gamma = naive on random spaces"
-    QCheck.(pair (int_range 0 10_000) (float_range 0.5 20.))
-    (fun (seed, r) ->
-      let d = random_asym_space ~n:10 seed in
-      let reference = Naive_ref.gamma ~jobs:1 d ~r in
+    QCheck.(
+      quad (int_range 0 10_000) (int_range 3 40) (float_range 0.5 20.)
+        (oneofl [ 0; 24 ]))
+    (fun (seed, n, r, exact_limit) ->
+      let d = random_asym_space ~n seed in
+      let reference = Naive_ref.gamma ~exact_limit ~jobs:1 d ~r in
       List.for_all
-        (fun jobs -> Float.equal (Fad.gamma ~ctx:(ctx_j jobs) d ~r) reference)
+        (fun jobs ->
+          let ctx = Ctx.make ~jobs ~cache:false ~exact_limit () in
+          Float.equal (Fad.gamma ~ctx d ~r) reference)
         [ 1; 4 ])
+
+(* ------------------------------------------- gamma ladder, summary *)
+
+module R = Core.Radio
+module Stat = Core.Decay.Statistics
+
+(* The spaces gamma's listener ladder is for, built as perfbench's
+   offline and churn workloads build them: an office and a clutter radio
+   space at n = 256 and a mobility snapshot at n = 176. *)
+let radio_space ~office seed =
+  let rng = Rng.create seed in
+  let env, side =
+    if office then
+      ( R.Environment.office ~rooms_x:3 ~rooms_y:3 ~room_size:6.
+          R.Material.drywall,
+        17. )
+    else
+      ( R.Environment.random_clutter rng ~side:25. ~n_walls:30
+          [ R.Material.concrete; R.Material.metal ],
+        24. )
+  in
+  R.Measure.decay_space ~seed env
+    (R.Node.of_points (Sp.random_points rng ~n:256 ~side))
+
+let ladder_spaces =
+  lazy
+    [
+      ("office", radio_space ~office:true 11);
+      ("clutter", radio_space ~office:false 12);
+      ( "evolve",
+        Core.Decay.Evolve.(
+          space
+            (create ~name:"walk" ~seed:13 { default with n = 176 })) );
+    ]
+
+let test_gamma_ladder_matches_naive () =
+  List.iter
+    (fun (name, d) ->
+      let n = D.n d in
+      let reference = Naive_ref.gamma ~jobs:2 d ~r:4. in
+      List.iter
+        (fun jobs ->
+          let g, k =
+            kernel_deltas (fun () -> Fad.gamma ~ctx:(ctx_j jobs) d ~r:4.)
+          in
+          let k c = List.assoc c k in
+          let what = Printf.sprintf "%s jobs=%d" name jobs in
+          check_exact_float ("gamma " ^ what) reference g;
+          check_int ("visited + skipped = n, " ^ what) n
+            (k "gamma_visited" + k "gamma_skipped");
+          check_int ("exact + greedy = visited, " ^ what) (k "gamma_visited")
+            (k "gamma_exact" + k "gamma_greedy");
+          check_true ("cut-offs are exact searches, " ^ what)
+            (k "gamma_budget_cutoffs" <= k "gamma_exact");
+          if jobs = 1 then
+            check_true ("the ladder skipped listeners, " ^ what)
+              (k "gamma_skipped" > 0))
+        [ 1; 2; 4 ])
+    (Lazy.force ladder_spaces)
+
+let bits a = Array.map Int64.bits_of_float a
+
+let same_summary (a : Stat.summary) (b : Stat.summary) =
+  a.n = b.n
+  && bits
+       [| a.min_db; a.max_db; a.median_db; a.dynamic_range_db; a.asymmetry_db |]
+     = bits
+         [| b.min_db; b.max_db; b.median_db; b.dynamic_range_db;
+            b.asymmetry_db |]
+
+let test_summarize_matches_naive () =
+  let office = List.assoc "office" (Lazy.force ladder_spaces) in
+  List.iter
+    (fun (name, d) ->
+      check_true
+        (Printf.sprintf "decays_db %s = list-built array" name)
+        (bits (Stat.decays_db d) = bits (Naive_ref.decays_db d));
+      let reference = Naive_ref.summarize ~jobs:1 d in
+      List.iter
+        (fun jobs ->
+          check_true
+            (Printf.sprintf "summarize %s jobs=%d" name jobs)
+            (same_summary reference (Stat.summarize ~ctx:(ctx_j jobs) d)))
+        [ 1; 4 ])
+    (("radio-office", office) :: families ())
 
 (* ---------------------------------------------------- the analysis cache *)
 
@@ -341,6 +432,9 @@ let suite =
         case "tiled zeta/phi = naive at n=512" test_tiled_kernels_match_naive;
         prop_random_witness_identity;
         prop_random_gamma_identity;
+        case "gamma ladder = naive on radio and churn spaces"
+          test_gamma_ladder_matches_naive;
+        case "summarize and decays_db = naive" test_summarize_matches_naive;
         case "second Analysis.run sweeps nothing"
           test_second_run_sweeps_nothing;
         case "cache keyed on bytes, not name"

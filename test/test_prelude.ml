@@ -331,6 +331,31 @@ let prop_percentile_bounds =
       let p = Stats.percentile xs 37. in
       p >= lo -. 1e-9 && p <= hi +. 1e-9)
 
+(* Selection must give the floats a sort gives: samples with duplicates,
+   nan, infinities and both zeros, at interpolating and exact ranks,
+   against the sort-based reference; Float.equal identifies -0. with 0.
+   and nans with each other, the ties a sort may order either way. *)
+let prop_percentile_matches_sort =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (3, float_range (-5.) 5.);
+          (2, oneofl [ nan; infinity; neg_infinity; 0.; -0.; 1.; -1.; 2.5 ]);
+          (1, map float_of_int (int_range (-3) 3)) ])
+  in
+  qcheck ~count:300 "percentile selects the sorted order statistics"
+    QCheck.(
+      make
+        ~print:Print.(array float)
+        Gen.(array_size (int_range 1 200) sample))
+    (fun xs ->
+      let before = Array.map Int64.bits_of_float xs in
+      List.for_all
+        (fun p ->
+          Float.equal (Stats.percentile xs p) (Naive_ref.percentile xs p))
+        [ 0.; 25.; 37.; 50.; 99.9; 100. ]
+      && Array.map Int64.bits_of_float xs = before)
+
 let prop_spearman_range =
   qcheck "spearman in [-1,1]" QCheck.(pair small_int small_int) (fun (s1, s2) ->
       let g = rng ((s1 * 1000) + s2) in
@@ -483,6 +508,7 @@ let suite =
         case "histogram" test_histogram;
         case "summary" test_summary_nonempty;
         prop_percentile_bounds;
+        prop_percentile_matches_sort;
         prop_spearman_range;
       ] );
     ( "prelude.parallel",

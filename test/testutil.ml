@@ -50,7 +50,9 @@ let kernel_deltas f =
   let module Obs = Core.Prelude.Obs in
   let names =
     [ "sweeps"; "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
-      "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes" ]
+      "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes";
+      "gamma_visited"; "gamma_skipped"; "gamma_exact"; "gamma_greedy";
+      "gamma_budget_cutoffs" ]
   in
   let read () =
     List.map (fun k -> Obs.counter_value (Obs.counter ("kernel." ^ k))) names
