@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks for the library's hot paths: metricity
    computation, capacity algorithms, feasibility checks, the fading
-   estimator and the radio pipeline.  One OLS-estimated cost per operation,
-   rendered as the table EXPERIMENTS.md records.  Run it as
+   estimator, the radio pipeline and the serve wire protocol.  One
+   OLS-estimated cost per operation, rendered as the table
+   EXPERIMENTS.md records.  Run it as
    `dune exec bench/main.exe`; the claim experiments run through
    `bg experiment`, the kernel bench and perf gate through `bg bench`.
    Kernel rows pass an uncached ctx, so every call times a sweep rather
@@ -12,6 +13,43 @@ open Bechamel
 let planar_instance n_links =
   Core.Sinr.Instance.random_planar (Core.Prelude.Rng.create 77) ~n_links
     ~side:30. ~alpha:3. ~lmin:1. ~lmax:2.
+
+(* One Loadgen space (n = 32) as a zeta request, and the same request
+   with its space in the decimal [matrix] form, which the wire still
+   accepts. *)
+let protocol_request () =
+  let module P = Bg_serve.Protocol in
+  let module J = Core.Prelude.Jsonl in
+  let req =
+    List.hd
+      (Bg_serve.Loadgen.generate
+         { Bg_serve.Loadgen.seed = 1; requests = 1; spaces = 1; nodes = 32;
+           zipf_s = 1.1 })
+  in
+  let matrix =
+    match req.P.space with
+    | Some (P.Inline (name, rows)) ->
+        J.Obj
+          [ ("name", J.Str name);
+            ( "matrix",
+              J.Arr
+                (Array.to_list rows
+                |> List.map (fun row ->
+                       J.Arr (Array.to_list row |> List.map (fun v -> J.Num v))))
+            ) ]
+    | _ -> invalid_arg "protocol_request: Loadgen spaces are inline"
+  in
+  let decimal =
+    match P.request_to_json req with
+    | J.Obj fields ->
+        J.to_string
+          (J.Obj
+             (List.map
+                (fun (k, v) -> if k = "space" then (k, matrix) else (k, v))
+                fields))
+    | _ -> invalid_arg "protocol_request: a request is an object"
+  in
+  (req, P.request_to_string req, decimal)
 
 let tests () =
   let pts30 =
@@ -31,6 +69,7 @@ let tests () =
     Core.Radio.Node.of_points
       (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 4) ~n:20 ~side:17.)
   in
+  let req32, f64_line, decimal_line = protocol_request () in
   Test.make_grouped ~name:"bg"
     [
       Test.make ~name:"zeta exact (n=30)"
@@ -81,6 +120,13 @@ let tests () =
         (Staged.stage (fun () ->
              Core.Decay.Estimators.zeta ~replicates:8 ~nodes:12 rng
                (Core.Decay.Estimators.of_space space30)));
+      Test.make ~name:"protocol parse decimal (n=32)"
+        (Staged.stage (fun () ->
+             Bg_serve.Protocol.request_of_string decimal_line));
+      Test.make ~name:"protocol parse f64 (n=32)"
+        (Staged.stage (fun () -> Bg_serve.Protocol.request_of_string f64_line));
+      Test.make ~name:"protocol encode f64 (n=32)"
+        (Staged.stage (fun () -> Bg_serve.Protocol.request_to_string req32));
       Test.make ~name:"min connectivity power (n=30)"
         (Staged.stage (fun () ->
              Core.Distrib.Connectivity.min_uniform_power space30 ~beta:1.5

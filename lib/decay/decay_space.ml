@@ -234,6 +234,10 @@ module Flat = struct
   let to_array (b : buf) = Array.init (Bigarray.Array1.dim b) (fun i -> b.{i})
 end
 
+(* The cells' bytes are laid out in a reused per-domain buffer: a
+   served request digests its space without allocating a copy. *)
+let digest_scratch = Bg_prelude.Scratch.create ()
+
 let digest d =
   match Atomic.get d.key with
   | Some k -> k
@@ -243,12 +247,12 @@ let digest d =
           | Some k -> k
           | None ->
               let m = Bigarray.Array1.dim d.flat in
-              let b = Bytes.create (8 * m) in
+              let b = Bg_prelude.Scratch.bytes digest_scratch (8 * m) in
               for i = 0 to m - 1 do
                 Bytes.set_int64_le b (8 * i)
                   (Int64.bits_of_float (ba_unsafe_get d.flat i))
               done;
-              let k = Digest.bytes b in
+              let k = Digest.subbytes b 0 (8 * m) in
               Atomic.set d.key (Some k);
               k)
 

@@ -21,7 +21,13 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-type state = { s : string; mutable pos : int }
+(* [left] is where [parse_in_place] left its string: offset and length
+   in [s]. *)
+type state = {
+  s : string;
+  mutable pos : int;
+  mutable left : (int * int) option;
+}
 
 let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
 
@@ -50,8 +56,8 @@ let parse_literal st word v =
   end
   else fail "bad literal at %d" st.pos
 
-let parse_string_raw st =
-  expect st '"';
+(* The escape-aware loop: from [st.pos] to the closing quote. *)
+let parse_escaped st =
   let b = Buffer.create 16 in
   let rec go () =
     if st.pos >= String.length st.s then fail "unterminated string";
@@ -88,6 +94,28 @@ let parse_string_raw st =
   in
   go ()
 
+(* The index of the closing quote of the string whose body starts at
+   [i], or [None] if an escape or the end of input comes first. *)
+let rec plain_end s i =
+  if i >= String.length s then None
+  else
+    match String.unsafe_get s i with
+    | '"' -> Some i
+    | '\\' -> None
+    | _ -> plain_end s (i + 1)
+
+(* A string with no escapes (every wire field but free text, and all of
+   a base64 payload) is taken with one [String.sub]; any other goes
+   through the escape-aware loop. *)
+let parse_string_raw st =
+  expect st '"';
+  match plain_end st.s st.pos with
+  | Some stop ->
+      let v = String.sub st.s st.pos (stop - st.pos) in
+      st.pos <- stop + 1;
+      v
+  | None -> parse_escaped st
+
 let parse_number st =
   let start = st.pos in
   let num_char c =
@@ -105,7 +133,21 @@ let parse_number st =
   | Some f -> Num f
   | None -> fail "bad number at %d" start
 
-let rec parse_value st =
+(* The string value at the parser's position, left in place when it has
+   no escapes: [Str ""] stands for it and [st.left] locates it. *)
+let rec leave_string st =
+  skip_ws st;
+  match if peek st = Some '"' then plain_end st.s (st.pos + 1) else None with
+  | Some stop ->
+      st.left <- Some (st.pos + 1, stop - st.pos - 1);
+      st.pos <- stop + 1;
+      Str ""
+  | None -> parse_value st []
+
+(* [path] is what is left of [parse_in_place]'s path at this value: the
+   first member named by its head is followed, and at its end the
+   string is left in place. *)
+and parse_value st path =
   skip_ws st;
   match peek st with
   | None -> fail "unexpected end of input"
@@ -121,23 +163,31 @@ let rec parse_value st =
         Obj []
       end
       else begin
-        let rec members acc =
+        let rec members acc followed =
           skip_ws st;
           let k = parse_string_raw st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let follow =
+            (not followed) && match path with p :: _ -> p = k | [] -> false
+          in
+          let v =
+            match path with
+            | [ _ ] when follow -> leave_string st
+            | _ :: rest when follow -> parse_value st rest
+            | _ -> parse_value st []
+          in
           skip_ws st;
           match peek st with
           | Some ',' ->
               expect st ',';
-              members ((k, v) :: acc)
+              members ((k, v) :: acc) (followed || follow)
           | Some '}' ->
               expect st '}';
               List.rev ((k, v) :: acc)
           | _ -> fail "expected , or } at %d" st.pos
         in
-        Obj (members [])
+        Obj (members [] false)
       end
   | Some '[' ->
       expect st '[';
@@ -148,7 +198,7 @@ let rec parse_value st =
       end
       else begin
         let rec elems acc =
-          let v = parse_value st in
+          let v = parse_value st [] in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -163,12 +213,14 @@ let rec parse_value st =
       end
   | Some _ -> parse_number st
 
-let parse s =
-  let st = { s; pos = 0 } in
-  let v = parse_value st in
+let parse_in_place ~path s =
+  let st = { s; pos = 0; left = None } in
+  let v = parse_value st path in
   skip_ws st;
   if st.pos <> String.length s then fail "trailing garbage at %d" st.pos;
-  v
+  (v, st.left)
+
+let parse s = fst (parse_in_place ~path:[] s)
 
 (* One JSON value per non-empty line. *)
 let parse_lines text =
@@ -180,20 +232,31 @@ let read_file path = In_channel.with_open_text path In_channel.input_all
 
 (* ----------------------------------------------------------- emission *)
 
+(* No byte of [s] from [i] on needs an escape. *)
+let rec plain_from s i =
+  i >= String.length s
+  || (let c = String.unsafe_get s i in
+      c <> '"' && c <> '\\' && c >= ' ')
+     && plain_from s (i + 1)
+
+(* A string with nothing to escape (a base64 payload, most field
+   values) is copied in one piece. *)
 let buf_add_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if plain_from s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
 
 let buf_add_num b f =
@@ -237,6 +300,105 @@ let to_string v =
   let b = Buffer.create 256 in
   buf_add b v;
   Buffer.contents b
+
+(* ------------------------------------------------------------ base64 *)
+
+(* Binary payloads (the wire's float64 matrices) travel inside a JSON
+   string as RFC 4648 base64: the standard alphabet, '=' padding, no
+   line breaks. *)
+let b64_alphabet =
+  "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+(* Each byte's sextet, -1 outside the alphabet.  '=' is -1 too: padding
+   is recognised by its position, so '=' anywhere else is a bad byte. *)
+let b64_sextet =
+  let t = Array.make 256 (-1) in
+  String.iteri (fun i c -> t.(Char.code c) <- i) b64_alphabet;
+  t
+
+(* The unchecked accessors below are in bounds by construction: a group
+   index ranges over whole groups of the input and output. *)
+let b64_put out o w =
+  Bytes.unsafe_set out o (String.unsafe_get b64_alphabet (w land 63))
+
+let base64_encode s =
+  let n = String.length s in
+  let out = Bytes.create ((n + 2) / 3 * 4) in
+  let full = n / 3 in
+  for g = 0 to full - 1 do
+    let i = 3 * g and o = 4 * g in
+    let w =
+      (Char.code (String.unsafe_get s i) lsl 16)
+      lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
+      lor Char.code (String.unsafe_get s (i + 2))
+    in
+    b64_put out o (w lsr 18);
+    b64_put out (o + 1) (w lsr 12);
+    b64_put out (o + 2) (w lsr 6);
+    b64_put out (o + 3) w
+  done;
+  let rest = n - (3 * full) in
+  if rest > 0 then begin
+    let i = 3 * full and o = 4 * full in
+    let w =
+      (Char.code s.[i] lsl 16)
+      lor if rest = 2 then Char.code s.[i + 1] lsl 8 else 0
+    in
+    b64_put out o (w lsr 18);
+    b64_put out (o + 1) (w lsr 12);
+    if rest = 2 then b64_put out (o + 2) (w lsr 6)
+    else Bytes.set out (o + 2) '=';
+    Bytes.set out (o + 3) '='
+  end;
+  Bytes.unsafe_to_string out
+
+let b64_get s i =
+  Array.unsafe_get b64_sextet (Char.code (String.unsafe_get s i))
+
+(* Called once a group holds a byte outside the alphabet: name the
+   first one, counted from [pos]. *)
+let b64_bad s pos i =
+  let rec first k =
+    if b64_sextet.(Char.code s.[k]) < 0 then k else first (k + 1)
+  in
+  let k = first i in
+  fail "base64: bad byte %C at %d" s.[k] (k - pos)
+
+let base64_decode_into s pos len out =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Jsonl.base64_decode_into: range outside the string";
+  if len mod 4 <> 0 then fail "base64: length %d is not a multiple of 4" len;
+  let pad =
+    if len = 0 || s.[pos + len - 1] <> '=' then 0
+    else if s.[pos + len - 2] = '=' then 2
+    else 1
+  in
+  let m = (len / 4 * 3) - pad in
+  if Bytes.length out < m then
+    invalid_arg "Jsonl.base64_decode_into: buffer too short";
+  let full = (len / 4) - if pad > 0 then 1 else 0 in
+  for g = 0 to full - 1 do
+    let i = pos + (4 * g) and o = 3 * g in
+    let a = b64_get s i and b = b64_get s (i + 1)
+    and c = b64_get s (i + 2) and d = b64_get s (i + 3) in
+    if (a lor b lor c lor d) < 0 then b64_bad s pos i;
+    let w = (a lsl 18) lor (b lsl 12) lor (c lsl 6) lor d in
+    Bytes.unsafe_set out o (Char.unsafe_chr (w lsr 16));
+    Bytes.unsafe_set out (o + 1) (Char.unsafe_chr ((w lsr 8) land 255));
+    Bytes.unsafe_set out (o + 2) (Char.unsafe_chr (w land 255))
+  done;
+  if pad > 0 then begin
+    (* The last group: two sextets and "==" for one byte, three and "="
+       for two. *)
+    let i = pos + (4 * full) and o = 3 * full in
+    let a = b64_get s i and b = b64_get s (i + 1)
+    and c = if pad = 1 then b64_get s (i + 2) else 0 in
+    if (a lor b lor c) < 0 then b64_bad s pos i;
+    let w = (a lsl 18) lor (b lsl 12) lor (c lsl 6) in
+    Bytes.set out o (Char.chr (w lsr 16));
+    if pad = 1 then Bytes.set out (o + 1) (Char.chr ((w lsr 8) land 255))
+  end;
+  m
 
 (* --------------------------------------------------------- accessors *)
 

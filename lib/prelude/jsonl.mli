@@ -27,6 +27,15 @@ val parse : string -> t
 (** Parse one complete JSON value; trailing non-whitespace raises
     {!Bad}. *)
 
+val parse_in_place : path:string list -> string -> t * (int * int) option
+(** [parse_in_place ~path s] is [parse s], except for the string at
+    [path]: members named from the top-level object down, each the first
+    of its name in its object.  If that value is a string without
+    escapes it is not copied out of [s]: it parses as [Str ""] and the
+    second result is [Some (pos, len)], its bytes in [s].  Otherwise the
+    second result is [None].  A request line's binary payload is read
+    this way, where it lies. *)
+
 val parse_lines : string -> t list
 (** JSONL: one JSON value per non-empty line. *)
 
@@ -54,6 +63,24 @@ val buf_add_num : Buffer.t -> float -> unit
     as [%.17g] (which round-trips every double), non-finite ones as the
     strings above.  {!Obs} writes its trace lines with these two
     functions, straight into its line buffer. *)
+
+(** {1 Base64}
+
+    Binary payloads inside JSON strings: RFC 4648 base64 with the
+    standard alphabet and ['='] padding, no line breaks.  [bg serve]'s
+    float64 matrices travel this way. *)
+
+val base64_encode : string -> string
+(** The base64 text of a byte string: [4 * ceil (n / 3)] characters. *)
+
+val base64_decode_into : string -> int -> int -> Bytes.t -> int
+(** [base64_decode_into s pos len buf] decodes the base64 text in the
+    [len] bytes of [s] from [pos] into [buf] from 0, and returns the
+    number of bytes decoded ([len / 4 * 3] bytes of [buf] always
+    suffice).  Raises {!Bad} if [len] is not a multiple of 4 or a byte
+    is outside the alphabet, ['='] counting as outside it anywhere but
+    the last two places; raises [Invalid_argument] if the range is
+    outside [s] or [buf] is too short. *)
 
 (** {1 Accessors} *)
 

@@ -1,11 +1,13 @@
 (* The JSONL wire schema of `bg serve`.
 
    One request per line in, one response per line out.  Requests carry
-   the decay space inline (matrix rows or CSV text) or by file path, so
-   the daemon never needs shared state with its clients beyond the
-   stream itself.  Responses are typed: a request always gets exactly
-   one of ok / rejected / error back, and overload is a first-class
-   answer (status "rejected"), never a hung connection.
+   the decay space inline or by file path, so the daemon never needs
+   shared state with its clients beyond the stream itself.  An inline
+   space is written as its n·n cells in base64 little-endian float64
+   ("f64"); the decimal "matrix" rows and CSV text are still read.
+   Responses are typed: a request always gets exactly one of ok /
+   rejected / error back, and overload is a first-class answer (status
+   "rejected"), never a hung connection.
 
    Ping is the one op with no space: a health probe answered at
    admission (never queued), whose result reports uptime, queue depth,
@@ -17,10 +19,12 @@
    load watermark.  The flag is omitted when false, so pre-resilience
    response lines parse identically.
 
-   All parsing goes through Core.Prelude.Jsonl (floats round-trip via
-   %.17g), so a workload generated from a seed produces bit-identical
-   request lines — and therefore identical space digests — on every
-   run, which is what makes the persistent cache hit across restarts. *)
+   All parsing goes through Core.Prelude.Jsonl.  An f64 space carries
+   its cells' bits themselves, so a workload generated from a seed
+   produces bit-identical request lines — and therefore identical space
+   digests — on every run, which is what makes the persistent cache hit
+   across restarts.  Only the decimal form relies on %.17g to round-trip
+   a double. *)
 
 module J = Core.Prelude.Jsonl
 
@@ -133,16 +137,41 @@ let trace_of_json j =
 
 (* ------------------------------------------------------------ requests *)
 
+(* The f64 payload of a square matrix: its n·n cells, row-major, as
+   little-endian float64 bytes.  [None] for ragged rows, which go out in
+   decimal so that the server's shape check names what is wrong. *)
+let f64_cells rows =
+  let n = Array.length rows in
+  if Array.exists (fun row -> Array.length row <> n) rows then None
+  else begin
+    let b = Bytes.create (8 * n * n) in
+    for i = 0 to n - 1 do
+      let row = rows.(i) in
+      for k = 0 to n - 1 do
+        Bytes.set_int64_le b (8 * ((i * n) + k)) (Int64.bits_of_float row.(k))
+      done
+    done;
+    Some (Bytes.unsafe_to_string b)
+  end
+
 let space_to_json = function
-  | Inline (name, rows) ->
-      J.Obj
-        [ ("name", J.Str name);
-          ( "matrix",
-            J.Arr
-              (Array.to_list rows
-              |> List.map (fun row ->
-                     J.Arr (Array.to_list row |> List.map (fun v -> J.Num v))))
-          ) ]
+  | Inline (name, rows) -> (
+      match f64_cells rows with
+      | Some cells ->
+          J.Obj
+            [ ("name", J.Str name);
+              ("n", J.Num (float_of_int (Array.length rows)));
+              ("f64", J.Str (J.base64_encode cells)) ]
+      | None ->
+          J.Obj
+            [ ("name", J.Str name);
+              ( "matrix",
+                J.Arr
+                  (Array.to_list rows
+                  |> List.map (fun row ->
+                         J.Arr
+                           (Array.to_list row |> List.map (fun v -> J.Num v))))
+              ) ])
   | Csv text -> J.Obj [ ("csv", J.Str text) ]
   | File path -> J.Obj [ ("file", J.Str path) ]
 
@@ -166,9 +195,56 @@ let request_to_json r =
 
 let request_to_string r = J.to_string (request_to_json r)
 
-let space_of_json j =
-  match (J.member "matrix" j, J.mem_str "csv" j, J.mem_str "file" j) with
-  | Some (J.Arr rows), _, _ ->
+(* f64 payloads are decoded into one reused buffer per domain, so a
+   request allocates only its rows. *)
+let f64_scratch = Core.Prelude.Scratch.create ()
+
+(* The rows of an f64 space whose base64 text is the [len] bytes of
+   [text] from [pos].  [n] must be a whole number a double holds
+   exactly, and the payload exactly 8·n·n bytes, checked by division so
+   that no n can overflow the product. *)
+let f64_rows j (text, pos, len) =
+  match J.member "n" j with
+  | Some (J.Num v) when Float.is_integer v && v >= 0. && v < 0x1p53 -> (
+      let n = int_of_float v in
+      let buf = Core.Prelude.Scratch.bytes f64_scratch (len / 4 * 3) in
+      match J.base64_decode_into text pos len buf with
+      | exception J.Bad e -> Error ("space.f64: " ^ e)
+      | got ->
+          let cells = got / 8 in
+          if
+            got mod 8 <> 0
+            || not (if n = 0 then cells = 0 else cells mod n = 0 && cells / n = n)
+          then Error (Printf.sprintf "space.f64: %d bytes for n = %d" got n)
+          else
+            Ok
+              (Array.init n (fun i ->
+                   let row = Array.create_float n in
+                   for k = 0 to n - 1 do
+                     row.(k) <-
+                       Int64.float_of_bits
+                         (Bytes.get_int64_le buf (8 * ((i * n) + k)))
+                   done;
+                   row)))
+  | Some _ -> Error "space.n: not a whole number >= 0"
+  | None -> Error "space.f64: missing n"
+
+(* [left] locates the f64 text when [Jsonl.parse_in_place] left it in
+   the request line; the member then reads [Str ""]. *)
+let space_of_json ?left j =
+  let name () = Option.value (J.mem_str "name" j) ~default:"inline" in
+  match
+    (J.member "f64" j, J.member "matrix" j, J.mem_str "csv" j, J.mem_str "file" j)
+  with
+  | Some (J.Str text), _, _, _ ->
+      let src =
+        match left with
+        | Some src -> src
+        | None -> (text, 0, String.length text)
+      in
+      Result.map (fun rows -> Inline (name (), rows)) (f64_rows j src)
+  | Some _, _, _, _ -> Error "space.f64: not a string"
+  | None, Some (J.Arr rows), _, _ ->
       let row_of = function
         | J.Arr cells ->
             cells
@@ -178,20 +254,17 @@ let space_of_json j =
             |> Array.of_list
         | _ -> failwith "space.matrix: row is not an array"
       in
-      let name =
-        Option.value (J.mem_str "name" j) ~default:"inline"
-      in
-      Ok (Inline (name, Array.of_list (List.map row_of rows)))
-  | _, Some text, _ -> Ok (Csv text)
-  | _, _, Some path -> Ok (File path)
-  | _ -> Error "space: need one of matrix / csv / file"
+      Ok (Inline (name (), Array.of_list (List.map row_of rows)))
+  | None, _, Some text, _ -> Ok (Csv text)
+  | None, _, _, Some path -> Ok (File path)
+  | _ -> Error "space: need one of f64 / matrix / csv / file"
 
 let int_field name j ~default =
   match J.mem_num name j with
   | None -> default
   | Some v -> int_of_float v
 
-let request_of_json j =
+let request_of_json_at ?left j =
   match (J.mem_str "id" j, J.mem_str "op" j) with
   | None, _ -> Error "request: missing id"
   | _, None -> Error "request: missing op"
@@ -226,15 +299,22 @@ let request_of_json j =
               if op = Ping || op = Metrics then Ok { id; op; space = None; trace }
               else Error "request: missing space"
           | Some space_j -> (
-              match space_of_json space_j with
+              match space_of_json ?left space_j with
               | Error e -> Error e
               | exception Failure e -> Error e
               | Ok space -> Ok { id; op; space = Some space; trace })))
 
+let request_of_json j = request_of_json_at j
+
+(* The f64 text, most of a request line's bytes, is decoded where it
+   lies in the line rather than copied out first. *)
 let request_of_string line =
-  match J.parse line with
+  match J.parse_in_place ~path:[ "space"; "f64" ] line with
   | exception J.Bad msg -> Error ("malformed JSON: " ^ msg)
-  | j -> request_of_json j
+  | j, left ->
+      request_of_json_at
+        ?left:(Option.map (fun (pos, len) -> (line, pos, len)) left)
+        j
 
 (* ----------------------------------------------------------- responses *)
 

@@ -1,20 +1,29 @@
 (** The JSONL wire schema of [bg serve] — typed requests and responses.
 
     One request per line in, one response per line out.  A request names
-    an analysis [op], carries its decay space inline (matrix rows or CSV
-    text) or by file path, and is answered by exactly one response:
+    an analysis [op], carries its decay space inline or by file path,
+    and is answered by exactly one response:
     [ok] with the result, [rejected] under admission control (overload
     is a first-class, immediate answer — never a hung connection), or
     [error] for malformed or invalid input.
 
     Request line shapes:
     {v
+{"id":"r1","op":"zeta","space":{"name":"s","n":2,
+ "f64":"AAAAAAAAAAAAAAAAAAD4PzMzMzMzM/M/AAAAAAAAAAA="}}
 {"id":"r1","op":"zeta","space":{"name":"s","matrix":[[0,1.5],[1.2,0]]}}
 {"id":"r2","op":"gamma","r":4,"space":{"csv":"# name: s\n0,2\n2,0"}}
 {"id":"r3","op":"estimate","nodes":32,"replicates":6,"seed":7,
  "space":{"file":"big.bgd"}}
 {"id":"hp","op":"ping"}
     v}
+
+    The first two lines carry the same space.  [f64] is the base64 of
+    the [n·n] cells, row-major, as little-endian IEEE float64; its
+    decoded length must be exactly [8·n·n].  {!request_to_string} writes
+    every square {!Inline} space this way.  The decimal [matrix] form,
+    [csv] and [file] are still accepted; ragged rows are written as
+    [matrix] so that the server's shape check can name the bad row.
 
     Response line shapes:
     {v
@@ -23,7 +32,7 @@
 {"id":"r4","status":"ok","op":"zeta","cache":"miss",...,
  "degraded":true,"result":{"point":...,"lo":...,"hi":...}}
 {"id":"r9","status":"rejected","reason":"queue full (256 pending)"}
-{"id":"rX","status":"error","reason":"space: need one of matrix/csv/file"}
+{"id":"rX","status":"error","reason":"space: need one of f64 / matrix / csv / file"}
     v}
 
     [degraded:true] marks an answer produced by the
@@ -32,10 +41,12 @@
     confidence interval.  The flag is omitted when false, so
     pre-resilience response lines parse unchanged.
 
-    Floats are serialized with [%.17g] ({!Core.Prelude.Jsonl}), so a
-    workload generated from a seed produces bit-identical request lines
-    — and therefore identical space digests — on every run, which is
-    what makes the persistent cache hit across daemon restarts. *)
+    An [f64] space carries its cells' bits themselves, so a workload
+    generated from a seed produces bit-identical request lines — and
+    therefore identical space digests — on every run, which is what
+    makes the persistent cache hit across daemon restarts.  Only the
+    decimal form relies on [%.17g] ({!Core.Prelude.Jsonl}) to
+    round-trip a double. *)
 
 type op =
   | Zeta
@@ -55,7 +66,8 @@ type op =
           histogram buckets) — what [bg top] polls *)
 
 type space_spec =
-  | Inline of string * float array array  (** name, decay rows *)
+  | Inline of string * float array array
+      (** name, decay rows; [f64] or [matrix] on the wire *)
   | Csv of string  (** CSV text, as accepted by {!Bg_decay.Decay_io.of_csv} *)
   | File of string  (** path to a CSV or raw-binary matrix on the server *)
 
@@ -119,7 +131,8 @@ val response_trace : response -> trace_context option
 (** The trace context echoed on any response variant. *)
 
 val request_to_string : request -> string
-(** One JSONL line (no trailing newline). *)
+(** One JSONL line (no trailing newline); a square inline space goes
+    out as [f64]. *)
 
 val request_of_string : string -> (request, string) result
 (** Parse one request line; [Error] carries a one-line reason suitable

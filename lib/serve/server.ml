@@ -7,7 +7,9 @@
                 "rejected" response — overload sheds load instead of
                 collapsing latency, and the queue can never grow without
                 bound.  Pings are answered here too: a health probe
-                never waits behind analysis work.
+                never waits behind analysis work.  An admitted request's
+                space is resolved (built, validated, digested) before it
+                is queued.
      batching   up to batch_size queued requests are taken per cycle.
                 Within a batch, requests are keyed by space digest + op
                 parameters; concurrent duplicates coalesce onto a single
@@ -390,14 +392,14 @@ let resolve req =
             (space, Digest.to_hex (D.digest space) ^ "/" ^ P.op_key req.P.op)
       | exception (Invalid_argument m | Failure m | Sys_error m) -> Bad m)
 
-(* Process one batch of admitted requests (with their admission
-   timestamps).  [queue_depth] is the backlog left behind the batch —
-   the degraded-mode watermark signal.  Returns one response per
-   request, in input order. *)
-let process_batch ?(queue_depth = 0) t reqs =
+(* Process one batch of admitted requests, each with its admission
+   timestamp and resolved space.  [queue_depth] is the backlog left
+   behind the batch — the degraded-mode watermark signal.  Returns one
+   response per request, in input order. *)
+let process_resolved ~queue_depth t resolved =
   let cfg = t.config and st = t.stats in
   let batch = 1 + Atomic.fetch_and_add batch_counter 1 in
-  let n = List.length reqs in
+  let n = List.length resolved in
   Obs.with_span "serve.batch"
     ~attrs:[ ("batch", Obs.I batch); ("n", Obs.I n) ]
     (fun () ->
@@ -405,9 +407,8 @@ let process_batch ?(queue_depth = 0) t reqs =
       let started_s = Obs.now_s () in
       (* Chaos: per-request stall rolls, one per batch member. *)
       (match cfg.chaos with
-      | Some c -> List.iter (fun _ -> Chaos.stall c) reqs
+      | Some c -> List.iter (fun _ -> Chaos.stall c) resolved
       | None -> ());
-      let resolved = List.map (fun (req, t0) -> (req, t0, resolve req)) reqs in
       (* Which keys answer from the degraded tier this cycle: a cache
          miss on zeta/phi/gamma when the backlog is over the watermark,
          or whenever the space is too big for an exact sweep.  Store
@@ -651,6 +652,10 @@ let process_batch ?(queue_depth = 0) t reqs =
               response))
         resolved)
 
+let process_batch ?(queue_depth = 0) t reqs =
+  process_resolved ~queue_depth t
+    (List.map (fun (req, t0) -> (req, t0, resolve req)) reqs)
+
 (* ---------------------------------------------------------------- loop *)
 
 type input =
@@ -658,6 +663,8 @@ type input =
 
 type io = { read : block:bool -> input; flush : unit -> unit }
 
+(* The id to answer a line that is not a valid request with: its "id"
+   if it is JSON that has one, "?" otherwise. *)
 let error_id line =
   match J.parse line with
   | exception J.Bad _ -> "?"
@@ -676,7 +683,7 @@ let run_loop ?(should_stop = fun () -> false) t io =
           | `Deliver l -> reply l
           | `Drop | `Drop_keep_carry -> ())
   in
-  let queue : (P.request * float * (string -> unit)) Queue.t =
+  let queue : (P.request * float * resolved * (string -> unit)) Queue.t =
     Queue.create ()
   in
   let eof = ref false in
@@ -700,14 +707,18 @@ let run_loop ?(should_stop = fun () -> false) t io =
           | Some slo ->
               Slo.record slo ~now_s:(Obs.now_s ()) ~latency_s:0. ~ok:false
           | None -> ());
-          let trace =
-            match parsed with Ok req -> req.P.trace | Error _ -> None
+          (* The id comes from the parse already done; only a line that
+             failed it is looked at again. *)
+          let id, trace =
+            match parsed with
+            | Ok req -> (req.P.id, req.P.trace)
+            | Error _ -> (error_id line, None)
           in
           send reply
             (P.response_to_string
                (P.Rejected
                   {
-                    id = error_id line;
+                    id;
                     reason =
                       Printf.sprintf "queue full (%d pending)" cfg.max_queue;
                     trace;
@@ -724,7 +735,13 @@ let run_loop ?(should_stop = fun () -> false) t io =
           | Ok req ->
               st.accepted <- st.accepted + 1;
               Obs.incr c_accepted;
-              Queue.add (req, Obs.now_s (), reply) queue
+              (* Resolve at admission and queue the request without its
+                 rows: a backlog then holds each space's cells once, flat
+                 and off the OCaml heap, and the rows die young instead
+                 of being promoted with every queued request. *)
+              let t0 = Obs.now_s () in
+              let r = resolve req in
+              Queue.add ({ req with P.space = None }, t0, r, reply) queue
   in
   let rec drain ~block =
     if not (!eof || should_stop ()) then
@@ -748,12 +765,12 @@ let run_loop ?(should_stop = fun () -> false) t io =
       let replies = ref [] in
       while not (Queue.is_empty queue) && List.length !batch < cfg.batch_size
       do
-        let req, t0, reply = Queue.take queue in
-        batch := (req, t0) :: !batch;
+        let req, t0, r, reply = Queue.take queue in
+        batch := (req, t0, r) :: !batch;
         replies := reply :: !replies
       done;
       let responses =
-        process_batch ~queue_depth:(Queue.length queue) t (List.rev !batch)
+        process_resolved ~queue_depth:(Queue.length queue) t (List.rev !batch)
       in
       st.batches <- st.batches + 1;
       Obs.incr c_batches;

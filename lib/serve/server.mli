@@ -116,7 +116,8 @@ val process_batch :
     times from {!Bg_prelude.Obs.now_s}); responses come back in input
     order.  [queue_depth] (default 0) is the backlog left behind the
     batch — the degraded-mode watermark signal.  Exposed for tests and
-    in-process drivers — the daemon loops call it internally. *)
+    in-process drivers.  {!run_loop} resolves each space at admission
+    and serves its batches through the same code. *)
 
 type input =
   [ `Req of string * (string -> unit)

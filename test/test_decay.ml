@@ -552,6 +552,25 @@ let prop_parallel_equals_sequential =
           Fad.gamma ~ctx:(el12 1) d ~r = Fad.gamma ~ctx:(el12 4) d ~r)
         spaces)
 
+(* The digest is MD5 over the cells as little-endian float64, whatever
+   buffer it is laid out in: one space after another, sizes up and down
+   and one over the 1 MiB the per-domain buffer keeps. *)
+let test_digest_is_md5_of_cells () =
+  List.iter
+    (fun n ->
+      let d = random_space ~n n in
+      let b = Bytes.create (8 * n * n) in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          Bytes.set_int64_le b (8 * ((i * n) + j))
+            (Int64.bits_of_float (D.decay d i j))
+        done
+      done;
+      check_true
+        (Printf.sprintf "n = %d: digest is MD5 of the cells" n)
+        (String.equal (D.digest d) (Digest.bytes b)))
+    [ 3; 32; 5; 400; 32 ]
+
 let suite =
   [
     ( "decay.space",
@@ -569,6 +588,7 @@ let suite =
         case "sub space" test_sub_space;
         case "map" test_map;
         case "of_metric" test_of_metric_embeds_alpha;
+        case "digest is MD5 of the cells" test_digest_is_md5_of_cells;
       ] );
     ( "decay.metricity",
       [

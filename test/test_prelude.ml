@@ -4,6 +4,7 @@ module Num = Core.Prelude.Numerics
 module Stats = Core.Prelude.Stats
 module Uf = Core.Prelude.Union_find
 module Table = Core.Prelude.Table
+module Jsonl = Core.Prelude.Jsonl
 
 (* ------------------------------------------------------------------ Rng *)
 
@@ -447,6 +448,129 @@ let test_par_resolve_jobs () =
   check_int "ambient default" 3 (Par.resolve_jobs None);
   Par.set_default_jobs saved
 
+(* ---------------------------------------------------------------- Jsonl *)
+
+(* Bytes the string codec treats specially, and bytes it must copy
+   verbatim, each drawn often enough to meet in one short string. *)
+let wire_char =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127' ]);
+        (2, map Char.chr (int_range 0x80 0xff));
+        (5, char) ])
+
+let test_string_round_trip =
+  qcheck ~count:500 "any byte string round-trips"
+    (QCheck.string_gen_of_size QCheck.Gen.(int_range 0 64) wire_char)
+    (fun s -> Jsonl.parse (Jsonl.to_string (Jsonl.Str s)) = Jsonl.Str s)
+
+let test_string_errors_kept () =
+  let bad text msg =
+    match Jsonl.parse text with
+    | exception Jsonl.Bad m -> Alcotest.(check string) text msg m
+    | _ -> Alcotest.failf "parsed %S" text
+  in
+  bad {|"abc|} "unterminated string";
+  bad {|"|} "unterminated string";
+  bad {|"ab\ncd|} "unterminated string";
+  bad {|"abc\|} "dangling escape";
+  bad {|"\q"|} "bad escape \\q";
+  check_true "escapes after a clean prefix decode"
+    (Jsonl.parse {|"ab\"c\\d\u0001"|} = Jsonl.Str "ab\"c\\d\001")
+
+let base64_decode s =
+  let buf = Bytes.create (String.length s / 4 * 3) in
+  Bytes.sub_string buf 0
+    (Jsonl.base64_decode_into s 0 (String.length s) buf)
+
+(* RFC 4648 section 10's vectors. *)
+let test_base64_vectors () =
+  List.iter
+    (fun (raw, b64) ->
+      Alcotest.(check string) ("encode " ^ raw) b64 (Jsonl.base64_encode raw);
+      Alcotest.(check string) ("decode " ^ b64) raw (base64_decode b64))
+    [ ("", ""); ("f", "Zg=="); ("fo", "Zm8="); ("foo", "Zm9v");
+      ("foob", "Zm9vYg=="); ("fooba", "Zm9vYmE="); ("foobar", "Zm9vYmFy") ];
+  List.iter
+    (fun b64 ->
+      match base64_decode b64 with
+      | exception Jsonl.Bad _ -> ()
+      | _ -> Alcotest.failf "decoded %S" b64)
+    [ "Zg="; "Zm9"; "Zm9v!"; "Zm9*"; "Z=9v"; "Zm=v"; "===="; "Zg=a"; "A===";
+      "Zm9\nYmFy" ]
+
+let test_base64_round_trip =
+  qcheck ~count:300 "base64 decode inverts encode"
+    (QCheck.string_gen_of_size QCheck.Gen.(int_range 0 100) QCheck.Gen.char)
+    (fun s -> base64_decode (Jsonl.base64_encode s) = s)
+
+(* The string at the path is left in the input: the rest parses as
+   [parse] would, the string reads [Str ""], and the span holds its
+   bytes.  Only the first member of a name is followed, and a string
+   with escapes is copied as usual. *)
+let test_parse_in_place () =
+  let line = {|{"id":"a","space":{"n":2,"f64":"QUJD"},"f64":"top"}|} in
+  let v, left = Jsonl.parse_in_place ~path:[ "space"; "f64" ] line in
+  (match left with
+  | Some (pos, len) ->
+      Alcotest.(check string) "the span holds the string" "QUJD"
+        (String.sub line pos len)
+  | None -> Alcotest.fail "nothing left in place");
+  let blank = {|{"id":"a","space":{"n":2,"f64":""},"f64":"top"}|} in
+  check_true "the rest parses as parse does" (v = Jsonl.parse blank);
+  let left_of path s = snd (Jsonl.parse_in_place ~path s) in
+  check_true "the first member of a name is followed"
+    (left_of [ "s"; "f" ] {|{"s":{"f":"x1"},"s":{"f":"x2"}}|} = Some (11, 2));
+  check_true "a later duplicate in the same object is not"
+    (left_of [ "f" ] {|{"f":1,"f":"xy"}|} = None);
+  check_true "a string with escapes is copied"
+    (Jsonl.parse_in_place ~path:[ "f" ] {|{"f":"a\nb"}|}
+    = (Jsonl.Obj [ ("f", Jsonl.Str "a\nb") ], None));
+  check_true "a path through a non-object leaves nothing"
+    (left_of [ "f"; "g" ] {|{"f":[{"g":"x"}]}|} = None);
+  check_true "the empty path is parse"
+    (Jsonl.parse_in_place ~path:[] line = (Jsonl.parse line, None));
+  match Jsonl.parse_in_place ~path:[ "f" ] {|{"f":"abc|} with
+  | exception Jsonl.Bad _ -> ()
+  | _ -> Alcotest.fail "an unterminated string left in place parsed"
+
+let test_base64_decode_into () =
+  let text = "xxZm9vYmE=yy" in
+  let buf = Bytes.make 8 '.' in
+  check_int "five bytes from the middle" 5
+    (Jsonl.base64_decode_into text 2 8 buf);
+  Alcotest.(check string) "decoded in place" "fooba..." (Bytes.to_string buf);
+  (match Jsonl.base64_decode_into text 2 8 (Bytes.create 4) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "decoded into a short buffer");
+  (match Jsonl.base64_decode_into text 6 8 buf with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "decoded past the string");
+  match Jsonl.base64_decode_into "xxZm!v" 2 4 buf with
+  | exception Jsonl.Bad m ->
+      Alcotest.(check string) "offset counted from pos"
+        "base64: bad byte '!' at 2" m
+  | _ -> Alcotest.fail "decoded a bad byte"
+
+(* ---------------------------------------------------------------- Scratch *)
+
+module Scratch = Core.Prelude.Scratch
+
+let test_scratch_reuse () =
+  let t = Scratch.create () in
+  let a = Scratch.bytes t 100 in
+  check_true "at least the size asked" (Bytes.length a >= 100);
+  check_true "reused for a smaller size" (Scratch.bytes t 50 == a);
+  let b = Scratch.bytes t 200 in
+  check_true "grown for a larger size" (Bytes.length b >= 200 && b != a);
+  check_true "the grown buffer is kept" (Scratch.bytes t 150 == b);
+  let big = Scratch.bytes t ((1 lsl 20) + 1) in
+  check_true "a buffer over 1 MiB is handed out"
+    (Bytes.length big > 1 lsl 20);
+  check_true "but not kept" (Scratch.bytes t 150 == b);
+  let other = Domain.join (Domain.spawn (fun () -> Scratch.bytes t 150)) in
+  check_true "each domain has its own buffer" (other != b)
+
 let suite =
   [
     ( "prelude.rng",
@@ -523,6 +647,20 @@ let suite =
       ] );
     ( "prelude.union_find",
       [ case "basic" test_uf_basic; case "transitive" test_uf_transitive ] );
+    ( "prelude.jsonl",
+      [
+        test_string_round_trip;
+        case "string errors keep their messages" test_string_errors_kept;
+        case "base64 RFC 4648 vectors and rejections" test_base64_vectors;
+        test_base64_round_trip;
+        case "parse_in_place leaves the string at its path"
+          test_parse_in_place;
+        case "base64_decode_into a range of a string"
+          test_base64_decode_into;
+      ] );
+    ( "prelude.scratch",
+      [ case "per-domain buffers, reused, large ones not kept"
+          test_scratch_reuse ] );
     ( "prelude.table",
       [
         case "render" test_table_render;

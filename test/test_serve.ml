@@ -51,6 +51,24 @@ let serve_all ?store reqs =
     (fun batch -> Server.process_batch t (List.map (fun r -> (r, now)) batch))
     [ reqs ]
 
+(* Every response line [run_loop] writes for [lines], in order. *)
+let run_lines t lines =
+  let remaining = ref lines and got = ref [] in
+  let read ~block:_ =
+    match !remaining with
+    | [] -> `Eof
+    | line :: rest ->
+        remaining := rest;
+        `Req (line, fun resp -> got := resp :: !got)
+  in
+  ignore (Server.run_loop t { Server.read; flush = (fun () -> ()) });
+  List.rev !got
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------ protocol *)
 
 let test_request_round_trip () =
@@ -130,6 +148,215 @@ let test_response_round_trip () =
       | Error e -> Alcotest.failf "round-trip failed: %s" e
       | Ok r' -> check_true "round-trip preserves the response" (r = r'))
     resps
+
+(* ------------------------------------------------------ f64 wire form *)
+
+(* [r] with its space in the decimal [matrix] form, which the wire still
+   accepts but no longer writes for square matrices. *)
+let decimal_line (r : P.request) =
+  match (P.request_to_json r, r.P.space) with
+  | J.Obj fields, Some (P.Inline (name, rows)) ->
+      let matrix =
+        J.Arr
+          (Array.to_list rows
+          |> List.map (fun row ->
+                 J.Arr (Array.to_list row |> List.map (fun v -> J.Num v))))
+      in
+      J.to_string
+        (J.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "space" then
+                  (k, J.Obj [ ("name", J.Str name); ("matrix", matrix) ])
+                else (k, v))
+              fields))
+  | _ -> invalid_arg "decimal_line: inline requests only"
+
+(* The base64 is Python's
+   base64.b64encode(struct.pack('<9d', 0, 1.5, 2, 1.2, 0, 3, 2, 1, 0)). *)
+let tiny_f64_line =
+  {|{"id":"r1","op":"zeta","space":{"name":"tiny","n":3,"f64":"AAAAAAAAAAAAAAAAAAD4PwAAAAAAAABAMzMzMzMz8z8AAAAAAAAAAAAAAAAAAAhAAAAAAAAAAEAAAAAAAADwPwAAAAAAAAAA"}}|}
+
+let test_f64_bytes_pinned () =
+  Alcotest.(check string) "tiny zeta request" tiny_f64_line
+    (P.request_to_string (req P.Zeta));
+  check_true "the pinned line parses back"
+    (P.request_of_string tiny_f64_line = Ok (req P.Zeta));
+  check_true "the decimal form still parses to the same request"
+    (P.request_of_string
+       {|{"id":"r1","op":"zeta","space":{"name":"tiny","matrix":[[0,1.5,2],[1.2,0,3],[2,1,0]]}}|}
+    = Ok (req P.Zeta))
+
+(* Cells a decimal writer loses or that a codec could mangle: signed
+   zeros, subnormals, the extremes, infinities and NaN payloads. *)
+let special_cells =
+  [| 0.; -0.; 5e-324; -5e-324; 2.2250738585072009e-308; Float.min_float;
+     Float.max_float; -.Float.max_float; infinity; neg_infinity; Float.nan;
+     Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+     Int64.float_of_bits 0xfff8_dead_beef_0001L |]
+
+let test_f64_round_trip =
+  qcheck ~count:100 "f64 cells round-trip bit for bit"
+    QCheck.(pair (int_bound 40) small_int)
+    (fun (n, seed) ->
+      let g = rng seed in
+      let cell () =
+        match Rng.int g 3 with
+        | 0 -> Rng.choice g special_cells
+        | 1 -> Int64.float_of_bits (Rng.int64 g)
+        | _ -> Rng.float g 100.
+      in
+      let rows = Array.init n (fun _ -> Array.init n (fun _ -> cell ())) in
+      let r =
+        { P.id = "q"; op = P.Zeta; space = Some (P.Inline ("q", rows));
+          trace = None }
+      in
+      let same_bits x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      match P.request_of_string (P.request_to_string r) with
+      | Ok { P.space = Some (P.Inline ("q", back)); _ } ->
+          Array.length back = n
+          && Array.for_all2
+               (fun a b -> Array.length b = n && Array.for_all2 same_bits a b)
+               rows back
+      | _ -> false)
+
+(* One space sent once as a decimal line and once as an f64 line: one
+   store key, so the second is a hit, and the same result JSON. *)
+let test_decimal_and_f64_share_key_and_answer () =
+  let r =
+    List.hd
+      (L.generate
+         { L.seed = 3; requests = 1; spaces = 1; nodes = 12; zipf_s = 1.1 })
+  in
+  let f64 = P.request_to_string r and decimal = decimal_line r in
+  check_true "the f64 line is the shorter"
+    (String.length f64 < String.length decimal);
+  let parsed line =
+    match P.request_of_string line with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "refused: %s" e
+  in
+  check_true "both lines parse to the request"
+    (parsed f64 = r && parsed decimal = r);
+  let key line =
+    match (parsed line).P.space with
+    | Some (P.Inline (name, rows)) ->
+        Digest.to_hex (D.digest (D.of_matrix ~name rows))
+        ^ "/" ^ P.op_key r.P.op
+    | _ -> Alcotest.fail "not inline"
+  in
+  Alcotest.(check string) "one store key" (key decimal) (key f64);
+  let store = Store.open_ () in
+  let t = engine ~store () in
+  let answer line =
+    match run_lines t [ line ] with
+    | [ resp ] -> (
+        match P.response_of_string resp with
+        | Ok (P.Done { cache; result; _ }) -> (cache, J.to_string result)
+        | _ -> Alcotest.failf "not an ok answer: %s" resp)
+    | l -> Alcotest.failf "%d answers to one line" (List.length l)
+  in
+  let cache_d, result_d = answer decimal in
+  let cache_f, result_f = answer f64 in
+  check_true "the decimal line computes" (cache_d = P.Miss);
+  check_true "the f64 line hits its entry" (cache_f = P.Hit);
+  Alcotest.(check string) "same result JSON" result_d result_f;
+  check_int "one store entry" 1 (Store.length store)
+
+(* Ragged rows have no f64 form: they go out in decimal, and the
+   server's shape check answers them. *)
+let test_ragged_rows_go_decimal () =
+  let ragged =
+    { P.id = "rg"; op = P.Zeta;
+      space = Some (P.Inline ("rg", [| [| 0.; 1. |]; [| 1. |] |]));
+      trace = None }
+  in
+  let line = P.request_to_string ragged in
+  check_true "decimal form" (contains ~sub:{|"matrix"|} line);
+  check_false "no f64 field" (contains ~sub:{|"f64"|} line);
+  match run_lines (engine ()) [ line ] with
+  | [ resp ] -> (
+      match P.response_of_string resp with
+      | Ok (P.Failed { id = "rg"; reason; _ }) ->
+          check_true
+            (Printf.sprintf "reason %S names the short row" reason)
+            (contains ~sub:"row 1 has 1 cells" reason)
+      | _ -> Alcotest.failf "expected an error, got %s" resp)
+  | l -> Alcotest.failf "%d answers to one line" (List.length l)
+
+(* ---------------------------------------------------------------- fuzz *)
+
+(* Each line must be refused by the parser, typed and without raising,
+   and answered by [run_loop] with exactly one error. *)
+let check_refused what lines =
+  List.iter
+    (fun line ->
+      match P.request_of_string line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: accepted %S" what line
+      | exception e ->
+          Alcotest.failf "%s: %S raised %s" what line (Printexc.to_string e))
+    lines;
+  let answers = run_lines (engine ()) lines in
+  check_int (what ^ ": one answer per line") (List.length lines)
+    (List.length answers);
+  List.iter
+    (fun resp ->
+      match P.response_of_string resp with
+      | Ok (P.Failed _) -> ()
+      | _ -> Alcotest.failf "%s: expected an error, got %s" what resp)
+    answers
+
+let test_f64_truncated_at_every_byte () =
+  check_refused "truncated"
+    (List.init (String.length tiny_f64_line) (fun k ->
+         String.sub tiny_f64_line 0 k))
+
+let test_f64_mangled_fields () =
+  let text = J.base64_encode (String.make 72 '\000') in
+  let line ?(name = "m") fields =
+    J.to_string
+      (J.Obj
+         [ ("id", J.Str name); ("op", J.Str "zeta");
+           ("space", J.Obj fields) ])
+  in
+  let f64 n t = [ ("n", n); ("f64", J.Str t) ] in
+  let three = J.Num 3. in
+  let set k c = String.mapi (fun i x -> if i = k then c else x) text in
+  check_refused "mangled"
+    [ (* bytes outside the alphabet, URL-safe ones included *)
+      line (f64 three (set 10 '!'));
+      line (f64 three (set 10 '-'));
+      line (f64 three (set 10 '_'));
+      line (f64 three (set 95 '\255'));
+      (* padding where none may be *)
+      line (f64 three (set 10 '='));
+      line (f64 three (set 0 '='));
+      (* lengths that are not a multiple of 4 *)
+      line (f64 three (String.sub text 0 95));
+      line (f64 three (text ^ "A"));
+      (* decoded lengths other than 8·n·n *)
+      line (f64 (J.Num 2.) text);
+      line (f64 (J.Num 4.) text);
+      line (f64 (J.Num 0.) text);
+      line (f64 three (String.sub text 0 92 ^ "AAA="));
+      line (f64 three "");
+      (* n whose 8·n·n overflows to 0: the empty payload must not pass *)
+      line (f64 (J.Num 2147483648.) "");
+      line (f64 (J.Num 4294967296.) "");
+      (* n that is not a whole number >= 0 *)
+      line (f64 (J.Num (-3.)) text);
+      line (f64 (J.Num 2.5) text);
+      line (f64 (J.Num 1e300) text);
+      line (f64 (J.Str "3") text);
+      line (f64 J.Null text);
+      line [ ("f64", J.Str text) ];
+      (* an f64 that is not a string *)
+      line [ ("n", three); ("f64", J.Num 12.) ];
+      line [ ("n", three); ("f64", J.Null) ];
+      line [ ("n", three); ("f64", J.Arr [ J.Str text ]) ] ]
 
 (* The op key must separate different questions about the same space. *)
 let test_op_key_separates_params () =
@@ -393,32 +620,22 @@ let test_overload_sheds_with_typed_rejections () =
 
 (* Malformed lines answer an error and the stream keeps flowing. *)
 let test_malformed_line_does_not_stop_the_stream () =
-  let t = engine () in
-  let inputs =
-    [ "this is not json"; P.request_to_string (req P.Zeta);
-      {|{"id":"q","op":"warp","space":{"csv":"0"}}|} ]
+  let got =
+    run_lines (engine ())
+      [ "this is not json"; P.request_to_string (req P.Zeta);
+        {|{"id":"q","op":"warp","space":{"csv":"0"}}|} ]
   in
-  let remaining = ref inputs in
-  let got = ref [] in
-  let read ~block:_ =
-    match !remaining with
-    | [] -> `Eof
-    | line :: rest ->
-        remaining := rest;
-        `Req (line, fun resp -> got := resp :: !got)
-  in
-  ignore (Server.run_loop t { Server.read; flush = (fun () -> ()) });
   (* Parse errors are answered at admission, before batch-mates compute,
      so only the multiset of outcomes is specified — not their order. *)
   let statuses =
-    List.rev_map
+    List.map
       (fun line ->
         match P.response_of_string line with
         | Ok (P.Done _) -> "ok"
         | Ok (P.Failed _) -> "error"
         | Ok (P.Rejected _) -> "rejected"
         | Error _ -> "unparseable")
-      !got
+      got
     |> List.sort compare
   in
   check_true "two errors and one ok" (statuses = [ "error"; "error"; "ok" ])
@@ -838,6 +1055,44 @@ let test_pipe_driver_against_real_daemon () =
     check_true "p99 covers p50" (report.L.p99_s >= report.L.p50_s)
   end
 
+(* Two `bg loadgen` bursts over one --cache file: a cold daemon, then a
+   restarted one replaying the same seeded trace.  Loadgen sends f64
+   lines, so the warm run answering everything from disk shows their
+   store keys survive a restart. *)
+let test_loadgen_bursts_share_the_cache () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_tmp "bursts-cache.jsonl" @@ fun cache ->
+    with_tmp "bursts-cold.json" @@ fun cold_json ->
+    with_tmp "bursts-warm.json" @@ fun warm_json ->
+    let burst json =
+      let code =
+        Unix.system
+          (Filename.quote_command bg_exe
+             [ "loadgen"; "--requests"; "600"; "--spaces"; "80"; "--nodes";
+               "12"; "--seed"; "11"; "--window"; "24"; "--cache"; cache;
+               "--json"; json; "--slo"; "p99<=5,err<=1%" ]
+             ~stdin:"/dev/null" ~stdout:"/dev/null" ~stderr:"/dev/null")
+      in
+      check_true "loadgen exits 0" (code = Unix.WEXITED 0);
+      match J.member "report" (J.parse (J.read_file json)) with
+      | Some r -> fun k -> Option.get (J.mem_num k r)
+      | None -> Alcotest.fail "no report in the loadgen JSON"
+    in
+    let cold = burst cold_json in
+    let warm = burst warm_json in
+    List.iter
+      (fun (name, r) ->
+        check_true (name ^ ": answered = sent") (r "answered" = r "sent");
+        check_true (name ^ ": no errors") (r "errors" = 0.);
+        check_true (name ^ ": p99 reported") (r "p99_s" > 0.))
+      [ ("cold", cold); ("warm", warm) ];
+    check_true "the cold burst computes" (cold "misses" > 0.);
+    check_true "the warm burst recomputes nothing" (warm "misses" = 0.);
+    check_true
+      (Printf.sprintf "warm hit rate %.3f > 0.9" (warm "hit_rate"))
+      (warm "hit_rate" > 0.9)
+
 (* CLI validation (satellite): nonsense resource flags are one-line
    exit-2 answers, before any work starts. *)
 let test_cli_rejects_bad_resource_flags () =
@@ -962,11 +1217,6 @@ let test_socket_disconnect_mid_request () =
           | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
           | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s));
     let log = In_channel.with_open_text errf In_channel.input_all in
-    let contains ~sub s =
-      let n = String.length sub and m = String.length s in
-      let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-      go 0
-    in
     check_true "partial line logged as a disconnect"
       (contains ~sub:"disconnected mid-request" log)
   end
@@ -1270,6 +1520,18 @@ let suite =
         case "garbage rejected with reasons" test_request_rejects_garbage;
         case "response round-trip" test_response_round_trip;
         case "op keys separate parameters" test_op_key_separates_params;
+        case "f64 request bytes pinned" test_f64_bytes_pinned;
+        test_f64_round_trip;
+        case "decimal and f64 lines share key and answer"
+          test_decimal_and_f64_share_key_and_answer;
+        case "ragged rows go decimal, the server names them"
+          test_ragged_rows_go_decimal;
+      ] );
+    ( "serve.fuzz",
+      [
+        case "f64 line truncated at every byte"
+          test_f64_truncated_at_every_byte;
+        case "mangled f64 fields are typed errors" test_f64_mangled_fields;
       ] );
     ( "serve.zipf",
       [
@@ -1359,6 +1621,8 @@ let suite =
       [
         case "pipe driver against a spawned daemon"
           test_pipe_driver_against_real_daemon;
+        case "loadgen cold and warm bursts share the cache"
+          test_loadgen_bursts_share_the_cache;
         case "CLI rejects bad resource flags"
           test_cli_rejects_bad_resource_flags;
         case "mid-request disconnect is logged and isolated"
