@@ -1,8 +1,8 @@
 (* The flat/log-domain kernel benchmark: naive row-matrix sweep vs the
    optimized flat-layout sweep (sequential and parallel) on GEO-SINR
-   spaces of growing n, plus the digest-keyed analysis cache.  Emits a
-   table and machine-readable BENCH_kernels.json so the speedup, pruning
-   hit-rate and cache behaviour are tracked across PRs.
+   spaces of growing n.  Emits a table and machine-readable
+   BENCH_kernels.json so the speedup and pruning hit-rate are tracked
+   across PRs.
 
    The naive kernel below is the pre-optimization sweep kept verbatim
    (same shape as test/naive_ref.ml): bounds-checked [Decay_space.matrix]
@@ -112,7 +112,7 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
             (par jobs=%d)"
            par_jobs)
       [ "n"; "naive (ms)"; "opt seq (ms)"; "opt par (ms)"; "seq speedup";
-        "par speedup"; "pruned"; "cached (us)"; "identical" ]
+        "par speedup"; "pruned"; "identical" ]
   in
   let sizes = List.filter (fun n -> n <= max_n) [ 64; 128; 256; 512 ] in
   let entries =
@@ -127,20 +127,13 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
         let (w_seq, opt_seq_s), delta =
           kernel_deltas (fun () ->
               Timing.time_best ~reps (fun () ->
-                  Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ~cache:false ()) space))
+                  Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ()) space))
         in
         let w_par, opt_par_s =
           Timing.time_best ~reps (fun () ->
-              Met.zeta_witness ~ctx:(Ctx.make ~jobs:par_jobs ~cache:false ()) space)
+              Met.zeta_witness ~ctx:(Ctx.make ~jobs:par_jobs ()) space)
         in
-        (* Cached lookup: first call populates (a miss), second is the
-           digest-keyed hit we time. *)
-        Met.clear_caches ();
-        ignore (Met.zeta_witness space);
-        let w_cached, cached_s =
-          Timing.time_best ~reps:3 (fun () -> Met.zeta_witness space)
-        in
-        let identical = w_naive = w_seq && w_seq = w_par && w_par = w_cached in
+        let identical = w_naive = w_seq && w_seq = w_par in
         let seq_speedup = naive_s /. Float.max 1e-9 opt_seq_s in
         let par_speedup = naive_s /. Float.max 1e-9 opt_par_s in
         (* Covered triples the row/pair/tile bounds eliminated wholesale,
@@ -156,8 +149,7 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
         T.add_row table
           [ T.I n; T.F2 (naive_s *. 1e3); T.F2 (opt_seq_s *. 1e3);
             T.F2 (opt_par_s *. 1e3); T.F2 seq_speedup; T.F2 par_speedup;
-            T.F2 pruned_fraction; T.F2 (cached_s *. 1e6);
-            T.S (string_of_bool identical) ];
+            T.F2 pruned_fraction; T.S (string_of_bool identical) ];
         ( identical,
           J.Obj
             [ ("n", J.Num (float_of_int n)); ("naive_s", J.Num naive_s);
@@ -167,7 +159,6 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
               ("pruned_fraction", J.Num pruned_fraction);
               ("exp_evals", J.Num (float_of_int (delta "exp_evals")));
               ("bisections", J.Num (float_of_int (delta "bisections")));
-              ("cached_lookup_s", J.Num cached_s);
               ("identical", J.Bool identical) ] ))
       sizes
   in
@@ -180,7 +171,6 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
   | None ->
       print_endline
         "disabled-span overhead: skipped (a trace sink is installed)");
-  let mh, mm = Met.cache_stats () in
   let num_i i = J.Num (float_of_int i) in
   Out_channel.with_open_text json_path (fun oc ->
       output_string oc
@@ -192,7 +182,6 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
                   num_i (Core.Prelude.Parallel.auto_jobs ()) );
                 ( "span_off_overhead_ns",
                   match span_off_ns with Some c -> J.Num c | None -> J.Null );
-                ("cache", J.Obj [ ("hits", num_i mh); ("misses", num_i mm) ]);
                 ("results", J.Arr (List.map snd entries)) ]));
       output_char oc '\n');
   Printf.printf "kernel bench written to %s\n%!" json_path;

@@ -79,8 +79,7 @@ let synthetic_trace =
               (1e9 +. (0.001 *. float_of_int i))
               0.0005 (64 + i))))
 
-let seq_uncached = Core.Decay.Ctx.make ~jobs:1 ~cache:false ()
-let seq_cached = Core.Decay.Ctx.make ~jobs:1 ()
+let seq = Core.Decay.Ctx.make ~jobs:1 ()
 
 (* The space the full-sweep entry times: a 128-node geometric space with
    the rows and columns of nodes 0, 32, 64 and 96 rewritten from a pure
@@ -100,25 +99,15 @@ let run_suite ?(reps = 5) ?(large = false) () =
   let s96 = geo_space 96 and s64 = geo_space 64 in
   let zeta_seq =
     measure ~name:"zeta_seq_n96" ~reps (fun () ->
-        Met.zeta_witness ~ctx:seq_uncached s96)
+        Met.zeta_witness ~ctx:seq s96)
   in
   let phi_seq =
     measure ~name:"phi_seq_n64" ~reps (fun () ->
-        Met.phi ~ctx:seq_uncached s64)
+        Met.phi ~ctx:seq s64)
   in
   let gamma =
     measure ~name:"gamma_n64_r4" ~reps (fun () ->
-        Fad.gamma ~ctx:seq_uncached s64 ~r:4.)
-  in
-  let cached =
-    (* A single digest-keyed hit is sub-microsecond — below clock
-       granularity — so each rep times a 1k-lookup loop. *)
-    Met.clear_caches ();
-    ignore (Met.zeta_witness ~ctx:seq_cached s96);
-    measure ~name:"zeta_cached_1k_n96" ~reps (fun () ->
-        for _ = 1 to 1_000 do
-          ignore (Met.zeta_witness ~ctx:seq_cached s96)
-        done)
+        Fad.gamma ~ctx:seq s64 ~r:4.)
   in
   let parse =
     let text = Lazy.force synthetic_trace in
@@ -160,7 +149,7 @@ let run_suite ?(reps = 5) ?(large = false) () =
             let t =
               Bg_serve.Server.create
                 {
-                  Bg_serve.Server.ctx = seq_uncached;
+                  Bg_serve.Server.ctx = seq;
                   batch_size = 32;
                   max_queue = 256;
                   request_timeout_s = None;
@@ -180,29 +169,28 @@ let run_suite ?(reps = 5) ?(large = false) () =
   let full_sweep =
     let next = perturbed_space (geo_space 128) in
     measure ~name:"full_sweep_n128" ~reps (fun () ->
-        ignore (Met.zeta_witness ~ctx:seq_uncached next);
-        ignore (Met.phi ~ctx:seq_uncached next))
+        ignore (Met.zeta_witness ~ctx:seq next);
+        ignore (Met.phi ~ctx:seq next))
   in
   let base =
-    [ zeta_seq; phi_seq; gamma; cached; parse; span_off; serve; full_sweep ]
+    [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep ]
   in
   if not large then base
   else begin
     (* Large-n smoke entries (`bg bench --large`): the tiled exact kernels
-       at n = 2048 under the same noise-aware gate.  Parallel over the
-       ambient pool and uncached — these time the sweep, not the memo
-       table.  Fewer reps: each sweep is seconds, so clock quantization is
-       irrelevant and the gate's 3-sigma band stays meaningful. *)
-    let uncached = Core.Decay.Ctx.uncached in
+       at n = 2048 under the same noise-aware gate, parallel over the
+       ambient pool.  Fewer reps: each sweep is seconds, so clock
+       quantization is irrelevant and the gate's 3-sigma band stays
+       meaningful. *)
     let s2048 = geo_space 2048 in
     let large_reps = max 1 (min reps 3) in
     let zeta_large =
       measure ~name:"zeta_par_n2048" ~reps:large_reps (fun () ->
-          Met.zeta_witness ~ctx:uncached s2048)
+          Met.zeta_witness s2048)
     in
     let phi_large =
       measure ~name:"phi_par_n2048" ~reps:large_reps (fun () ->
-          Met.phi ~ctx:uncached s2048)
+          Met.phi s2048)
     in
     base @ [ zeta_large; phi_large ]
   end

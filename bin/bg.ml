@@ -156,12 +156,6 @@ let gamma_at =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Decay matrix CSV.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Recompute zeta/phi/gamma even when a digest-keyed cached result exists.")
-
 let repair_arg =
   Arg.(
     value
@@ -207,7 +201,7 @@ let space_of_file_repaired file repair =
           | Error diag -> user_error "%s: %s" file (V.describe diag))
 
 let analyze_cmd =
-  let run file gamma_at jobs no_cache repair timeout trace profile metrics =
+  let run file gamma_at jobs repair timeout trace profile metrics =
     let jobs = apply_jobs jobs in
     let timeout = validate_timeout timeout in
     apply_obs ~profile trace;
@@ -217,11 +211,7 @@ let analyze_cmd =
           with_optional_timeout timeout (fun () ->
               Core.Analysis.run
                 ~config:
-                  {
-                    Core.Analysis.gamma_at;
-                    ctx =
-                      Core.Decay.Ctx.make ~jobs ~cache:(not no_cache) ();
-                  }
+                  { Core.Analysis.gamma_at; ctx = Core.Decay.Ctx.make ~jobs () }
                 space))
     in
     Core.Prelude.Table.print (Core.Analysis.to_table report);
@@ -230,8 +220,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Compute every decay-space parameter of a matrix.")
     Term.(
-      const run $ file_arg $ gamma_at $ jobs_arg $ no_cache_arg $ repair_arg
-      $ timeout_arg $ trace_arg $ profile_arg $ metrics_arg)
+      const run $ file_arg $ gamma_at $ jobs_arg $ repair_arg $ timeout_arg
+      $ trace_arg $ profile_arg $ metrics_arg)
 
 (* ------------------------------------------------------------ generate *)
 
@@ -439,7 +429,6 @@ let evolve_cmd =
               in
               Core.Radio.Churn.evolve ~name:"evolve" ~seed env cfg)
     in
-    let uctx = Core.Decay.Ctx.uncached in
     let r_opt = if r = 0. then None else Some r in
     let oc = match out with None -> stdout | Some p -> open_out p in
     let emit j =
@@ -457,7 +446,7 @@ let evolve_cmd =
       (fun () ->
         or_user_error (fun () ->
             with_optional_timeout timeout @@ fun () ->
-            let inc = Incr.create ~ctx:uctx ?r:r_opt (Evolve.space ev) in
+            let inc = Incr.create ?r:r_opt (Evolve.space ev) in
             let res0 = Incr.current inc in
             let zeta0 = res0.Incr.zeta.Met.value
             and phi0 = res0.Incr.phi.Met.value in
@@ -1328,23 +1317,17 @@ let telemetry_interval_arg =
     & info [ "telemetry-interval" ] ~docv:"SECONDS"
         ~doc:"Seconds between --telemetry snapshots.")
 
-let trace_append_arg =
-  Arg.(
-    value & flag
-    & info [ "trace-append" ]
-        ~doc:
-          "With --trace: append to the file instead of truncating it \
-           (used by --supervise so every worker incarnation lands in \
-           one file; span ids stay unambiguous because `bg trace` \
-           remaps per process on merge).")
-
 let supervise_arg =
   Arg.(
     value & flag
     & info [ "supervise" ]
         ~doc:
           "Run the daemon under a supervisor that respawns it after a \
-           crash (capped exponential backoff). The worker inherits the \
+           crash (capped exponential backoff). The worker is this same \
+           command line, re-run with the BG_SUPERVISE_RESTARTS lineage \
+           in its environment, so every flag reaches it; it appends to \
+           the --trace file, which the supervisor truncates once, and \
+           prints the --metrics table. The worker inherits the \
            supervisor's stdio, so clients keep their pipes across \
            restarts; the WAL-backed --cache preserves every journaled \
            answer. Supervision ends on a clean exit or a usage error.")
@@ -1370,8 +1353,7 @@ let serve_cmd =
   in
   let run socket max_requests batch_size max_queue cache cache_entries
       request_timeout chaos chaos_seed degrade_watermark degrade_above slo
-      telemetry telemetry_interval trace_append supervise jobs trace profile
-      metrics =
+      telemetry telemetry_interval supervise jobs trace profile metrics =
     let jobs = apply_jobs jobs in
     (match max_requests with
     | Some n when n < 1 ->
@@ -1382,64 +1364,31 @@ let serve_cmd =
         ~request_timeout ~chaos ~chaos_seed ~degrade_watermark ~degrade_above
         ~slo ~telemetry ~telemetry_interval
     in
-    if supervise then begin
+    (* The supervisor re-executes this command line; the lineage it
+       exports is how the child knows that it is the worker. *)
+    let worker = Bg_serve.Supervisor.read_lineage () <> None in
+    if supervise && not worker then begin
       (* Validation already ran above; the worker re-runs it cheaply.
          The store opens in the worker only, so each incarnation replays
-         the WAL itself.  The workers also own the trace file — the
-         supervisor truncates it exactly once here and hands the workers
-         --trace-append, so one supervised run (however many respawns)
-         yields one mergeable file. *)
+         the WAL itself.  The workers also own the trace file and the
+         metrics: the supervisor truncates the trace exactly once here
+         and every worker appends to it, so one supervised run (however
+         many respawns) yields one mergeable file. *)
       Option.iter
         (fun path ->
           try Out_channel.with_open_bin path (fun _ -> ())
           with Sys_error msg -> user_error "cannot open trace file: %s" msg)
         trace;
-      let argv =
-        Array.of_list
-          ([ Sys.executable_name; "serve"; "--batch-size";
-             string_of_int batch_size; "--max-queue";
-             string_of_int max_queue; "--cache-entries";
-             string_of_int cache_entries; "--jobs"; string_of_int jobs ]
-          @ (match cache with Some f -> [ "--cache"; f ] | None -> [])
-          @ (match request_timeout with
-            | Some t -> [ "--request-timeout"; string_of_float t ]
-            | None -> [])
-          @ (match chaos with
-            | Some s ->
-                [ "--chaos"; s; "--chaos-seed"; string_of_int chaos_seed ]
-            | None -> [])
-          @ (match degrade_watermark with
-            | Some w -> [ "--degrade-watermark"; string_of_int w ]
-            | None -> [])
-          @ (match degrade_above with
-            | Some n -> [ "--degrade-above"; string_of_int n ]
-            | None -> [])
-          @ (match slo with Some s -> [ "--slo"; s ] | None -> [])
-          @ (match telemetry with
-            | Some f ->
-                [ "--telemetry"; f; "--telemetry-interval";
-                  string_of_float telemetry_interval ]
-            | None -> [])
-          @ (match trace with
-            | Some f ->
-                [ "--trace"; f; "--trace-append" ]
-                @ (if profile then [ "--profile" ] else [])
-            | None -> [])
-          @ (match socket with Some p -> [ "--socket"; p ] | None -> [])
-          @ (match max_requests with
-            | Some n -> [ "--max-requests"; string_of_int n ]
-            | None -> []))
-      in
-      let outcome = or_user_error (fun () -> Bg_serve.Supervisor.run argv) in
+      let outcome = Bg_serve.Supervisor.run () in
       Printf.eprintf "bg serve: supervisor exiting after %d restart(s)\n%!"
         outcome.Bg_serve.Supervisor.restarts;
       match outcome.Bg_serve.Supervisor.final_status with
-      | Unix.WEXITED 0 -> finish_obs metrics
+      | Unix.WEXITED 0 -> ()
       | Unix.WEXITED c -> exit c
       | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> exit 1
     end
     else begin
-      apply_obs ~profile ~append:trace_append trace;
+      apply_obs ~profile ~append:worker trace;
       let config = make_config ~jobs () in
       let stats =
         or_user_error (fun () ->
@@ -1476,8 +1425,8 @@ let serve_cmd =
       $ max_queue_arg $ cache_file_arg $ cache_entries_arg
       $ request_timeout_arg $ chaos_arg $ chaos_seed_arg
       $ degrade_watermark_arg $ degrade_above_arg $ serve_slo_arg
-      $ telemetry_arg $ telemetry_interval_arg $ trace_append_arg
-      $ supervise_arg $ jobs_arg $ trace_arg $ profile_arg $ metrics_arg)
+      $ telemetry_arg $ telemetry_interval_arg $ supervise_arg $ jobs_arg
+      $ trace_arg $ profile_arg $ metrics_arg)
 
 (* -------------------------------------------------------------- loadgen *)
 

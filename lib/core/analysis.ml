@@ -29,7 +29,6 @@ let run ?(config = default) space =
       [
         ("space", Obs.S (D.Decay_space.name space));
         ("n", Obs.I (D.Decay_space.n space));
-        ("cache", Obs.B ctx.D.Ctx.cache);
       ]
     "analyze"
   @@ fun () ->

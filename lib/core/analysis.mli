@@ -21,9 +21,9 @@ type report = {
 
 type config = {
   ctx : Bg_decay.Ctx.t;
-      (** shared kernel configuration: tolerance, parallelism, memoization
-          and the exact-solver size limit ({!Bg_decay.Ctx}).  Results are
-          identical at every job count. *)
+      (** shared kernel configuration: parallelism and the exact-solver
+          size limit ({!Bg_decay.Ctx}).  Results are identical at every
+          job count. *)
   gamma_at : float list;
       (** separation values [r] at which to evaluate the fading parameter
           (default: none — it is the costliest field) *)

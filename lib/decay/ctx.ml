@@ -1,21 +1,6 @@
-type t = {
-  tol : float;
-  jobs : int option;
-  cache : bool;
-  exact_limit : int option;
-}
+type t = { jobs : int option; exact_limit : int option }
 
-let default = { tol = 1e-9; jobs = None; cache = true; exact_limit = None }
-
-let make ?(tol = 1e-9) ?jobs ?(cache = true) ?exact_limit () =
-  { tol; jobs; cache; exact_limit }
-
-let sequential = { default with jobs = Some 1 }
-let uncached = { default with cache = false }
+let default = { jobs = None; exact_limit = None }
+let make ?jobs ?exact_limit () = { jobs; exact_limit }
+let uncached = default
 let jobs t = Bg_prelude.Parallel.resolve_jobs t.jobs
-
-let pp fmt t =
-  Format.fprintf fmt "{tol=%g; jobs=%s; cache=%b; exact_limit=%s}" t.tol
-    (match t.jobs with None -> "ambient" | Some j -> string_of_int j)
-    t.cache
-    (match t.exact_limit with None -> "default" | Some k -> string_of_int k)

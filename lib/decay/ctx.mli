@@ -1,48 +1,33 @@
-(** Shared analysis context — the one record threading tolerance,
-    parallelism, caching and solver limits through every kernel entry
-    point.
+(** Shared analysis context — the one record threading parallelism and
+    solver limits through every kernel entry point.
 
-    Historically [Metricity.zeta], [Fading.gamma] and
-    [Statistics.summarize] each grew their own [?tol ?jobs ?cache]
-    optional arguments; a caller tuning one knob had to know which
-    function accepted which subset.  A [Ctx.t] carries all of them at
-    once and is accepted (as [?ctx]) by every sweep entry point, by
+    A [Ctx.t] is accepted (as [?ctx]) by every sweep entry point, by
     {!Estimators} and by [Core.Analysis.run].  Build one with record
     update on {!default} so new fields never break call sites:
-    [{ Ctx.default with jobs = Some 4 }]. *)
+    [{ Ctx.default with jobs = Some 4 }].  No kernel keeps results
+    between calls: every call runs its sweep. *)
 
 type t = {
-  tol : float;
-      (** relative bisection tolerance for the metricity bisection
-          (default [1e-9]) *)
   jobs : int option;
       (** parallelism for the triple sweeps; [None] defers to
           {!Bg_prelude.Parallel.default_jobs}.  Results are identical at
           every job count. *)
-  cache : bool;
-      (** reuse results memoized under the space's content
-          {!Decay_space.digest} (default [true]) *)
   exact_limit : int option;
       (** branch-and-bound size cap for the packing / independence /
           MIS solvers; [None] keeps each solver's own default *)
 }
 
 val default : t
-(** [tol = 1e-9], ambient parallelism, caching on, solver defaults. *)
+(** Ambient parallelism, solver defaults. *)
 
-val make :
-  ?tol:float -> ?jobs:int -> ?cache:bool -> ?exact_limit:int -> unit -> t
+val make : ?jobs:int -> ?exact_limit:int -> unit -> t
 (** Keyword constructor for call sites that prefer labels over record
     update. *)
 
-val sequential : t
-(** {!default} pinned to [jobs = Some 1]. *)
-
 val uncached : t
-(** {!default} with [cache = false] — for benchmarks and tests that must
-    measure (or witness) the sweep itself. *)
+(** Equal to {!default}.  Kept only because [perfbench/] still names
+    it; the kernels keep no results, so there is nothing to opt out
+    of. *)
 
 val jobs : t -> int
 (** The effective job count: [resolve_jobs t.jobs]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,8 @@
                   [n] floats per step;
    - [log_trans]: the transpose of [logs];
    - [key]:       a content digest (MD5 over the raw float bytes) keying
-                  the analysis cache: equal matrices — regardless of name —
-                  share cached zeta/phi/gamma results.
+                  the serve store: equal matrices — regardless of name —
+                  share stored zeta/phi/gamma answers.
 
    Bigarray storage buys three things over the previous [float array]:
    the data is unboxed and GC-opaque (no marking cost on multi-GB

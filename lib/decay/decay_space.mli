@@ -43,7 +43,7 @@ val of_bigarray :
 (** [of_bigarray n buf] adopts a row-major [n*n] float64 buffer as a decay
     space {e without copying} — the door for memory-mapped out-of-core
     matrices.  The buffer must never be mutated afterwards (the content
-    digest, the analysis cache and the lazy views all assume immutability).
+    digest and the lazy views assume immutability).
     [validate] (default [true]) runs the same cell checks as {!of_matrix};
     pass [~validate:false] only for huge mapped matrices already validated
     at generation time.
@@ -183,4 +183,4 @@ val digest : t -> string
 (** A content digest of the decay matrix (MD5 over the raw float bytes),
     computed lazily (race-free, like the views) and cached.  Two spaces
     with bit-identical matrices share a digest regardless of {!name} — the
-    key of the analysis cache. *)
+    key of the serve store's result cache. *)

@@ -103,9 +103,6 @@ let check_subspace_args fname o ~nodes ~replicates =
 let subspace_estimate kernel name ?(ctx = Ctx.default) ?(replicates = 8)
     ?(confidence = 0.9) ~nodes rng o =
   check_subspace_args name o ~nodes ~replicates;
-  (* Never memoize random sub-sweeps: they would churn the digest-keyed
-     caches without any chance of a future hit. *)
-  let ctx = { ctx with Ctx.cache = false } in
   Obs.with_span
     ~attrs:
       [ ("n", Obs.I o.n); ("nodes", Obs.I nodes);

@@ -63,8 +63,7 @@ val zeta :
     [nodes]-point space and runs the {e exact} {!Metricity.zeta} on it.
     Memory is O([nodes]^2); time is [replicates] exact sweeps.
     Requires [3 <= nodes <= n].  [confidence] (default 0.9) must be in
-    (0, 1).  [ctx] tunes the inner sweeps ([cache] is forced off — random
-    restrictions can never hit). *)
+    (0, 1).  [ctx] tunes the inner sweeps. *)
 
 val phi :
   ?ctx:Ctx.t ->

@@ -1,4 +1,3 @@
-module Memo = Bg_prelude.Memo
 module Obs = Bg_prelude.Obs
 module Par = Bg_prelude.Parallel
 module F = Decay_space.Flat
@@ -168,9 +167,6 @@ let gamma_z ?exact_limit d ~z ~r =
    gamma_z is positive, so none can raise the maximum, which starts at 0. *)
 let bound_margin = 1e-9
 
-let gamma_cache : (string * float * int, float) Memo.t =
-  Memo.create ~max_size:512 ~name:"gamma" ()
-
 (* Ladder diagnostics, published as [kernel.gamma_*] Obs counters next to
    Metricity's [kernel.*] ones, with the same discipline: each stripe
    fills a private tally, the combine sums them, and the caller publishes
@@ -269,19 +265,9 @@ let gamma_sweep ?exact_limit ~jobs d ~r =
   best
 
 let gamma ?(ctx = Ctx.default) d ~r =
-  let jobs = Ctx.jobs ctx in
-  let exact_limit = ctx.Ctx.exact_limit in
-  let compute () = gamma_sweep ?exact_limit ~jobs d ~r in
-  if ctx.Ctx.cache then
-    let el = match exact_limit with None -> min_int | Some k -> k in
-    Memo.find_or_add gamma_cache (Decay_space.digest d, r, el) compute
-  else compute ()
+  gamma_sweep ?exact_limit:ctx.Ctx.exact_limit ~jobs:(Ctx.jobs ctx) d ~r
 
-let cache_stats () = (Memo.hits gamma_cache, Memo.misses gamma_cache)
-
-let clear_caches () =
-  Memo.clear gamma_cache;
-  Memo.reset_stats gamma_cache
+let clear_caches () = ()
 
 let theorem2_bound ~c ~a =
   if a >= 1. then invalid_arg "Fading.theorem2_bound: requires A < 1";

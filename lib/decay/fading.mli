@@ -37,9 +37,9 @@ val gamma_z :
 val gamma : ?ctx:Ctx.t -> Decay_space.t -> r:float -> float
 (** The fading parameter [max_z gamma_z(r)].  [ctx] (default
     {!Ctx.default}) carries the job count for the listener sweep (the
-    result is identical at every job count), the cache flag (memoized
-    under [(digest, r, exact_limit)]) and the branch-and-bound
-    [exact_limit] forwarded to {!gamma_z}.
+    result is identical at every job count) and the branch-and-bound
+    [exact_limit] forwarded to {!gamma_z}.  Every call runs the sweep;
+    no result is kept between calls.
 
     {b Listener ladder.}  The sweep skips listeners that cannot change
     the maximum.  Every candidate weight [1/f(x,z)] is positive, so
@@ -61,11 +61,9 @@ val gamma : ?ctx:Ctx.t -> Decay_space.t -> r:float -> float
     {!weighted_mis}'s budget), and attaches the same counts to its
     [gamma_sweep] span when tracing. *)
 
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of the gamma cache. *)
-
 val clear_caches : unit -> unit
-(** Drop all cached gamma results and zero the hit/miss counters. *)
+(** Does nothing.  Kept only because [perfbench/] still calls it; no
+    kernel keeps results. *)
 
 val theorem2_bound : c:float -> a:float -> float
 (** Theorem 2's closed form [C * 2^(A+1) * (zetahat(2-A) - 1)]; requires

@@ -9,8 +9,8 @@
     slower than the pruned full sweep on churn traces with most rows
     dirty and with few.
 
-    The results are the kernels' own, so they are bit-identical to an
-    uncached recompute of the current space at every job count,
+    The results are the kernels' own, so they are bit-identical to a
+    direct recompute of the current space at every job count,
     witnesses and tie-breaks included.  [test/differential.ml] checks
     this at jobs 1 and 4.  No invariant is asked of the caller: cells
     outside the dirty set may change too, and [dirty] only feeds the
@@ -39,8 +39,8 @@ type t
 val create : ?ctx:Ctx.t -> ?r:float -> Decay_space.t -> t
 (** Compute the witnesses of the given space.  [ctx] (default
     {!Ctx.default}) is passed unchanged to every kernel call, so its
-    tolerance, job count, [exact_limit] and cache flag all apply.  [r]
-    enables γ at that separation. *)
+    job count and [exact_limit] apply.  [r] enables γ at that
+    separation. *)
 
 val space : t -> Decay_space.t
 (** The space the current witnesses describe. *)

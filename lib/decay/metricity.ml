@@ -1,6 +1,5 @@
 module Num = Bg_prelude.Numerics
 module Par = Bg_prelude.Parallel
-module Memo = Bg_prelude.Memo
 module Obs = Bg_prelude.Obs
 module F = Decay_space.Flat
 
@@ -20,7 +19,11 @@ let holds_logs ~lxy ~lxz ~lzy z =
   let t = 1. /. z in
   exp (t *. lxz) +. exp (t *. lzy) >= exp (t *. lxy)
 
-let zeta_triple ?(tol = 1e-9) fxy fxz fzy =
+(* Relative bisection tolerance: every sweep bisects to it, and it is
+   [zeta_triple]'s default. *)
+let tol = 1e-9
+
+let zeta_triple ?(tol = tol) fxy fxz fzy =
   if fxy <= fxz +. fzy then 1.
   else begin
     (* zeta >= lg (fxy / min side) always suffices: at that zeta the larger
@@ -52,7 +55,7 @@ let zeta_triple ?(tol = 1e-9) fxy fxz fzy =
    inequality, with the logs precomputed: the bisection predicate reuses
    them, so the loop runs exp-only.  Same control flow, same floats, same
    result as the tail of [zeta_triple]. *)
-let zeta_triple_logs ~tol ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy =
+let zeta_triple_logs ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy =
   let p z = holds_logs ~lxy ~lxz ~lzy z in
   if p 1. then 1.
   else begin
@@ -287,7 +290,7 @@ let publish t =
 
 (* ----------------------------------------------------------- zeta sweep *)
 
-let zeta_chunk ~tol d bb init x_lo x_hi =
+let zeta_chunk d bb init x_lo x_hi =
   let n = Decay_space.n d in
   let f = F.data d in
   let lg = F.logs d in
@@ -468,8 +471,7 @@ let zeta_chunk ~tol d bb init x_lo x_hi =
                         if not holds then begin
                           incr c_bis;
                           let v =
-                            zeta_triple_logs ~tol ~fxy ~fxz ~fzy ~lxy ~lxz
-                              ~lzy
+                            zeta_triple_logs ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy
                           in
                           if
                             v > b.value
@@ -511,7 +513,7 @@ let zeta_chunk ~tol d bb init x_lo x_hi =
       t_tiles = !c_tiles;
     } )
 
-let zeta_sweep ~tol ~jobs d =
+let zeta_sweep ~jobs d =
   let n = Decay_space.n d in
   (* Warm the views and bound tables on the caller's thread: construction
      is race-free either way, this just keeps the build cost out of the
@@ -523,27 +525,15 @@ let zeta_sweep ~tol ~jobs d =
   let init = { x = 0; y = 1; z = 2; value = 1. } in
   let witness, tally =
     Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, empty_tally)
-      ~map:(fun x_lo x_hi -> zeta_chunk ~tol d bb init x_lo x_hi)
+      ~map:(fun x_lo x_hi -> zeta_chunk d bb init x_lo x_hi)
       ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, merge t1 t2))
   in
   publish tally;
   witness
 
-let zeta_cache : (string * float, witness) Memo.t =
-  Memo.create ~max_size:256 ~name:"zeta" ()
-
-let phi_cache : (string, witness) Memo.t =
-  Memo.create ~max_size:256 ~name:"phi" ()
-
 let zeta_witness ?(ctx = Ctx.default) d =
   if Decay_space.n d < 3 then { x = 0; y = 0; z = 0; value = 1. }
-  else begin
-    let jobs = Ctx.jobs ctx in
-    let compute () = zeta_sweep ~tol:ctx.Ctx.tol ~jobs d in
-    if ctx.Ctx.cache then
-      Memo.find_or_add zeta_cache (Decay_space.digest d, ctx.Ctx.tol) compute
-    else compute ()
-  end
+  else zeta_sweep ~jobs:(Ctx.jobs ctx) d
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
 
@@ -739,25 +729,8 @@ let phi_sweep ~jobs d =
 
 let phi_witness ?(ctx = Ctx.default) d =
   if Decay_space.n d < 3 then { x = 0; y = 0; z = 0; value = 1. }
-  else begin
-    let jobs = Ctx.jobs ctx in
-    let compute () = phi_sweep ~jobs d in
-    if ctx.Ctx.cache then
-      Memo.find_or_add phi_cache (Decay_space.digest d) compute
-    else compute ()
-  end
+  else phi_sweep ~jobs:(Ctx.jobs ctx) d
 
 let phi ?ctx d = (phi_witness ?ctx d).value
 let phi_log ?ctx d = Num.log2 (phi ?ctx d)
-
-(* ----------------------------------------------------- cache management *)
-
-let cache_stats () =
-  ( Memo.hits zeta_cache + Memo.hits phi_cache,
-    Memo.misses zeta_cache + Memo.misses phi_cache )
-
-let clear_caches () =
-  Memo.clear zeta_cache;
-  Memo.clear phi_cache;
-  Memo.reset_stats zeta_cache;
-  Memo.reset_stats phi_cache
+let clear_caches () = ()

@@ -15,10 +15,11 @@
     implement the prose version, under which the paper's own examples check
     out (see DESIGN.md §3 and experiment E9).
 
-    All sweep entry points take one optional {!Ctx.t} carrying tolerance,
-    parallelism, caching and solver limits.
+    All sweep entry points take one optional {!Ctx.t} carrying the job
+    count.  No result is kept between calls: every call on a space of
+    three or more nodes runs its sweep.
 
-    Each executed (uncached) sweep adds its pruning tally to the
+    Each sweep adds its pruning tally to the
     {!Bg_prelude.Obs} counters [kernel.sweeps], [kernel.triples],
     [kernel.plain_skips], [kernel.cheap_skips], [kernel.deep],
     [kernel.exp_evals], [kernel.bisections], [kernel.row_prunes],
@@ -43,10 +44,9 @@ val zeta : ?ctx:Ctx.t -> Decay_space.t -> float
     {!Decay_space.Flat} views; triples the bounds cannot dismiss fall back
     to exactly the naive evaluation, so the result (and witness) is
     bit-for-bit the naive sweep's.  Returns [1.] for spaces with fewer
-    than three nodes.  [ctx] (default {!Ctx.default}) carries the
-    bisection tolerance, the job count (the result is identical at every
-    job count) and whether to memoize under the space's content
-    {!Decay_space.digest}. *)
+    than three nodes.  Every triple bisects to the relative tolerance
+    [1e-9].  [ctx] (default {!Ctx.default}) carries the job count; the
+    result is identical at every job count. *)
 
 val zeta_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
 (** The metricity together with a triple attaining it.  On ties the
@@ -64,7 +64,7 @@ val phi : ?ctx:Ctx.t -> Decay_space.t -> float
 (** The relaxed-triangle-inequality constant
     [max(1, max_{x,y,z} f(x,z) / (f(x,y) + f(y,z)))] over distinct triples.
     Pruned like {!zeta} (the phi bounds are exact in float arithmetic, by
-    monotonicity of [+.] and [/.]); cached like {!zeta}. *)
+    monotonicity of [+.] and [/.]). *)
 
 val phi_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
 (** [phi] together with an attaining triple (fields [x], [z] are the outer
@@ -75,16 +75,6 @@ val phi_log : ?ctx:Ctx.t -> Decay_space.t -> float
 (** [lg phi], the exponent form used by Theorem 6 ([phi_log <= zeta] always,
     by the argument in §4.2). *)
 
-(** {1 The analysis cache}
-
-    [zeta] and [phi] results are memoized in {!Bg_prelude.Memo} tables
-    keyed by {!Decay_space.digest} (plus [tol] for [zeta]): re-analyzing a
-    bit-identical decay matrix — whatever its name, at any job count —
-    costs a hash lookup instead of an O(n^3) sweep.  Disable per call with
-    a [ctx] whose [cache] is [false] (e.g. {!Ctx.uncached}). *)
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] summed over the zeta and phi caches. *)
-
 val clear_caches : unit -> unit
-(** Drop all cached zeta/phi results and zero the hit/miss counters. *)
+(** Does nothing.  Kept only because [perfbench/] still calls it; no
+    kernel keeps results. *)

@@ -44,9 +44,7 @@ let e31_churn_scheduling () =
     }
   in
   let ev = Evolve.create ~name:"e31" ~seed:3101 cfg in
-  let inc =
-    Incremental.create ~ctx:Decay.Ctx.uncached ~r:r_sep (Evolve.space ev)
-  in
+  let inc = Incremental.create ~r:r_sep (Evolve.space ev) in
   let res0 = Incremental.current inc in
   let zeta0 = res0.Incremental.zeta.Metricity.value in
   let gamma0 =

@@ -1,5 +1,4 @@
 module D = Core.Decay.Decay_space
-module Ctx = Core.Decay.Ctx
 module Met = Core.Decay.Metricity
 module Sp = Core.Decay.Spaces
 module V = Core.Decay.Validate
@@ -53,8 +52,8 @@ let e29_fault_injection () =
               in
               match D.of_matrix_repaired ~name:"corrupted" ~policy raw with
               | Ok (repaired, report) ->
-                  let zeta = Met.zeta ~ctx:Ctx.uncached repaired in
-                  let phi = Met.phi ~ctx:Ctx.uncached repaired in
+                  let zeta = Met.zeta repaired in
+                  let phi = Met.phi repaired in
                   if Float.is_nan zeta || Float.is_nan phi then
                     nan_seen := true;
                   let good = finite_positive zeta && finite_positive phi in

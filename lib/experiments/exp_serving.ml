@@ -56,7 +56,7 @@ let faulty_spec =
 let engine ?chaos ?store () =
   Server.create
     {
-      Server.ctx = Ctx.make ~jobs:1 ~cache:false ();
+      Server.ctx = Ctx.make ~jobs:1 ();
       batch_size = 16;
       max_queue = 256;
       request_timeout_s = None;

@@ -95,8 +95,8 @@ let merge files =
     List.concat_map
       (fun spans ->
         (* One file may hold several process incarnations appended back
-           to back (a supervised worker reopens its trace file with
-           --trace-append), each restarting span ids from 1.  Within one
+           to back (every supervised worker opens its trace file in
+           append mode), each restarting span ids from 1.  Within one
            process every span id closes exactly once, so seeing an id
            close a second time marks an incarnation boundary: reset the
            remap there, or incarnation 2's parent links would resolve

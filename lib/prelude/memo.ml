@@ -2,26 +2,19 @@
    accounting.
 
    The table is a plain Hashtbl guarded by a mutex so that concurrent
-   lookups from domain-pool workers are safe.  The compute function runs
-   OUTSIDE the lock: two racing misses on the same key may both compute,
-   and the second insert wins — callers must therefore memoize pure
-   (idempotent) computations only, which is exactly the analysis-cache
-   use case (sweep results are deterministic functions of the key).
+   lookups and inserts from several domains are safe.
 
    Eviction is LRU, one entry at a time: every entry carries a recency
    stamp (a table-wide tick, bumped under the lock on every touch), and
    when an insert would push the table past [max_size] the stalest entry
    is dropped first.  The stamp scan is O(table size) but only runs on an
    overflowing insert, never on a hit, so the hot path stays a hash
-   lookup; the tables this backs (analysis results keyed by content
-   digest, the persistent serve store) cap out in the hundreds-to-
-   thousands, where a scan is nanoseconds against the O(n^3) sweep a
-   hit saves.
+   lookup; the table this backs (the serve store, keyed by content
+   digest) caps out in the thousands, where a scan is nanoseconds against
+   the O(n^3) sweep a hit saves.
 
    A named table additionally mirrors its accounting into the Obs
-   registry (memo.<name>.hits / .misses / .evictions); those registry
-   counters are cumulative across [reset_stats], which only zeroes the
-   per-table fields. *)
+   registry (memo.<name>.hits / .misses / .evictions). *)
 
 type obs_counters = {
   c_hits : Obs.counter;
@@ -97,26 +90,6 @@ let note_evictions t n =
   if n > 0 then
     Option.iter (fun o -> Obs.add o.c_evictions n) t.obs
 
-let find_or_add t key compute =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      touch t e;
-      Mutex.unlock t.lock;
-      Option.iter (fun o -> Obs.incr o.c_hits) t.obs;
-      e.value
-  | None ->
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      Option.iter (fun o -> Obs.incr o.c_misses) t.obs;
-      let v = compute () in
-      Mutex.lock t.lock;
-      let evicted = insert t key v in
-      Mutex.unlock t.lock;
-      note_evictions t evicted;
-      v
-
 let find_opt t key =
   Mutex.lock t.lock;
   let r =
@@ -141,12 +114,6 @@ let set t key v =
   Mutex.unlock t.lock;
   note_evictions t evicted
 
-let mem t key =
-  Mutex.lock t.lock;
-  let r = Hashtbl.mem t.tbl key in
-  Mutex.unlock t.lock;
-  r
-
 let length t =
   Mutex.lock t.lock;
   let r = Hashtbl.length t.tbl in
@@ -163,18 +130,6 @@ let to_alist t =
   |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
   |> List.map (fun (k, v, _) -> (k, v))
 
-let clear t =
-  Mutex.lock t.lock;
-  Hashtbl.reset t.tbl;
-  Mutex.unlock t.lock
-
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-
-let reset_stats t =
-  Mutex.lock t.lock;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  Mutex.unlock t.lock

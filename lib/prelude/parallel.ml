@@ -13,8 +13,8 @@
    instead of dying; as a second line of defence, [heal] — called on
    every [run] — respawns any worker domain that has actually exited
    while the pool is open.  Sweeps can also be bounded in wall-clock time:
-   an ambient (or explicit) absolute deadline is checked at task and chunk
-   boundaries and surfaces as the typed {!Timeout} exception. *)
+   an ambient absolute deadline is checked at task and chunk boundaries
+   and surfaces as the typed {!Timeout} exception. *)
 
 exception Timeout
 
@@ -182,15 +182,10 @@ let now () = Unix.gettimeofday ()
    time (the CLI, the experiment runner), so a single slot suffices. *)
 let ambient_deadline : float option Atomic.t = Atomic.make None
 
-let effective_deadline explicit =
-  match (explicit, Atomic.get ambient_deadline) with
-  | None, d | d, None -> d
-  | Some a, Some b -> Some (Float.min a b)
-
 let deadline_passed = function Some t -> now () > t | None -> false
 
-let check_deadline ?deadline () =
-  if deadline_passed (effective_deadline deadline) then begin
+let check_deadline () =
+  if deadline_passed (Atomic.get ambient_deadline) then begin
     Obs.incr m_timeouts;
     raise Timeout
   end
@@ -204,11 +199,11 @@ let with_deadline ~seconds f =
 
 (* ----------------------------------------------------------------- run *)
 
-let run ?pool ?deadline fns =
+let run ?pool fns =
   let n = Array.length fns in
   if n = 0 then [||]
   else begin
-    let deadline = effective_deadline deadline in
+    let deadline = Atomic.get ambient_deadline in
     let pool = match pool with Some p -> p | None -> get_default () in
     heal pool;
     let results = Array.make n None in
@@ -302,7 +297,7 @@ let map_reduce_chunks ~jobs ~lo ~hi ~neutral ~map ~combine =
     (* The wall-clock bound is ambient ([with_deadline]): a [?deadline]
        argument here could never be erased (every parameter is labeled),
        so the budget travels out-of-band instead. *)
-    let deadline = effective_deadline None in
+    let deadline = Atomic.get ambient_deadline in
     let check () = if deadline_passed deadline then raise Timeout in
     let len = hi - lo in
     let jobs = max 1 (min jobs len) in

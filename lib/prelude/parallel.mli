@@ -25,13 +25,13 @@
     survive rogue task exceptions (recorded, loop restarted) and any
     worker that does exit while the pool is open is respawned by {!heal},
     which every {!run} performs first.  Wall-clock budgets are cooperative:
-    an ambient ({!with_deadline}) or explicit [?deadline] bound is checked
-    at task and chunk boundaries and raises the typed {!Timeout}. *)
+    the ambient {!with_deadline} bound, the one deadline mechanism, is
+    checked at task and chunk boundaries and raises the typed
+    {!Timeout}. *)
 
 exception Timeout
 (** Raised (in the caller) when a deadline-bounded batch exceeds its
-    wall-clock budget.  See {!with_deadline} and the [?deadline]
-    arguments. *)
+    wall-clock budget.  See {!with_deadline}. *)
 
 type t
 (** A pool of worker domains plus the calling domain. *)
@@ -110,21 +110,19 @@ val with_deadline : seconds:float -> (unit -> 'a) -> 'a
     poll explicitly with {!check_deadline}.  The previous ambient deadline
     is restored on exit, normal or exceptional. *)
 
-val check_deadline : ?deadline:float -> unit -> unit
-(** Raise {!Timeout} if the ambient deadline (tightened by [?deadline],
-    an absolute [Unix.gettimeofday]-based time) has passed.  The explicit
-    polling point for long sequential loops. *)
+val check_deadline : unit -> unit
+(** Raise {!Timeout} if the ambient {!with_deadline} deadline has passed.
+    The explicit polling point for long sequential loops. *)
 
-val run : ?pool:t -> ?deadline:float -> (unit -> 'a) array -> 'a array
+val run : ?pool:t -> (unit -> 'a) array -> 'a array
 (** Execute the thunks, possibly in parallel, and return their results in
     input order.  The caller participates in the work (so a 0-worker pool
     degrades to a plain sequential loop).  If any thunk raises, the first
     recorded exception cancels the batch's not-yet-started thunks and is
     re-raised in the caller with its original backtrace (with a
     sequential/1-job pool "first recorded" is exactly "lowest index").
-    [?deadline] is an absolute wall-clock bound checked before each thunk
-    starts; it combines (min) with the ambient {!with_deadline} bound and
-    surfaces as {!Timeout}. *)
+    The ambient {!with_deadline} bound is checked before each thunk
+    starts and surfaces as {!Timeout}. *)
 
 val map_reduce_chunks :
   jobs:int ->

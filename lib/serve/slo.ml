@@ -128,24 +128,24 @@ type status = {
   healthy : bool;
 }
 
+(* Seconds of events the sliding window scores. *)
+let window_s = 60.
+
 type t = {
   slo_spec : spec;
-  win_s : float;
   events : event Queue.t;
   life_bad : int array; (* per objective, same order as slo_spec *)
   mutable life_total : int;
 }
 
-let create ?(window_s = 60.) spec =
+let create spec =
   {
     slo_spec = spec;
-    win_s = window_s;
     events = Queue.create ();
     life_bad = Array.make (List.length spec) 0;
     life_total = 0;
   }
 
-let window_s t = t.win_s
 let spec t = t.slo_spec
 
 let is_bad objective ev =
@@ -162,7 +162,7 @@ let record t ~now_s ~latency_s ~ok =
     t.slo_spec
 
 let evict t ~now_s =
-  let cutoff = now_s -. t.win_s in
+  let cutoff = now_s -. window_s in
   while
     (not (Queue.is_empty t.events)) && (Queue.peek t.events).at < cutoff
   do

@@ -50,10 +50,9 @@ type status = {
 
 type t
 
-val create : ?window_s:float -> spec -> t
-(** Sliding window defaults to 60 seconds. *)
+val create : spec -> t
+(** A tracker whose sliding window spans the last 60 seconds. *)
 
-val window_s : t -> float
 val spec : t -> spec
 
 val record : t -> now_s:float -> latency_s:float -> ok:bool -> unit

@@ -1,10 +1,8 @@
 (* The persistent cross-restart result store.
 
-   In memory this is exactly one Bg_prelude.Memo table (so the serve
-   store and the in-process analysis caches share a single bound-and-
-   evict policy: max-entries cap, per-entry LRU eviction, hit/miss/
-   eviction counters mirrored into the Obs registry under memo.store).
-   On disk it is two files:
+   In memory this is exactly one Bg_prelude.Memo table: max-entries cap,
+   per-entry LRU eviction, hit/miss/eviction counters mirrored into the
+   Obs registry under memo.store.  On disk it is two files:
 
      PATH       the JSONL snapshot — one {"key":K,"result":V} line per
                 entry, least recently used first — written atomically
@@ -131,8 +129,7 @@ let read_wal path =
       in
       go [] 0 lines
 
-let open_ ?(max_entries = 4096) ?(flush_every = 256) ?path ?(wal = true)
-    ?chaos () =
+let open_ ?(max_entries = 4096) ?(flush_every = 256) ?path ?chaos () =
   if flush_every < 1 then
     invalid_arg "Store.open_: flush_every must be positive";
   let memo = Memo.create ~max_size:max_entries ~name:"store" () in
@@ -142,24 +139,17 @@ let open_ ?(max_entries = 4096) ?(flush_every = 256) ?path ?(wal = true)
     | Some p ->
         let entries, corrupt = read_snapshot p in
         List.iter (fun (k, v) -> Memo.set memo k v) entries;
-        let recovered, torn =
-          if wal then begin
-            let wentries, torn = read_wal (wal_path p) in
-            List.iter (fun (k, v) -> Memo.set memo k v) wentries;
-            (List.length wentries, torn)
-          end
-          else (0, 0)
-        in
-        (List.length entries, corrupt, recovered, torn)
+        let wentries, torn = read_wal (wal_path p) in
+        List.iter (fun (k, v) -> Memo.set memo k v) wentries;
+        (List.length entries, corrupt, List.length wentries, torn)
   in
   let wal_fd =
-    match path with
-    | Some p when wal ->
-        Some
-          (Unix.openfile (wal_path p)
-             [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
-             0o644)
-    | _ -> None
+    Option.map
+      (fun p ->
+        Unix.openfile (wal_path p)
+          [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+          0o644)
+      path
   in
   Obs.add c_loaded loaded;
   Obs.add c_corrupt corrupt;

@@ -1,11 +1,11 @@
 (** The digest-keyed result store shared across requests {e and} daemon
     restarts — crash-safe via a write-ahead journal.
 
-    In memory this is one {!Bg_prelude.Memo} table — the same
-    max-entries cap and per-entry LRU eviction policy as the in-process
-    analysis caches, with hit/miss/eviction counters mirrored into the
-    {!Bg_prelude.Obs} registry as [memo.store.*].  On disk it is two
-    files:
+    In memory this is one {!Bg_prelude.Memo} table — a max-entries cap
+    and per-entry LRU eviction, with hit/miss/eviction counters mirrored
+    into the {!Bg_prelude.Obs} registry as [memo.store.*].  It is the
+    only result cache: the kernels themselves keep nothing.  On disk it
+    is two files:
 
     - [PATH] — a JSONL snapshot (one [{"key":K,"result":V}] line per
       entry, least recently used first) written atomically through
@@ -35,17 +35,16 @@ val open_ :
   ?max_entries:int ->
   ?flush_every:int ->
   ?path:string ->
-  ?wal:bool ->
   ?chaos:Chaos.t ->
   unit ->
   t
 (** Open a store capped at [max_entries] (default 4096, LRU-evicted).
     With [?path], the snapshot at [path] is loaded (leniently; a missing
     file is an empty store), the journal at [path ^ ".wal"] is replayed
-    to its longest valid prefix, and {!add} compacts every [flush_every]
-    (default 256) inserts.  [wal] (default [true]) opens the journal for
-    appends; pass [false] for the PR 7 snapshot-only behaviour.  Without
-    [?path] the store is memory-only.  [?chaos] arms the [pre-snapshot]
+    to its longest valid prefix and then opened for appends, and {!add}
+    compacts every [flush_every] (default 256) inserts.  A store with a
+    path always journals.  Without [?path] the store is memory-only.
+    [?chaos] arms the [pre-snapshot]
     and [mid-snapshot] crash points inside {!flush}.
     @raise Invalid_argument if [flush_every < 1]. *)
 
@@ -61,7 +60,8 @@ val add : t -> string -> Core.Prelude.Jsonl.t -> unit
 val sync : t -> unit
 (** fsync journal appends since the last {!sync} ([store.wal_syncs]).
     The server calls this once per completed batch — group commit — so
-    a crash loses at most the batch in flight.  No-op without a WAL. *)
+    a crash loses at most the batch in flight.  No-op for a memory-only
+    store. *)
 
 val flush : t -> unit
 (** Compact: snapshot atomically (temp-file + rename), then truncate the

@@ -1,9 +1,10 @@
 (* Daemon supervision for `bg serve --supervise`.
 
    The supervisor process owns the original stdio and simply respawns
-   the worker (the same executable minus the --supervise flag) whenever
-   it dies abnormally — killed by a signal (chaos SIGKILL, OOM) or a
-   nonzero exit that isn't a usage error.  The worker inherits the
+   the worker (the same executable with the same arguments; the lineage
+   variables below tell it that it is the worker) whenever it dies
+   abnormally — killed by a signal (chaos SIGKILL, OOM) or a nonzero
+   exit that isn't a usage error.  The worker inherits the
    supervisor's stdin/stdout directly, so across a restart clients keep
    talking to the same pipe: bytes the dead worker never read are still
    in the pipe for its successor, only the in-flight partial line and
@@ -34,7 +35,7 @@ let prior_uptime_env = "BG_SUPERVISE_PRIOR_UPTIME_S"
 
 let read_lineage () =
   match Sys.getenv_opt lineage_env with
-  | None -> None
+  | None | Some "" -> None
   | Some restarts ->
       let float_env name =
         match Sys.getenv_opt name with
@@ -60,11 +61,11 @@ let status_line = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
 
-let run ?(max_restarts = 16) ?(backoff_base_s = 0.05) ?(backoff_cap_s = 2.)
-    argv =
-  if Array.length argv = 0 then invalid_arg "Supervisor.run: empty argv";
-  if max_restarts < 0 then
-    invalid_arg "Supervisor.run: max_restarts must be >= 0";
+let max_restarts = 16
+let backoff_base_s = 0.05
+let backoff_cap_s = 2.
+
+let run () =
   let child = ref None in
   (* Forward termination to the worker so `kill <supervisor>` stops the
      whole tree; the worker's own handlers then drain and flush. *)
@@ -94,7 +95,8 @@ let run ?(max_restarts = 16) ?(backoff_base_s = 0.05) ?(backoff_cap_s = 2.)
         Unix.putenv prior_uptime_env (Printf.sprintf "%.6f" !prior_uptime);
         let spawned_at = Unix.gettimeofday () in
         let pid =
-          Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
+          Unix.create_process Sys.executable_name Sys.argv Unix.stdin
+            Unix.stdout Unix.stderr
         in
         child := Some pid;
         let rec wait () =

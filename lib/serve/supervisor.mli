@@ -42,18 +42,13 @@ val prior_uptime_env : string
 
 val read_lineage : unit -> (int * float * float) option
 (** [(restarts, supervisor_started_s, prior_uptime_s)] from the
-    environment; [None] when not running under a supervisor.  Malformed
-    values degrade to [0], never to an error — lineage is telemetry, not
-    control. *)
+    environment; [None] when {!lineage_env} is unset or empty, i.e. when
+    not running under a supervisor.  A process that reads [Some _] is a
+    supervised worker.  Malformed values degrade to [0], never to an
+    error. *)
 
-val run :
-  ?max_restarts:int ->
-  ?backoff_base_s:float ->
-  ?backoff_cap_s:float ->
-  string array ->
-  outcome
-(** [run argv] spawns [argv] (program + args) with inherited stdio and
-    supervises it.  Defaults: 16 restarts max, 50 ms base delay doubling
-    to a 2 s cap.
-    @raise Invalid_argument on empty [argv] or negative
-    [max_restarts]. *)
+val run : unit -> outcome
+(** [run ()] re-executes [Sys.executable_name] with this process's own
+    arguments ([Sys.argv]) and inherited stdio, and supervises it: at
+    most 16 restarts, 50 ms base delay doubling to a 2 s cap.  The child
+    learns that it is the worker from the exported {!lineage_env}. *)

@@ -19,10 +19,12 @@ module J = Core.Prelude.Jsonl
 let delta ~prev ~cur = if cur >= prev then cur - prev else cur
 let delta_f ~prev ~cur = if cur >= prev then cur -. prev else cur
 
+(* Lines the ring keeps after a rewrite. *)
+let max_lines = 512
+
 type t = {
   path : string;
   ival_s : float;
-  max_lines : int;
   mutable oc : out_channel;
   mutable lines : string Queue.t; (* newest max_lines, for ring rewrite *)
   mutable written : int; (* lines in the file right now *)
@@ -32,7 +34,7 @@ type t = {
   started_s : float;
 }
 
-let read_tail path max_lines =
+let read_tail path =
   if not (Sys.file_exists path) then (Queue.create (), 0)
   else begin
     let q = Queue.create () in
@@ -46,18 +48,17 @@ let read_tail path max_lines =
     (q, Queue.length q)
   end
 
-let create ?(interval_s = 1.) ?(max_lines = 512) path =
+let create ?(interval_s = 1.) path =
   (* Continue an existing ring rather than clobbering it: the respawned
      worker's first delta then clamps against the old process's last
      absolute values. *)
-  let lines, written = read_tail path max_lines in
+  let lines, written = read_tail path in
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
   in
   {
     path;
     ival_s = interval_s;
-    max_lines;
     oc;
     lines;
     written;
@@ -159,9 +160,9 @@ let append_line t line =
   output_char t.oc '\n';
   flush t.oc;
   Queue.push line t.lines;
-  if Queue.length t.lines > t.max_lines then ignore (Queue.pop t.lines);
+  if Queue.length t.lines > max_lines then ignore (Queue.pop t.lines);
   t.written <- t.written + 1;
-  if t.written > 2 * t.max_lines then rewrite_ring t
+  if t.written > 2 * max_lines then rewrite_ring t
 
 let force_snapshot ?now t =
   let now = match now with Some n -> n | None -> Obs.now_s () in

@@ -18,9 +18,8 @@
     the same ring, and a counter that went backwards (the respawned
     process restarts from zero) is treated as a fresh baseline
     ({!delta} clamps instead of going negative).  The file is a ring:
-    once it exceeds twice [max_lines], it is rewritten in place keeping
-    the newest [max_lines] lines, so a long-lived daemon's telemetry
-    stays bounded.
+    once it exceeds 1024 lines, it is rewritten in place keeping the
+    newest 512, so a long-lived daemon's telemetry stays bounded.
 
     [bg top --telemetry FILE] tails the ring; [bg slo] replays it
     against an SLO spec; [bg top --prometheus] renders a live
@@ -28,9 +27,9 @@
 
 type t
 
-val create : ?interval_s:float -> ?max_lines:int -> string -> t
-(** Open (appending) the ring file.  Defaults: 1 second interval, 512
-    lines.  Raises [Sys_error] if the path is not writable. *)
+val create : ?interval_s:float -> string -> t
+(** Open (appending) the ring file.  [interval_s] defaults to 1 second.
+    Raises [Sys_error] if the path is not writable. *)
 
 val interval_s : t -> float
 

@@ -3,9 +3,7 @@
    Given any evolution trace (an [Evolve.t], or an explicit base/next
    pair with a dirty set), the checkers here assert that [Incremental]'s
    values AND witnesses are bit-identical to a from-scratch [Metricity] /
-   [Fading] run on the current space — at jobs 1 and at jobs 4.  Full
-   recomputes use [Ctx.uncached] so the digest-keyed memo caches can
-   neither mask nor manufacture a mismatch. *)
+   [Fading] run on the current space — at jobs 1 and at jobs 4. *)
 
 module Decay = Core.Decay
 module Metricity = Decay.Metricity
@@ -22,7 +20,7 @@ let witness_equal (a : Metricity.witness) (b : Metricity.witness) =
   a.x = b.x && a.y = b.y && a.z = b.z
   && Int64.equal (Int64.bits_of_float a.value) (Int64.bits_of_float b.value)
 
-let ctx_with_jobs jobs = { Ctx.uncached with jobs = Some jobs }
+let ctx_with_jobs jobs = Ctx.make ~jobs ()
 
 (* Compare one incremental result against full recomputes of the same
    space at the given job counts.  Returns the list of mismatch
@@ -170,7 +168,7 @@ let test_radio_base_trace () =
 let test_step_accounting () =
   let cfg = { small_cfg with n = 24 } in
   let ev = Evolve.create ~seed:5 cfg in
-  let inc = Incremental.create ~ctx:Ctx.uncached (Evolve.space ev) in
+  let inc = Incremental.create (Evolve.space ev) in
   let total_dirty = ref 0 in
   for _ = 1 to 40 do
     let space, dirty = Evolve.step ev in
@@ -186,7 +184,7 @@ let test_step_accounting () =
    [0, n), before touching its state. *)
 let test_step_rejects_node_count_change () =
   let base = Testutil.random_asym_space ~n:8 41 in
-  let inc = Incremental.create ~ctx:Ctx.uncached base in
+  let inc = Incremental.create base in
   Alcotest.check_raises "9-node space after 8"
     (Invalid_argument "Incremental.step: node count changed (8 -> 9)")
     (fun () ->
@@ -197,7 +195,7 @@ let test_step_rejects_node_count_change () =
 
 let test_step_rejects_bad_dirty_index () =
   let base = Testutil.random_asym_space ~n:8 43 in
-  let inc = Incremental.create ~ctx:Ctx.uncached base in
+  let inc = Incremental.create base in
   List.iter
     (fun i ->
       Alcotest.check_raises

@@ -12,8 +12,8 @@ module Rng = Core.Prelude.Rng
 module Ctx = Core.Decay.Ctx
 module Est = Core.Decay.Estimators
 
-let seq_of jobs = Ctx.make ~jobs ~cache:false ()
-let el12 jobs = Ctx.make ~jobs ~cache:false ~exact_limit:12 ()
+let seq_of jobs = Ctx.make ~jobs ()
+let el12 jobs = Ctx.make ~jobs ~exact_limit:12 ()
 
 (* ---------------------------------------------------------- Decay_space *)
 

@@ -14,8 +14,6 @@ module Est = Core.Decay.Estimators
 module Ctx = Core.Decay.Ctx
 module Rng = Core.Prelude.Rng
 
-let uncached = Ctx.uncached
-
 (* A deterministic zoo of spaces the coverage claim is audited on: random
    symmetric/asymmetric matrices and geometric spaces, n <= 64 so the
    exact kernel stays cheap across ~60 trials. *)
@@ -40,7 +38,7 @@ let test_zeta_ci_coverage () =
   let covered = ref 0 in
   for i = 0 to trials - 1 do
     let d = trial_space i in
-    let exact = Met.zeta ~ctx:uncached d in
+    let exact = Met.zeta d in
     let e =
       Est.zeta ~confidence ~nodes:(D.n d / 2) (rng (100 + i))
         (Est.of_space d)
@@ -58,7 +56,7 @@ let test_phi_ci_coverage () =
   let covered = ref 0 in
   for i = 0 to trials - 1 do
     let d = trial_space i in
-    let exact = Met.phi ~ctx:uncached d in
+    let exact = Met.phi d in
     let e =
       Est.phi ~confidence ~nodes:(D.n d / 2) (rng (200 + i)) (Est.of_space d)
     in
@@ -75,7 +73,7 @@ let test_gamma_ci_coverage () =
   for i = 0 to n_trials - 1 do
     let d = trial_space i in
     let r = D.min_decay d *. 2. in
-    let exact = Fad.gamma ~ctx:uncached d ~r in
+    let exact = Fad.gamma d ~r in
     let e =
       Est.gamma ~confidence ~listeners:(D.n d / 2) (rng (300 + i))
         (Est.of_space d) ~r
@@ -92,7 +90,7 @@ let prop_zeta_triples_lower_bound =
     (fun seed ->
       let d = random_asym_space ~n:12 seed in
       let e = Est.zeta_triples ~samples:500 (rng (seed + 7)) (Est.of_space d) in
-      e.Est.point <= Met.zeta ~ctx:uncached d +. 1e-9
+      e.Est.point <= Met.zeta d +. 1e-9
       && e.Est.point >= 1. && e.Est.hi >= e.Est.point)
 
 (* ---------------------------------------------- determinism across jobs *)
@@ -172,7 +170,7 @@ let test_gamma_matches_exact_on_full_listener_set () =
      exact_limit, a replicate is exactly Fading.gamma. *)
   let d = random_asym_space ~n:10 7 in
   let r = D.min_decay d *. 1.5 in
-  let exact = Fad.gamma ~ctx:uncached d ~r in
+  let exact = Fad.gamma d ~r in
   let e = Est.gamma ~replicates:1 ~listeners:10 (rng 8) (Est.of_space d) ~r in
   check_float ~eps:0. "full listener set = exact gamma" exact e.Est.point
 

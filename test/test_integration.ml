@@ -31,27 +31,27 @@ let test_analysis_gamma_field () =
   | _ -> Alcotest.fail "expected one gamma entry"
 
 let test_kernel_ctx_variants () =
-  (* Job count and caching are plumbing: the [~ctx] variants of each
-     kernel entry point must agree with each other. *)
+  (* Job count is plumbing: the [~ctx] variants of each kernel entry
+     point must agree with each other. *)
   let module Met = Core.Decay.Metricity in
   let module Fad = Core.Decay.Fading in
   let module St = Core.Decay.Statistics in
   let module Ctx = Core.Decay.Ctx in
   let d = random_asym_space ~n:14 31 in
-  check_float "zeta: jobs 2 uncached = default"
+  check_float "zeta: jobs 2 = default"
     (Met.zeta d)
-    (Met.zeta ~ctx:(Ctx.make ~jobs:2 ~cache:false ()) d);
-  check_true "zeta_witness: uncached = cached"
+    (Met.zeta ~ctx:(Ctx.make ~jobs:2 ()) d);
+  check_true "zeta_witness: jobs 1 = default"
     (Met.zeta_witness ~ctx:Ctx.default d
-    = Met.zeta_witness ~ctx:Ctx.uncached d);
-  check_float "phi: uncached = cached"
+    = Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ()) d);
+  check_float "phi: jobs 1 = default"
     (Met.phi ~ctx:Ctx.default d)
-    (Met.phi ~ctx:Ctx.uncached d);
-  check_float "gamma: uncached = cached at exact_limit 10"
+    (Met.phi ~ctx:(Ctx.make ~jobs:1 ()) d);
+  check_float "gamma: jobs 2 = default at exact_limit 10"
     (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ()) d ~r:2.)
-    (Fad.gamma ~ctx:(Ctx.make ~exact_limit:10 ~cache:false ()) d ~r:2.);
+    (Fad.gamma ~ctx:(Ctx.make ~jobs:2 ~exact_limit:10 ()) d ~r:2.);
   check_true "summarize: jobs 2 = jobs 1"
-    (St.summarize ~ctx:Ctx.sequential d
+    (St.summarize ~ctx:(Ctx.make ~jobs:1 ()) d
     = St.summarize ~ctx:(Ctx.make ~jobs:2 ()) d)
 
 let test_analysis_table_renders () =

@@ -282,8 +282,7 @@ let test_raw_mmap_matches_load () =
     (D.digest a = D.digest b && D.digest a = D.digest d);
   (* The mapped space runs the full kernel stack unchanged. *)
   check_float ~eps:0. "zeta identical on mapped space"
-    (Met.zeta ~ctx:Core.Decay.Ctx.uncached a)
-    (Met.zeta ~ctx:Core.Decay.Ctx.uncached b);
+    (Met.zeta a) (Met.zeta b);
   Sys.remove path
 
 let test_raw_rejects_bad_magic () =

@@ -1,8 +1,7 @@
 (* The optimized flat/log-domain kernels must be bit-for-bit the naive
    sweeps in [Naive_ref]: same witness triple, same value, at every job
-   count, on every space family.  Plus: the digest-keyed analysis cache
-   (second run = zero sweeps), Memo unit behaviour, and pruning-counter
-   sanity. *)
+   count, on every space family.  Plus: every call sweeps (no kernel
+   keeps results), Memo unit behaviour, and pruning-counter sanity. *)
 
 module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
@@ -13,9 +12,9 @@ module Rng = Core.Prelude.Rng
 module Ctx = Core.Decay.Ctx
 open Testutil
 
-(* Uncached kernel context at a given job count — what almost every
-   identity check below wants. *)
-let ctx_j jobs = Ctx.make ~jobs ~cache:false ()
+(* Kernel context at a given job count — what almost every identity
+   check below wants. *)
+let ctx_j jobs = Ctx.make ~jobs ()
 
 let witness : Met.witness Alcotest.testable =
   let pp fmt (w : Met.witness) =
@@ -166,7 +165,7 @@ let prop_random_gamma_identity =
       let reference = Naive_ref.gamma ~exact_limit ~jobs:1 d ~r in
       List.for_all
         (fun jobs ->
-          let ctx = Ctx.make ~jobs ~cache:false ~exact_limit () in
+          let ctx = Ctx.make ~jobs ~exact_limit () in
           Float.equal (Fad.gamma ~ctx d ~r) reference)
         [ 1; 4 ])
 
@@ -255,63 +254,53 @@ let test_summarize_matches_naive () =
         [ 1; 4 ])
     (("radio-office", office) :: families ())
 
-(* ---------------------------------------------------- the analysis cache *)
+(* ------------------------------------------------ no kept results *)
 
-let reset_all () =
-  Met.clear_caches ();
-  Fad.clear_caches ()
+let check_bits msg a b =
+  check_true msg (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
 
-let test_second_run_sweeps_nothing () =
-  reset_all ();
+let test_kernels_keep_no_results () =
   let d = random_space ~n:10 42 in
-  let config =
-    { Core.Analysis.gamma_at = [ 2. ]; ctx = Ctx.make ~jobs:2 () }
+  let twice f =
+    kernel_deltas (fun () ->
+        let a = f () in
+        (a, f ()))
   in
-  let r1, first = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
-  check_true "first run sweeps" (List.assoc "sweeps" first >= 3);
-  let r2, second = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
-  check_int "second run performs zero sweep work" 0
-    (List.assoc "sweeps" second);
-  let mh, _ = Met.cache_stats () in
-  let fh, _ = Fad.cache_stats () in
-  check_true "zeta/phi/gamma all served from cache" (mh >= 2 && fh >= 1);
-  check_witness "cached zeta witness identical" r1.zeta_witness
-    r2.zeta_witness;
-  check_exact_float "cached phi identical" r1.phi r2.phi;
-  check_exact_float "cached gamma identical"
-    (List.assoc 2. r1.gamma)
-    (List.assoc 2. r2.gamma)
-
-let test_cache_keys_on_content_not_name () =
-  reset_all ();
-  let d = random_space ~n:8 9 in
-  let z1 = Met.zeta d in
-  let z2 = Met.zeta (D.rename "same-bytes-other-name" d) in
-  check_exact_float "renamed space hits the cache" z1 z2;
-  let hits, misses = Met.cache_stats () in
-  check_int "one miss" 1 misses;
-  check_int "rename is a hit" 1 hits;
-  ignore (Met.zeta (D.scale 2. d));
-  let _, misses = Met.cache_stats () in
-  check_int "different bytes miss" 2 misses
-
-let test_jobs_excluded_from_cache_key () =
-  reset_all ();
-  let d = random_asym_space ~n:8 17 in
-  let a = Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ()) d in
-  let b = Met.zeta_witness ~ctx:(Ctx.make ~jobs:4 ()) d in
-  check_witness "jobs=4 reuses jobs=1 result" a b;
-  let hits, misses = Met.cache_stats () in
-  check_int "second job count is a hit" 1 hits;
-  check_int "single compute" 1 misses
+  let sweeps k = List.assoc "sweeps" k in
+  let (z1, z2), k = twice (fun () -> Met.zeta_witness ~ctx:Ctx.default d) in
+  check_int "two zeta calls, two sweeps" 2 (sweeps k);
+  check_witness "zeta witness repeats" z1 z2;
+  check_bits "zeta bits repeat" z1.value z2.value;
+  let (p1, p2), k = twice (fun () -> Met.phi_witness ~ctx:Ctx.default d) in
+  check_int "two phi calls, two sweeps" 2 (sweeps k);
+  check_witness "phi witness repeats" p1 p2;
+  check_bits "phi bits repeat" p1.value p2.value;
+  let (g1, g2), k = twice (fun () -> Fad.gamma ~ctx:Ctx.default d ~r:2.) in
+  check_int "two gamma calls, two sweeps" 2 (sweeps k);
+  check_bits "gamma bits repeat" g1 g2;
+  let config = { Core.Analysis.gamma_at = [ 2. ]; ctx = Ctx.default } in
+  let _, first = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
+  let _, second = kernel_deltas (fun () -> Core.Analysis.run ~config d) in
+  check_true "Analysis.run sweeps zeta, phi and gamma" (sweeps first >= 3);
+  check_int "a second Analysis.run sweeps as much" (sweeps first)
+    (sweeps second)
 
 (* -------------------------------------------------------------- Memo *)
+
+(* Look up, and on a miss compute and store: the serve store's pattern. *)
+let find_or_compute m k compute =
+  match Memo.find_opt m k with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Memo.set m k v;
+      v
 
 let test_memo_basics () =
   let m : (int, int) Memo.t = Memo.create ~max_size:4 () in
   let computes = ref 0 in
   let f k =
-    Memo.find_or_add m k (fun () ->
+    find_or_compute m k (fun () ->
         incr computes;
         k * k)
   in
@@ -320,37 +309,39 @@ let test_memo_basics () =
   check_int "computed once" 1 !computes;
   check_int "hits" 1 (Memo.hits m);
   check_int "misses" 1 (Memo.misses m);
-  check_true "mem" (Memo.mem m 3);
-  Memo.clear m;
-  check_false "cleared" (Memo.mem m 3);
-  check_int "recomputes after clear" 9 (f 3);
-  check_int "computed twice total" 2 !computes
+  Memo.set m 3 10;
+  check_true "set overwrites" (Memo.find_opt m 3 = Some 10);
+  check_int "overwrite keeps one entry" 1 (Memo.length m)
 
 let test_memo_eviction_bounds_size () =
   let m : (int, int) Memo.t = Memo.create ~max_size:3 () in
   for k = 0 to 9 do
-    ignore (Memo.find_or_add m k (fun () -> k))
+    Memo.set m k k
   done;
-  check_true "size stays bounded" (Memo.length m <= 3);
-  (* Whatever survived eviction still answers correctly. *)
-  check_int "values survive" 5 (Memo.find_or_add m 5 (fun () -> 5))
+  check_int "size stays bounded" 3 (Memo.length m);
+  check_int "one eviction per overflowing insert" 7 (Memo.evictions m);
+  Alcotest.(check (list int))
+    "the three most recent survive, least recent first" [ 7; 8; 9 ]
+    (List.map fst (Memo.to_alist m));
+  check_true "values survive" (Memo.find_opt m 8 = Some 8)
 
 let test_memo_concurrent () =
   let m : (int, int) Memo.t = Memo.create () in
   let domains =
-    Array.init 4 (fun i ->
+    Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
             let acc = ref 0 in
             for k = 0 to 99 do
-              acc := !acc + Memo.find_or_add m (k mod 10) (fun () -> (k mod 10) * 7)
+              acc :=
+                !acc + find_or_compute m (k mod 10) (fun () -> (k mod 10) * 7)
             done;
-            ignore i;
             !acc))
   in
   let sums = Array.map Domain.join domains in
   Array.iter (fun s -> check_int "each domain sums identically" sums.(0) s)
     sums;
-  check_int "ten distinct keys" 10 (Memo.length m)
+  check_int "ten distinct keys" 10 (Memo.length m);
+  check_int "every lookup counted once" 400 (Memo.hits m + Memo.misses m)
 
 (* ------------------------------------------- lazy views under the pool *)
 
@@ -406,7 +397,6 @@ let test_views_race_free_under_pool () =
 (* ----------------------------------------------------- counter sanity *)
 
 let test_pruning_counters () =
-  reset_all ();
   let d = random_space ~n:10 123 in
   let (), s =
     kernel_deltas (fun () -> ignore (Met.zeta_witness ~ctx:(ctx_j 1) d))
@@ -435,11 +425,7 @@ let suite =
         case "gamma ladder = naive on radio and churn spaces"
           test_gamma_ladder_matches_naive;
         case "summarize and decays_db = naive" test_summarize_matches_naive;
-        case "second Analysis.run sweeps nothing"
-          test_second_run_sweeps_nothing;
-        case "cache keyed on bytes, not name"
-          test_cache_keys_on_content_not_name;
-        case "jobs excluded from cache key" test_jobs_excluded_from_cache_key;
+        case "kernels keep no results" test_kernels_keep_no_results;
         case "memo basics" test_memo_basics;
         case "memo eviction" test_memo_eviction_bounds_size;
         case "memo concurrent" test_memo_concurrent;

@@ -9,7 +9,6 @@ module Obs = Core.Prelude.Obs
 module Par = Core.Prelude.Parallel
 module Met = Core.Decay.Metricity
 module Ctx = Core.Decay.Ctx
-module Fad = Core.Decay.Fading
 module Jsonl = Core.Prelude.Jsonl
 open Testutil
 
@@ -505,35 +504,26 @@ let test_pinned_line_bytes () =
 
 (* ------------------------------------ determinism across job counts *)
 
-let memo_counters_for ~jobs =
-  Met.clear_caches ();
-  let hits = Obs.counter "memo.zeta.hits" in
-  let misses = Obs.counter "memo.zeta.misses" in
-  let h0 = Obs.counter_value hits and m0 = Obs.counter_value misses in
+let sweep_counters_for ~jobs =
   let sp = random_space ~n:16 77 in
   let (), k =
     kernel_deltas (fun () ->
         let w1 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
         let w2 = Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp in
-        check_true "cached witness identical"
+        check_true "repeated witness identical"
           (w1.Met.x = w2.Met.x && w1.Met.y = w2.Met.y && w1.Met.z = w2.Met.z
           && Float.equal w1.Met.value w2.Met.value))
   in
-  ( Obs.counter_value hits - h0,
-    Obs.counter_value misses - m0,
-    List.assoc "sweeps" k,
-    List.assoc "triples" k )
+  (List.assoc "sweeps" k, List.assoc "triples" k)
 
 let test_cache_metrics_job_invariant () =
-  (* Cache hits/misses and executed-sweep accounting are deterministic
-     and must not depend on the parallelism degree. *)
-  let a = memo_counters_for ~jobs:1 in
-  let b = memo_counters_for ~jobs:4 in
-  let (h, m, sweeps, triples) = a in
-  check_int "one miss on a cold cache" 1 m;
-  check_int "one hit on the warm rerun" 1 h;
-  check_int "exactly one executed sweep" 1 sweeps;
-  check_int "triples = n(n-1)(n-2)" (16 * 15 * 14) triples;
+  (* Executed-sweep accounting is deterministic and must not depend on
+     the parallelism degree. *)
+  let a = sweep_counters_for ~jobs:1 in
+  let b = sweep_counters_for ~jobs:4 in
+  let sweeps, triples = a in
+  check_int "one executed sweep per call" 2 sweeps;
+  check_int "triples = 2 n(n-1)(n-2)" (2 * 16 * 15 * 14) triples;
   check_true "identical metrics at jobs=1 and jobs=4" (a = b)
 
 let test_kernel_stats_deterministic_at_jobs4 () =
@@ -544,7 +534,7 @@ let test_kernel_stats_deterministic_at_jobs4 () =
   let snap jobs =
     snd
       (kernel_deltas (fun () ->
-           ignore (Met.zeta_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp)))
+           ignore (Met.zeta_witness ~ctx:(Ctx.make ~jobs ()) sp)))
   in
   let a = snap 4 and b = snap 4 in
   let k name = List.assoc name a in
@@ -560,7 +550,7 @@ let test_kernel_stats_deterministic_at_jobs4 () =
   let psnap jobs =
     snd
       (kernel_deltas (fun () ->
-           ignore (Met.phi_witness ~ctx:(Ctx.make ~jobs ~cache:false ()) sp)))
+           ignore (Met.phi_witness ~ctx:(Ctx.make ~jobs ()) sp)))
   in
   check_true "phi jobs=4 tallies reproducible" (psnap 4 = psnap 4)
 
@@ -621,13 +611,11 @@ let normalize_spans spans =
     spans
 
 let test_golden_e1_trace () =
-  (* A cold-cache isolated E1 run produces a stable trace shape: its
-     analysis sweeps, then exactly one experiment span carrying the
-     verdict.  Committed as test/golden_e1_trace.txt; regenerate with
-     `dune runtest` after an intentional trace-shape change and copy the
+  (* An isolated E1 run produces a stable trace shape: its analysis
+     sweeps, then exactly one experiment span carrying the verdict.
+     Committed as test/golden_e1_trace.txt; regenerate with `dune
+     runtest` after an intentional trace-shape change and copy the
      diff. *)
-  Met.clear_caches ();
-  Fad.clear_caches ();
   let entry =
     match Bg_experiments.Registry.find "E1" with
     | Some e -> e

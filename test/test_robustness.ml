@@ -8,7 +8,6 @@ module Io = Core.Decay.Decay_io
 module V = Core.Decay.Validate
 module C = Core.Decay.Corrupt
 module Met = Core.Decay.Metricity
-module Ctx = Core.Decay.Ctx
 module Par = Core.Prelude.Parallel
 module Iso = Bg_experiments.Isolate
 module Reg = Bg_experiments.Registry
@@ -204,14 +203,11 @@ let test_witness_identity_through_repair () =
       let s' = via policy in
       (* Bit-for-bit: zero-eps float compare on values, exact witnesses. *)
       check_float ~eps:0. "zeta identical"
-        (Met.zeta ~ctx:Ctx.uncached s) (Met.zeta ~ctx:Ctx.uncached s');
-      check_float ~eps:0. "phi identical"
-        (Met.phi ~ctx:Ctx.uncached s) (Met.phi ~ctx:Ctx.uncached s');
-      let w = Met.zeta_witness ~ctx:Ctx.uncached s
-      and w' = Met.zeta_witness ~ctx:Ctx.uncached s' in
+        (Met.zeta s) (Met.zeta s');
+      check_float ~eps:0. "phi identical" (Met.phi s) (Met.phi s');
+      let w = Met.zeta_witness s and w' = Met.zeta_witness s' in
       check_true "zeta witness identical" (w = w');
-      let p = Met.phi_witness ~ctx:Ctx.uncached s
-      and p' = Met.phi_witness ~ctx:Ctx.uncached s' in
+      let p = Met.phi_witness s and p' = Met.phi_witness s' in
       check_true "phi witness identical" (p = p'))
     [ V.Reject; V.Clamp 37.; V.Symmetrize; V.Drop_nodes ]
 

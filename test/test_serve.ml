@@ -30,7 +30,7 @@ let engine ?(batch_size = 32) ?(max_queue = 256) ?request_timeout_s ?store
     ?degrade ?chaos ?slo ?lineage () =
   Server.create
     {
-      Server.ctx = Ctx.make ~jobs:1 ~cache:false ();
+      Server.ctx = Ctx.make ~jobs:1 ();
       batch_size;
       max_queue;
       request_timeout_s;
@@ -512,7 +512,7 @@ let test_hit_rate_meets_analytic_floor () =
 
 let test_serve_matches_direct_computation () =
   let space = D.of_matrix ~name:"tiny" tiny_matrix in
-  let ctx = Ctx.make ~jobs:1 ~cache:false () in
+  let ctx = Ctx.make ~jobs:1 () in
   let get_num field = function
     | P.Done { result; _ } -> Option.get (J.mem_num field result)
     | _ -> Alcotest.fail "expected an ok response"
@@ -1255,6 +1255,73 @@ let test_supervised_restart_rides_out_crashes () =
         check_int "nothing abandoned" 0 r.L.gave_up;
         check_true "the crash actually cost retries" (r.L.retries > 0))
 
+(* Run [bg args] to completion with [input] on stdin; returns the exit
+   status, stdout and stderr. *)
+let run_bg ~input args =
+  with_tmp "cli.in" @@ fun inp ->
+  with_tmp "cli.out" @@ fun out ->
+  with_tmp "cli.err" @@ fun err ->
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  let status =
+    Unix.system
+      (Filename.quote_command bg_exe args ~stdin:inp ~stdout:out ~stderr:err)
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  (status, read out, read err)
+
+let two_requests =
+  String.concat ""
+    (List.map
+       (fun id -> P.request_to_string (req ~id P.Zeta) ^ "\n")
+       [ "m1"; "m2" ])
+
+(* The worker is the supervisor's own command line re-run, so --metrics
+   reaches it: the one table printed is the worker's registry. *)
+let test_supervised_metrics_are_the_workers () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else begin
+    let status, out, _ =
+      run_bg ~input:two_requests [ "serve"; "--supervise"; "--metrics" ]
+    in
+    check_true "supervised serve exits 0" (status = Unix.WEXITED 0);
+    let accepted =
+      List.filter_map
+        (fun line ->
+          match List.map String.trim (String.split_on_char '|' line) with
+          | _ :: "serve.accepted" :: _ :: v :: _ -> Some v
+          | _ -> None)
+        (String.split_on_char '\n' out)
+    in
+    Alcotest.(check (list string)) "one table, serve.accepted 2" [ "2" ]
+      accepted
+  end
+
+(* A process that finds the lineage variable set is the worker, even
+   with --supervise on its command line: it supervises nothing and
+   appends to the trace file instead of truncating it. *)
+let test_lineage_makes_a_worker () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_tmp "worker-trace.jsonl" @@ fun trace ->
+    let marker = {|{"type":"marker"}|} in
+    Out_channel.with_open_bin trace (fun oc ->
+        output_string oc (marker ^ "\n"));
+    (* Set while the child runs; an empty value counts as unset. *)
+    let lineage v = Unix.putenv Bg_serve.Supervisor.lineage_env v in
+    lineage "1";
+    let status, _, err =
+      Fun.protect
+        ~finally:(fun () -> lineage "")
+        (fun () ->
+          run_bg ~input:two_requests
+            [ "serve"; "--supervise"; "--trace"; trace ])
+    in
+    check_true "worker exits 0" (status = Unix.WEXITED 0);
+    check_false "no supervisor ran" (contains ~sub:"supervisor exiting" err);
+    let lines = String.split_on_char '\n' (J.read_file trace) in
+    check_true "the earlier line survives" (List.hd lines = marker);
+    check_true "the worker appended spans" (List.length lines > 2)
+
 (* ------------------------------------------------------- observability *)
 
 let test_trace_context_on_the_wire () =
@@ -1629,5 +1696,9 @@ let suite =
           test_socket_disconnect_mid_request;
         case "supervised restart rides out chaos crashes"
           test_supervised_restart_rides_out_crashes;
+        case "supervised --metrics prints the worker's registry"
+          test_supervised_metrics_are_the_workers;
+        case "lineage in the environment makes a worker"
+          test_lineage_makes_a_worker;
       ] );
   ]

@@ -6,7 +6,7 @@
    hand-built fixtures.  Regenerate the goldens after an intentional
    format change:
 
-     bg analyze g24.csv --gamma-at 2,4 --no-cache --jobs 2 \
+     bg analyze g24.csv --gamma-at 2,4 --jobs 2 \
         --trace test/golden_trace.jsonl --profile
      bg trace flame test/golden_trace.jsonl --format speedscope \
         -o test/golden_speedscope.json *)
