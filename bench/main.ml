@@ -68,6 +68,9 @@ let tests () =
       (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 4) ~n:20 ~side:17.)
   in
   let req32, f64_line, decimal_line = protocol_request () in
+  let office24 = Benchkit.Regress.office_space 24 in
+  let office24_zeta = Core.Decay.Metricity.zeta office24 in
+  let graph24 = Core.Graph.Graph.random (Core.Prelude.Rng.create 5) 24 0.2 in
   Test.make_grouped ~name:"bg"
     [
       Test.make ~name:"zeta exact (n=30)"
@@ -125,6 +128,13 @@ let tests () =
         (Staged.stage (fun () -> Bg_serve.Protocol.request_of_string f64_line));
       Test.make ~name:"protocol encode f64 (n=32)"
         (Staged.stage (fun () -> Bg_serve.Protocol.request_to_string req32));
+      Test.make ~name:"dimension assouad (n=24)"
+        (Staged.stage (fun () -> Core.Decay.Dimension.assouad office24));
+      Test.make ~name:"dimension quasi_doubling (n=24)"
+        (Staged.stage (fun () ->
+             Core.Decay.Dimension.quasi_doubling ~zeta:office24_zeta office24));
+      Test.make ~name:"mis exact (k=24)"
+        (Staged.stage (fun () -> Core.Graph.Mis.exact graph24));
       Test.make ~name:"min connectivity power (n=30)"
         (Staged.stage (fun () ->
              Core.Distrib.Connectivity.min_uniform_power space30 ~beta:1.5

@@ -64,6 +64,18 @@ let geo_space n =
     (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 2024) ~n
        ~side:30.)
 
+(* [n] nodes at random points of a 3 x 3 office floor with drywall
+   walls, measured by the radio simulator. *)
+let office_space n =
+  let module R = Core.Radio in
+  let env =
+    R.Environment.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. R.Material.drywall
+  in
+  R.Measure.decay_space ~seed:7 env
+    (R.Node.of_points
+       (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 2024) ~n
+          ~side:17.))
+
 (* A synthetic ~160-line trace for the parser benchmark: representative
    span lines without needing a file on disk. *)
 let synthetic_trace =
@@ -172,8 +184,18 @@ let run_suite ?(reps = 5) ?(large = false) () =
         ignore (Met.zeta_witness ~ctx:seq next);
         ignore (Met.phi ~ctx:seq next))
   in
+  let analysis =
+    (* The whole `bg analyze` report, gamma at r = 4, on the kind of small
+       walled space perfbench's offline workload reports on: mostly the
+       Dimension estimators. *)
+    let office = office_space 24 in
+    measure ~name:"analysis_n24" ~reps (fun () ->
+        Core.Analysis.run
+          ~config:{ Core.Analysis.ctx = seq; gamma_at = [ 4. ] }
+          office)
+  in
   let base =
-    [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep ]
+    [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep; analysis ]
   in
   if not large then base
   else begin

@@ -8,7 +8,8 @@
 
 val members : Decay_space.t -> centre:int -> radius:float -> int list
 (** Nodes of the (open) decay ball around [centre], including the centre
-    itself. *)
+    itself, in increasing order.
+    @raise Invalid_argument if [centre] is not a node. *)
 
 val is_packing : Decay_space.t -> radius:float -> int list -> bool
 (** Whether all pairwise decays (both directions) strictly exceed
@@ -22,7 +23,11 @@ val max_packing :
     bound). *)
 
 val packing_number :
-  ?exact_limit:int -> Decay_space.t -> centre:int -> ball_radius:float ->
-  packing_radius:float -> int
+  ?exact_limit:int -> ?at_least:int -> Decay_space.t -> centre:int ->
+  ball_radius:float -> packing_radius:float -> int
 (** [P(B(centre, ball_radius), packing_radius)]: the size of the largest
-    packing that fits inside the ball — Definition 3.2's building block. *)
+    packing that fits inside the ball — Definition 3.2's building block —
+    found as {!max_packing} finds it.  With [at_least] (default 0) the
+    result is [max at_least P]: a ball of at most [at_least] members is not
+    solved, and an exact solve starts from that incumbent, so a caller
+    maximizing over many balls passes its running best. *)

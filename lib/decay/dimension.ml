@@ -14,16 +14,15 @@ let packing_growth ?exact_limit ?centres d ~q =
       let radii = List.sort_uniq compare !radii in
       List.iter
         (fun r ->
-          let p =
-            Ball.packing_number ?exact_limit d ~centre:x ~ball_radius:r
-              ~packing_radius:(r /. q)
-          in
-          if p > !best then best := p)
+          best :=
+            Ball.packing_number ?exact_limit ~at_least:!best d ~centre:x
+              ~ball_radius:r ~packing_radius:(r /. q))
         radii)
     centres;
   !best
 
 let assouad ?exact_limit ?(qs = [ 2.; 4.; 8.; 16. ]) d =
+  Bg_prelude.Obs.with_span "assouad" @@ fun () ->
   let qs = Array.of_list qs in
   let gs =
     Array.map (fun q -> float_of_int (packing_growth ?exact_limit d ~q)) qs
@@ -42,6 +41,7 @@ let assouad_max ?exact_limit ?(qs = [ 2.; 4.; 8.; 16. ]) ~c d =
     0. qs
 
 let quasi_doubling ?zeta d =
+  Bg_prelude.Obs.with_span "quasi_doubling" @@ fun () ->
   let m, _ = Quasi_metric.induce ?zeta d in
   Bg_prelude.Numerics.log2 (float_of_int (Bg_geom.Metric.doubling_constant m))
 
@@ -58,24 +58,29 @@ let is_independent_wrt d ~x nodes =
     nodes;
   !ok
 
-(* Conflict graph on V \ {x}: an (unordered) pair conflicts when either
-   member fails to be strictly farther from the other than the other is
-   from x.  (Strictness matters: the uniform space must get independence
-   dimension 1, matching the guard-count duality — a single guard covers
-   everything there via the closed inequality.) *)
+(* Conflict graph on V \ {x}, the others in increasing order: an
+   (unordered) pair conflicts when either member fails to be strictly
+   farther from the other than the other is from x.  (Strictness matters:
+   the uniform space must get independence dimension 1, matching the
+   guard-count duality — a single guard covers everything there via the
+   closed inequality.) *)
 let independence_conflicts d ~x =
   let n = Decay_space.n d in
-  let others = List.filter (fun v -> v <> x) (List.init n Fun.id) in
-  let arr = Array.of_list others in
-  let k = Array.length arr in
-  let g = Bg_graph.Graph.create k in
+  if x < 0 || x >= n then invalid_arg "Dimension.independence_wrt: node out of range";
+  let arr = Array.init (n - 1) (fun i -> if i < x then i else i + 1) in
+  let f = Decay_space.Flat.data d in
+  let k = n - 1 in
+  let g = Bg_graph.Mis.bits k in
   for i = 0 to k - 1 do
+    let z = arr.(i) in
+    let fzx = Decay_space.Flat.unsafe_get f ((z * n) + x) in
     for j = i + 1 to k - 1 do
-      let z = arr.(i) and y = arr.(j) in
+      let y = arr.(j) in
       if
-        Decay_space.decay d y z <= Decay_space.decay d z x
-        || Decay_space.decay d z y <= Decay_space.decay d y x
-      then Bg_graph.Graph.add_edge g i j
+        Decay_space.Flat.unsafe_get f ((y * n) + z) <= fzx
+        || Decay_space.Flat.unsafe_get f ((z * n) + y)
+           <= Decay_space.Flat.unsafe_get f ((y * n) + x)
+      then Bg_graph.Mis.add_edge g i j
     done
   done;
   (g, arr)
@@ -83,17 +88,20 @@ let independence_conflicts d ~x =
 let independence_wrt ?(exact_limit = 30) d ~x =
   let g, arr = independence_conflicts d ~x in
   let chosen =
-    if Array.length arr <= exact_limit then Bg_graph.Mis.exact g
-    else Bg_graph.Mis.greedy g
+    if Array.length arr <= exact_limit then Bg_graph.Mis.exact_bits g
+    else Bg_graph.Mis.greedy_bits g
   in
   List.map (fun i -> arr.(i)) chosen
 
-let independence_dimension ?exact_limit d =
-  let n = Decay_space.n d in
+let independence_dimension ?(exact_limit = 30) d =
+  Bg_prelude.Obs.with_span "independence" @@ fun () ->
   let best = ref 0 in
-  for x = 0 to n - 1 do
-    let k = List.length (independence_wrt ?exact_limit d ~x) in
-    if k > !best then best := k
+  for x = 0 to Decay_space.n d - 1 do
+    let g, arr = independence_conflicts d ~x in
+    best :=
+      if Array.length arr <= exact_limit then
+        Bg_graph.Mis.exact_size ~at_least:!best g
+      else max !best (Bg_graph.Mis.greedy_size g)
   done;
   !best
 
@@ -144,6 +152,7 @@ let greedy_guards d ~x =
   List.sort compare !guards
 
 let max_guard_count d =
+  Bg_prelude.Obs.with_span "guards" @@ fun () ->
   let n = Decay_space.n d in
   let best = ref 0 in
   for x = 0 to n - 1 do

@@ -5,7 +5,11 @@
     the doubling dimension of the induced quasi-metric (used by Theorems 4
     and 5 as [A']), and the independence dimension (Definition 4.1, Welzl's
     guards).  All are estimated over all (or sampled) centres and the radii
-    occurring in the space. *)
+    occurring in the space.
+
+    The four estimators [Core.Analysis.run] reports each run inside an
+    [Obs] span of their own: [assouad], [quasi_doubling], [independence]
+    and [guards]. *)
 
 (** {2 Assouad dimension of the decay space} *)
 
@@ -14,7 +18,9 @@ val packing_growth :
 (** [packing_growth d ~q] estimates [g_D(q)]: the largest [r/q]-packing
     fitting in any ball [B(x, r)], maximized over centres [x] (all by
     default) and over ball radii drawn from the decay values around each
-    centre. *)
+    centre.  Each ball is solved as {!Ball.packing_number} solves it, with
+    [exact_limit] (default 30); a ball with no more members than the best
+    packing so far is skipped, since it cannot beat it. *)
 
 val assouad : ?exact_limit:int -> ?qs:float list -> Decay_space.t -> float
 (** Assouad dimension estimate: the log-log regression slope of [g(q)]
@@ -47,8 +53,9 @@ val is_independent_wrt : Decay_space.t -> x:int -> int list -> bool
 
 val independence_wrt :
   ?exact_limit:int -> Decay_space.t -> x:int -> int list
-(** A maximum (exact for small spaces, greedy otherwise) independent set
-    with respect to [x]. *)
+(** A maximum independent set with respect to [x]: exact when the other
+    [n - 1] nodes number at most [exact_limit] (default 30), greedy
+    otherwise. *)
 
 val independence_dimension : ?exact_limit:int -> Decay_space.t -> int
 (** [max_x |independence_wrt x|] — at most the kissing number 6 for planar

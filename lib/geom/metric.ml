@@ -96,43 +96,66 @@ let shortest_paths m =
   done;
   { n; d }
 
-(* Greedy cover of ball B(c, r) by balls of radius r/2 centred at points of
-   the space: repeatedly pick an uncovered point of the ball as a new centre. *)
-let cover_count m c r =
-  let members = ref [] in
-  for i = m.n - 1 downto 0 do
-    if m.d.(c).(i) <= r then members := i :: !members
+(* Greedy cover of the ball B(c, r), whose points are [members.(0 .. k-1)]
+   in increasing order, by balls of radius r/2 centred at points of the
+   space: each point not yet covered becomes a new centre.  [covered.(p) =
+   stamp] marks a covered point.  Stops once the points left cannot lift the
+   count above [best], so a result at most [best] may be short. *)
+let cover_count m ~members ~k ~covered ~stamp r ~best =
+  let half = r /. 2. in
+  let count = ref 0 and a = ref 0 in
+  while !a < k && !count + (k - !a) > best do
+    let p = members.(!a) in
+    if covered.(p) <> stamp then begin
+      incr count;
+      let row = m.d.(p) in
+      for b = !a + 1 to k - 1 do
+        let q = members.(b) in
+        if row.(q) <= half then covered.(q) <- stamp
+      done
+    end;
+    incr a
   done;
-  let covered = Hashtbl.create 16 in
-  let count = ref 0 in
-  List.iter
-    (fun p ->
-      if not (Hashtbl.mem covered p) then begin
-        incr count;
-        List.iter
-          (fun q -> if m.d.(p).(q) <= r /. 2. then Hashtbl.replace covered q ())
-          !members
-      end)
-    !members;
   !count
 
 let doubling_constant m =
   if m.n = 0 then 1
   else begin
+    let n = m.n in
     (* Candidate radii: all distinct pairwise distances. *)
-    let radii = Hashtbl.create 64 in
-    for i = 0 to m.n - 1 do
-      for j = 0 to m.n - 1 do
-        if i <> j then Hashtbl.replace radii m.d.(i).(j) ()
+    let radii = Array.make (n * (n - 1)) 0. in
+    let i = ref 0 in
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        if p <> q then begin
+          radii.(!i) <- m.d.(p).(q);
+          incr i
+        end
       done
     done;
-    let best = ref 1 in
-    Hashtbl.iter
-      (fun r () ->
-        for c = 0 to m.n - 1 do
-          let k = cover_count m c r in
-          if k > !best then best := k
-        done)
+    Array.sort Float.compare radii;
+    let members = Array.make n 0 and covered = Array.make n 0 in
+    let stamp = ref 0 and best = ref 1 in
+    Array.iteri
+      (fun i r ->
+        if i = 0 || not (Float.equal r radii.(i - 1)) then
+          for c = 0 to n - 1 do
+            let row = m.d.(c) and k = ref 0 in
+            for p = 0 to n - 1 do
+              if row.(p) <= r then begin
+                members.(!k) <- p;
+                incr k
+              end
+            done;
+            (* A ball of at most [best] points needs at most [best] balls. *)
+            if !k > !best then begin
+              incr stamp;
+              best :=
+                max !best
+                  (cover_count m ~members ~k:!k ~covered ~stamp:!stamp r
+                     ~best:!best)
+            end
+          done)
       radii;
     !best
   end

@@ -20,11 +20,9 @@ let[@inline] on_segment px py qx qy rx ry =
   && Float.min py ry <= qy
   && qy <= Float.max py ry
 
-let intersects s1 s2 =
-  let p1x = s1.a.Point.x and p1y = s1.a.Point.y in
-  let q1x = s1.b.Point.x and q1y = s1.b.Point.y in
-  let p2x = s2.a.Point.x and p2y = s2.a.Point.y in
-  let q2x = s2.b.Point.x and q2y = s2.b.Point.y in
+(* [intersects] on raw coordinates: the path (p1, q1) against the segment
+   (p2, q2). *)
+let[@inline] crosses p1x p1y q1x q1y p2x p2y q2x q2y =
   let o1 = orientation p1x p1y q1x q1y p2x p2y in
   let o2 = orientation p1x p1y q1x q1y q2x q2y in
   let o3 = orientation p2x p2y q2x q2y p1x p1y in
@@ -35,6 +33,35 @@ let intersects s1 s2 =
     || (o2 = 0 && on_segment p1x p1y q2x q2y q1x q1y)
     || (o3 = 0 && on_segment p2x p2y p1x p1y q2x q2y)
     || (o4 = 0 && on_segment p2x p2y q1x q1y q2x q2y)
+
+let intersects s1 s2 =
+  crosses s1.a.Point.x s1.a.Point.y s1.b.Point.x s1.b.Point.y s2.a.Point.x
+    s2.a.Point.y s2.b.Point.x s2.b.Point.y
+
+let pack weighted =
+  let packed = Array.make (5 * List.length weighted) 0. in
+  List.iteri
+    (fun i (s, w) ->
+      packed.(5 * i) <- s.a.Point.x;
+      packed.((5 * i) + 1) <- s.a.Point.y;
+      packed.((5 * i) + 2) <- s.b.Point.x;
+      packed.((5 * i) + 3) <- s.b.Point.y;
+      packed.((5 * i) + 4) <- w)
+    weighted;
+  packed
+
+(* The loop sits here, next to [crosses], so the orientation tests inline
+   into it and no coordinate is boxed per wall. *)
+let crossed_weight packed a b =
+  let ax = a.Point.x and ay = a.Point.y and bx = b.Point.x and by = b.Point.y in
+  let acc = ref 0. in
+  for i = 0 to (Array.length packed / 5) - 1 do
+    let o = 5 * i in
+    if
+      crosses ax ay bx by packed.(o) packed.(o + 1) packed.(o + 2) packed.(o + 3)
+    then acc := !acc +. packed.(o + 4)
+  done;
+  !acc
 
 let intersection s1 s2 =
   let d1 = Point.sub s1.b s1.a and d2 = Point.sub s2.b s2.a in

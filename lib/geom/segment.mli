@@ -12,6 +12,15 @@ val midpoint : t -> Point.t
 val intersects : t -> t -> bool
 (** Proper or touching intersection of two closed segments. *)
 
+val pack : (t * float) list -> float array
+(** Weighted segments as one flat array, five floats per segment in list
+    order: the endpoints' coordinates, then the weight. *)
+
+val crossed_weight : float array -> Point.t -> Point.t -> float
+(** [crossed_weight (pack ws) a b] sums, in list order from [0.], the
+    weights of the segments of [ws] that the path from [a] to [b]
+    {!intersects}. *)
+
 val intersection : t -> t -> Point.t option
 (** Intersection point of two non-parallel segments, if they intersect;
     [None] for parallel/collinear or disjoint segments. *)

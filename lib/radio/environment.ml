@@ -2,27 +2,30 @@ module P = Bg_geom.Point
 module S = Bg_geom.Segment
 
 type wall = { segment : S.t; material : Material.t }
-type t = { side : float; walls : wall list }
+(* [packed] holds [walls] as one flat array (see [Segment.pack]), built
+   once, so a path's wall loss is one loop with no per-wall boxing. *)
+type t = { side : float; walls : wall list; packed : float array }
+
+let make side walls =
+  {
+    side;
+    walls;
+    packed =
+      S.pack (List.map (fun w -> (w.segment, w.material.Material.attenuation_db)) walls);
+  }
 
 let empty ~side =
   if side <= 0. then invalid_arg "Environment.empty: side must be positive";
-  { side; walls = [] }
+  make side []
 
 let create ~side walls =
   if side <= 0. then invalid_arg "Environment.create: side must be positive";
-  { side; walls }
+  make side walls
 
 let walls t = t.walls
 let side t = t.side
-let add_wall t w = { t with walls = w :: t.walls }
-
-let wall_loss_db t a b =
-  let path = S.make a b in
-  List.fold_left
-    (fun acc w ->
-      if S.intersects path w.segment then acc +. w.material.Material.attenuation_db
-      else acc)
-    0. t.walls
+let add_wall t w = make t.side (w :: t.walls)
+let wall_loss_db t a b = S.crossed_weight t.packed a b
 
 let crossings t a b =
   let path = S.make a b in
@@ -76,7 +79,7 @@ let office ~rooms_x ~rooms_y ~room_size ?door_width material =
       doored (P.make x0 y) (P.make (x0 +. room_size) y)
     done
   done;
-  { side; walls = !walls }
+  make side !walls
 
 let corridor ~rooms ~room_size ~corridor_width material =
   if rooms < 1 then invalid_arg "Environment.corridor: rooms >= 1";
@@ -98,7 +101,7 @@ let corridor ~rooms ~room_size ~corridor_width material =
     doored (P.make x0 room_size) (P.make (x0 +. room_size) room_size);
     if i > 0 then solid (P.make x0 0.) (P.make x0 room_size)
   done;
-  { side = Float.max w h; walls = !walls }
+  make (Float.max w h) !walls
 
 let random_clutter rng ~side ~n_walls ?(min_len = 0.) ?(max_len = 0.) materials =
   if materials = [] then invalid_arg "Environment.random_clutter: no materials";
@@ -116,4 +119,4 @@ let random_clutter rng ~side ~n_walls ?(min_len = 0.) ?(max_len = 0.) materials 
         { segment = S.make (P.make (cx -. dx) (cy -. dy)) (P.make (cx +. dx) (cy +. dy));
           material = Bg_prelude.Rng.choice rng mats })
   in
-  { side; walls }
+  make side walls

@@ -3,7 +3,10 @@
    [Bg_decay.Fading] and [Bg_decay.Statistics] are tested against.  Everything here works off
    [Decay_space.matrix] / [Decay_space.decay] (bounds-checked, row-copied)
    exactly as the shipped code did before the flat-layout rewrite; do not
-   "improve" this module — its value is that it stays naive. *)
+   "improve" this module — its value is that it stays naive.  The same
+   holds for the boolean-mask MIS solvers behind [Bg_graph.Mis] and the
+   solve-every-ball dimension estimators behind [Bg_decay.Dimension] and
+   [Bg_geom.Metric.doubling_constant]. *)
 
 module Decay_space = Core.Decay.Decay_space
 module Num = Core.Prelude.Numerics
@@ -276,3 +279,322 @@ let summarize ?jobs d =
     dynamic_range_db = hi -. lo;
     asymmetry_db = asym;
   }
+
+(* ---------------------------------------------------------------- mis *)
+
+(* The boolean-mask solvers: degrees by [Graph.has_edge] over every
+   vertex pair, a clique cover that checks each candidate against a
+   member list. *)
+
+module Graph = Core.Graph.Graph
+
+let mis_greedy g =
+  let n = Graph.n g in
+  let alive = Array.make n true in
+  let result = ref [] in
+  let remaining = ref n in
+  while !remaining > 0 do
+    (* Pick the alive vertex of minimum alive-degree. *)
+    let best = ref (-1) and best_deg = ref max_int in
+    for u = 0 to n - 1 do
+      if alive.(u) then begin
+        let d = ref 0 in
+        for v = 0 to n - 1 do
+          if alive.(v) && Graph.has_edge g u v then incr d
+        done;
+        if !d < !best_deg then begin
+          best := u;
+          best_deg := !d
+        end
+      end
+    done;
+    let u = !best in
+    result := u :: !result;
+    alive.(u) <- false;
+    decr remaining;
+    for v = 0 to n - 1 do
+      if alive.(v) && Graph.has_edge g u v then begin
+        alive.(v) <- false;
+        decr remaining
+      end
+    done
+  done;
+  List.sort compare !result
+
+(* Greedy clique cover of the alive vertices: the number of cliques is an
+   upper bound on the independence number of the induced subgraph. *)
+let clique_cover_bound g alive =
+  let n = Graph.n g in
+  let used = Array.make n false in
+  let cliques = ref 0 in
+  for u = 0 to n - 1 do
+    if alive.(u) && not used.(u) then begin
+      incr cliques;
+      used.(u) <- true;
+      let members = ref [ u ] in
+      for v = u + 1 to n - 1 do
+        if
+          alive.(v)
+          && (not used.(v))
+          && List.for_all (fun w -> Graph.has_edge g v w) !members
+        then begin
+          used.(v) <- true;
+          members := v :: !members
+        end
+      done
+    end
+  done;
+  !cliques
+
+let mis_exact ?(limit = 64) g =
+  let n = Graph.n g in
+  if n > limit then invalid_arg "Mis.exact: graph exceeds size limit";
+  let best = ref (mis_greedy g) in
+  let best_size = ref (List.length !best) in
+  let alive = Array.make n true in
+  let chosen = Array.make n false in
+  let rec go alive_count chosen_count =
+    if chosen_count > !best_size then begin
+      best_size := chosen_count;
+      let acc = ref [] in
+      for u = n - 1 downto 0 do
+        if chosen.(u) then acc := u :: !acc
+      done;
+      best := !acc
+    end;
+    if alive_count > 0 && chosen_count + clique_cover_bound g alive > !best_size
+    then begin
+      (* Branch on a maximum-degree alive vertex. *)
+      let pick = ref (-1) and pick_deg = ref (-1) in
+      for u = 0 to n - 1 do
+        if alive.(u) then begin
+          let d = ref 0 in
+          for v = 0 to n - 1 do
+            if alive.(v) && Graph.has_edge g u v then incr d
+          done;
+          if !d > !pick_deg then begin
+            pick := u;
+            pick_deg := !d
+          end
+        end
+      done;
+      let u = !pick in
+      (* Include u: kill u and its alive neighbourhood. *)
+      let killed = ref [ u ] in
+      alive.(u) <- false;
+      for v = 0 to n - 1 do
+        if alive.(v) && Graph.has_edge g u v then begin
+          alive.(v) <- false;
+          killed := v :: !killed
+        end
+      done;
+      chosen.(u) <- true;
+      go (alive_count - List.length !killed) (chosen_count + 1);
+      chosen.(u) <- false;
+      List.iter (fun v -> alive.(v) <- true) !killed;
+      (* Exclude u. *)
+      alive.(u) <- false;
+      go (alive_count - 1) chosen_count;
+      alive.(u) <- true
+    end
+  in
+  go n 0;
+  List.sort compare !best
+
+(* ---------------------------------------------------------- dimension *)
+
+(* Every ball solved in full: a [Graph.t] conflict graph and a list MIS
+   per (centre, radius); a [Hashtbl] of covered points per doubling
+   cover; conflict graphs for independence built through [Graph]. *)
+
+let ball_members d ~centre ~radius =
+  let acc = ref [] in
+  for x = Decay_space.n d - 1 downto 0 do
+    if x = centre || Decay_space.decay d x centre < radius then acc := x :: !acc
+  done;
+  !acc
+
+let separated d ~radius x y =
+  Decay_space.decay d x y > 2. *. radius
+  && Decay_space.decay d y x > 2. *. radius
+
+let conflict_graph d ~radius nodes =
+  let arr = Array.of_list nodes in
+  let k = Array.length arr in
+  let g = Graph.create k in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      if not (separated d ~radius arr.(i) arr.(j)) then Graph.add_edge g i j
+    done
+  done;
+  (g, arr)
+
+let max_packing ?(exact_limit = 30) d ~within ~radius =
+  let g, arr = conflict_graph d ~radius within in
+  let chosen =
+    if Array.length arr <= exact_limit then mis_exact g else mis_greedy g
+  in
+  List.map (fun i -> arr.(i)) chosen
+
+let packing_number ?exact_limit d ~centre ~ball_radius ~packing_radius =
+  let body = ball_members d ~centre ~radius:ball_radius in
+  List.length (max_packing ?exact_limit d ~within:body ~radius:packing_radius)
+
+let packing_growth ?exact_limit ?centres d ~q =
+  if q <= 1. then invalid_arg "Dimension.packing_growth: q must exceed 1";
+  let n = Decay_space.n d in
+  let centres = match centres with Some cs -> cs | None -> List.init n Fun.id in
+  let best = ref 0 in
+  List.iter
+    (fun x ->
+      (* Candidate ball radii: the distinct decays into x (open balls, so
+         nudge just above each decay value to include that node). *)
+      let radii = ref [] in
+      for y = 0 to n - 1 do
+        if y <> x then radii := (Decay_space.decay d y x *. (1. +. 1e-9)) :: !radii
+      done;
+      let radii = List.sort_uniq compare !radii in
+      List.iter
+        (fun r ->
+          let p =
+            packing_number ?exact_limit d ~centre:x ~ball_radius:r
+              ~packing_radius:(r /. q)
+          in
+          if p > !best then best := p)
+        radii)
+    centres;
+  !best
+
+let assouad ?exact_limit ?(qs = [ 2.; 4.; 8.; 16. ]) d =
+  let qs = Array.of_list qs in
+  let gs =
+    Array.map (fun q -> float_of_int (packing_growth ?exact_limit d ~q)) qs
+  in
+  if Array.exists (fun g -> g <= 0.) gs then 0.
+  else begin
+    let fit = Core.Prelude.Stats.loglog_fit qs gs in
+    Float.max 0. fit.Core.Prelude.Stats.slope
+  end
+
+module Metric = Core.Geom.Metric
+
+(* Greedy cover of ball B(c, r) by balls of radius r/2 centred at points of
+   the space: repeatedly pick an uncovered point of the ball as a new centre. *)
+let cover_count (m : Metric.t) c r =
+  let members = ref [] in
+  for i = m.n - 1 downto 0 do
+    if m.d.(c).(i) <= r then members := i :: !members
+  done;
+  let covered = Hashtbl.create 16 in
+  let count = ref 0 in
+  List.iter
+    (fun p ->
+      if not (Hashtbl.mem covered p) then begin
+        incr count;
+        List.iter
+          (fun q -> if m.d.(p).(q) <= r /. 2. then Hashtbl.replace covered q ())
+          !members
+      end)
+    !members;
+  !count
+
+let doubling_constant (m : Metric.t) =
+  if m.n = 0 then 1
+  else begin
+    (* Candidate radii: all distinct pairwise distances. *)
+    let radii = Hashtbl.create 64 in
+    for i = 0 to m.n - 1 do
+      for j = 0 to m.n - 1 do
+        if i <> j then Hashtbl.replace radii m.d.(i).(j) ()
+      done
+    done;
+    let best = ref 1 in
+    Hashtbl.iter
+      (fun r () ->
+        for c = 0 to m.n - 1 do
+          let k = cover_count m c r in
+          if k > !best then best := k
+        done)
+      radii;
+    !best
+  end
+
+let quasi_doubling ?zeta d =
+  let m, _ = Core.Decay.Quasi_metric.induce ?zeta d in
+  Num.log2 (float_of_int (doubling_constant m))
+
+let independence_conflicts d ~x =
+  let n = Decay_space.n d in
+  let others = List.filter (fun v -> v <> x) (List.init n Fun.id) in
+  let arr = Array.of_list others in
+  let k = Array.length arr in
+  let g = Graph.create k in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let z = arr.(i) and y = arr.(j) in
+      if
+        Decay_space.decay d y z <= Decay_space.decay d z x
+        || Decay_space.decay d z y <= Decay_space.decay d y x
+      then Graph.add_edge g i j
+    done
+  done;
+  (g, arr)
+
+let independence_wrt ?(exact_limit = 30) d ~x =
+  let g, arr = independence_conflicts d ~x in
+  let chosen =
+    if Array.length arr <= exact_limit then mis_exact g else mis_greedy g
+  in
+  List.map (fun i -> arr.(i)) chosen
+
+let independence_dimension ?exact_limit d =
+  let n = Decay_space.n d in
+  let best = ref 0 in
+  for x = 0 to n - 1 do
+    let k = List.length (independence_wrt ?exact_limit d ~x) in
+    if k > !best then best := k
+  done;
+  !best
+
+let greedy_guards d ~x =
+  let n = Decay_space.n d in
+  let uncovered = Hashtbl.create 16 in
+  for z = 0 to n - 1 do
+    if z <> x then Hashtbl.replace uncovered z ()
+  done;
+  let covers y z =
+    y = z || Decay_space.decay d z y <= Decay_space.decay d z x
+  in
+  let guards = ref [] in
+  while Hashtbl.length uncovered > 0 do
+    (* Pick the candidate guard covering the most uncovered nodes. *)
+    let best = ref (-1) and best_count = ref (-1) in
+    for y = 0 to n - 1 do
+      if y <> x then begin
+        let count = ref 0 in
+        Hashtbl.iter (fun z () -> if covers y z then incr count) uncovered;
+        if !count > !best_count then begin
+          best := y;
+          best_count := !count
+        end
+      end
+    done;
+    let y = !best in
+    if !best_count <= 0 then
+      (* Cannot happen: every node covers itself. *)
+      assert false;
+    guards := y :: !guards;
+    let to_remove = ref [] in
+    Hashtbl.iter (fun z () -> if covers y z then to_remove := z :: !to_remove) uncovered;
+    List.iter (Hashtbl.remove uncovered) !to_remove
+  done;
+  List.sort compare !guards
+
+let max_guard_count d =
+  let n = Decay_space.n d in
+  let best = ref 0 in
+  for x = 0 to n - 1 do
+    let k = List.length (greedy_guards d ~x) in
+    if k > !best then best := k
+  done;
+  !best

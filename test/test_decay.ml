@@ -330,6 +330,97 @@ let test_packing_growth_rejects_q () =
     (Invalid_argument "Dimension.packing_growth: q must exceed 1") (fun () ->
       ignore (Dim.packing_growth d ~q:1.))
 
+(* ------------------------------------------------ Dimension vs reference *)
+
+(* The estimators must be bit-identical to the verbatim list-and-Hashtbl
+   code in [Naive_ref]: the member-count skips only drop balls that cannot
+   beat the running maximum, and the bitset solvers replay the list
+   search. *)
+
+module R = Core.Radio
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A geometric (alpha = 3), office or clutter space on [n] random points:
+   the three kinds perfbench's offline workload analyzes. *)
+let dimension_space kind ~n seed =
+  let g = rng seed in
+  match kind with
+  | 0 -> D.of_points ~alpha:3. (Sp.random_points g ~n ~side:25.)
+  | 1 ->
+      let env =
+        R.Environment.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. R.Material.drywall
+      in
+      R.Measure.decay_space ~seed env
+        (R.Node.of_points (Sp.random_points g ~n ~side:17.))
+  | _ ->
+      let env =
+        R.Environment.random_clutter g ~side:25. ~n_walls:30
+          [ R.Material.concrete; R.Material.metal ]
+      in
+      R.Measure.decay_space ~seed env
+        (R.Node.of_points (Sp.random_points g ~n ~side:24.))
+
+(* The names of the estimators that differ from the reference. *)
+let dimension_mismatches ?exact_limit d =
+  let n = D.n d in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("assouad", bits_equal (Dim.assouad ?exact_limit d) (Naive_ref.assouad ?exact_limit d));
+      ("quasi_doubling", bits_equal (Dim.quasi_doubling d) (Naive_ref.quasi_doubling d));
+      ( "independence",
+        Dim.independence_dimension ?exact_limit d
+        = Naive_ref.independence_dimension ?exact_limit d );
+      ( "independence_wrt",
+        List.for_all
+          (fun x ->
+            Dim.independence_wrt ?exact_limit d ~x
+            = Naive_ref.independence_wrt ?exact_limit d ~x)
+          (List.init n Fun.id) );
+      ("guards", Dim.max_guard_count d = Naive_ref.max_guard_count d);
+    ]
+
+let check_dimension_identical ?exact_limit label d =
+  match dimension_mismatches ?exact_limit d with
+  | [] -> ()
+  | bad -> Alcotest.failf "%s: %s differ from the reference" label (String.concat ", " bad)
+
+let prop_dimension_matches_reference =
+  qcheck ~count:24 "dimension estimators = reference (geo/office/clutter, n<=28)"
+    QCheck.(triple (int_range 0 2) (int_range 2 28) small_int)
+    (fun (kind, n, seed) -> dimension_mismatches (dimension_space kind ~n seed) = [])
+
+(* With a small exact_limit the larger balls and conflict graphs take the
+   greedy branch, whose lists depend on vertex order. *)
+let prop_dimension_greedy_branch =
+  qcheck ~count:16 "dimension estimators = reference on the greedy branch"
+    QCheck.(quad (int_range 0 2) (int_range 2 24) small_int (int_range 0 10))
+    (fun (kind, n, seed, exact_limit) ->
+      dimension_mismatches ~exact_limit (dimension_space kind ~n seed) = [])
+
+let test_dimension_named_spaces () =
+  List.iter
+    (fun (label, d) ->
+      check_dimension_identical label d;
+      check_dimension_identical ~exact_limit:4 (label ^ " greedy") d)
+    [
+      ("welzl", Sp.welzl ~n:8 ~eps:0.25);
+      ("uniform", Sp.uniform 9);
+      ("star", Sp.star ~k:10 ~r:4.);
+    ]
+
+(* Analysis passes its exact_limit to every solver: above 64 the exact
+   branch used to hit Mis.exact's default guard. *)
+let test_exact_limit_above_64 () =
+  let d = D.of_points ~alpha:3. (Sp.random_points (rng 11) ~n:70 ~side:40.) in
+  let exact = Dim.independence_dimension ~exact_limit:100 d in
+  check_true "exact independence >= greedy"
+    (exact >= Dim.independence_dimension d);
+  check_true "max_packing over 70 nodes"
+    (Ball.is_packing d ~radius:1.
+       (Ball.max_packing ~exact_limit:100 d ~within:(List.init 70 Fun.id) ~radius:1.))
+
 (* --------------------------------------------------------------- Fading *)
 
 let test_separated_predicate () =
@@ -640,6 +731,10 @@ let suite =
         case "assouad vs alpha" test_assouad_decreases_with_alpha;
         case "packing growth positive" test_packing_growth_positive;
         case "packing growth q check" test_packing_growth_rejects_q;
+        case "named spaces = reference" test_dimension_named_spaces;
+        case "exact_limit above 64" test_exact_limit_above_64;
+        prop_dimension_matches_reference;
+        prop_dimension_greedy_branch;
       ] );
     ( "decay.fading",
       [

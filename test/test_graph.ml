@@ -117,6 +117,27 @@ let prop_greedy_bounded_by_exact =
       let g = G.random (rng seed) 14 0.3 in
       List.length (Mis.greedy g) <= List.length (Mis.exact g))
 
+(* The bitset solvers replay the reference search: the same greedy
+   incumbent, branching vertex and pruning, so the same vertex lists, on
+   one and two words per row and at every edge density. *)
+let prop_mis_matches_reference =
+  qcheck ~count:300 "exact and greedy MIS = reference lists (k<=64)"
+    QCheck.(triple small_int (int_range 0 64) (float_bound_inclusive 1.))
+    (fun (seed, k, p) ->
+      let g = G.random (rng seed) k p in
+      Mis.exact g = Naive_ref.mis_exact g && Mis.greedy g = Naive_ref.mis_greedy g)
+
+let prop_mis_size_from_incumbent =
+  qcheck ~count:200 "exact_size ~at_least = max at_least alpha"
+    QCheck.(triple small_int (int_range 0 30) (int_range 0 32))
+    (fun (seed, k, at_least) ->
+      let g = G.random (rng seed) k 0.3 in
+      let b = Mis.of_graph g in
+      let alpha = List.length (Naive_ref.mis_exact g) in
+      Mis.exact_size ~at_least b = max at_least alpha
+      && Mis.exact_size b = alpha
+      && Mis.greedy_size b = List.length (Naive_ref.mis_greedy g))
+
 let prop_complement_involution =
   qcheck ~count:40 "complement twice is identity" QCheck.small_int (fun seed ->
       let g = G.random (rng seed) 10 0.4 in
@@ -151,5 +172,7 @@ let suite =
         case "size limit" test_mis_limit;
         prop_mis_matches_brute_force;
         prop_greedy_bounded_by_exact;
+        prop_mis_matches_reference;
+        prop_mis_size_from_incumbent;
       ] );
   ]

@@ -158,6 +158,27 @@ let test_disabled_fast_path () =
   Alcotest.check_raises "exception passes through" (Failure "boom")
     (fun () -> Obs.with_span "off" (fun () -> failwith "boom"))
 
+(* [analyze] explains its own wall time: each dimension estimator it
+   calls is a child span. *)
+let test_analyze_children () =
+  let d = random_space ~n:10 5 in
+  let spans =
+    spans_of (trace_to_events (fun () -> ignore (Core.Analysis.run d)))
+  in
+  let analyze =
+    match List.filter (fun s -> span_name s = "analyze") spans with
+    | [ a ] -> a
+    | l -> Alcotest.failf "%d analyze spans" (List.length l)
+  in
+  List.iter
+    (fun name ->
+      match List.filter (fun s -> span_name s = name) spans with
+      | [ s ] ->
+          check_int (name ^ " is a child of analyze") (span_id analyze)
+            (span_parent s)
+      | l -> Alcotest.failf "%d %s spans" (List.length l) name)
+    [ "assouad"; "quasi_doubling"; "independence"; "guards" ]
+
 let test_span_structure () =
   let events =
     trace_to_events (fun () ->
@@ -834,6 +855,7 @@ let suite =
       [
         case "disabled fast path is transparent" test_disabled_fast_path;
         case "span structure, attrs, errors" test_span_structure;
+        case "analyze's estimators are child spans" test_analyze_children;
         fuzz_span_nesting;
         case "flush_metrics round-trips" test_flush_metrics_round_trip;
         case "span and metric lines pinned byte for byte"

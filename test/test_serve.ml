@@ -1139,6 +1139,68 @@ let test_cli_rejects_bad_resource_flags () =
       (exit_of [ "loadgen"; "--client-retries=-1" ])
   end
 
+(* A [bg serve --socket] daemon answering [max_requests] requests, its
+   stderr in [errf]; returns once the socket exists. *)
+let spawn_socket_daemon ~sock ~errf ~max_requests =
+  let errfd =
+    Unix.openfile errf [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let pid =
+    Unix.create_process bg_exe
+      [| bg_exe; "serve"; "--socket"; sock; "--max-requests";
+         string_of_int max_requests |]
+      Unix.stdin Unix.stdout errfd
+  in
+  Unix.close errfd;
+  let rec await n =
+    if n = 0 then Alcotest.fail "daemon socket never appeared"
+    else if Sys.file_exists sock then ()
+    else begin
+      Unix.sleepf 0.05;
+      await (n - 1)
+    end
+  in
+  await 100;
+  pid
+
+let socket_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let socket_send fd s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+let socket_recv_line fd =
+  let buf = Buffer.create 256 in
+  let one = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd one 0 1 with
+    | 0 -> Buffer.contents buf
+    | _ ->
+        if Bytes.get one 0 = '\n' then Buffer.contents buf
+        else begin
+          Buffer.add_char buf (Bytes.get one 0);
+          go ()
+        end
+  in
+  go ()
+
+let check_daemon_exit_0 pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, st ->
+      Alcotest.failf "daemon exit: %s"
+        (match st with
+        | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+        | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+        | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s)
+
 (* Regression: a socket client vanishing mid-request must be logged and
    dropped while a second client is served normally. *)
 let test_socket_disconnect_mid_request () =
@@ -1150,75 +1212,58 @@ let test_socket_disconnect_mid_request () =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; errf ]
     in
     Fun.protect ~finally:cleanup @@ fun () ->
-    let errfd =
-      Unix.openfile errf [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    let pid =
-      Unix.create_process bg_exe
-        [| bg_exe; "serve"; "--socket"; sock; "--max-requests"; "1" |]
-        Unix.stdin Unix.stdout errfd
-    in
-    Unix.close errfd;
-    let rec await n =
-      if n = 0 then Alcotest.fail "daemon socket never appeared"
-      else if Sys.file_exists sock then ()
-      else begin
-        Unix.sleepf 0.05;
-        await (n - 1)
-      end
-    in
-    await 100;
-    let connect () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX sock);
-      fd
-    in
-    let send fd s =
-      let b = Bytes.of_string s in
-      let rec go off =
-        if off < Bytes.length b then
-          go (off + Unix.write fd b off (Bytes.length b - off))
-      in
-      go 0
-    in
-    let recv_line fd =
-      let buf = Buffer.create 256 in
-      let one = Bytes.create 1 in
-      let rec go () =
-        match Unix.read fd one 0 1 with
-        | 0 -> Buffer.contents buf
-        | _ ->
-            if Bytes.get one 0 = '\n' then Buffer.contents buf
-            else begin
-              Buffer.add_char buf (Bytes.get one 0);
-              go ()
-            end
-      in
-      go ()
-    in
+    let pid = spawn_socket_daemon ~sock ~errf ~max_requests:1 in
     (* Client A: half a request line, then gone. *)
-    let a = connect () in
-    send a {|{"id":"half","op":"zeta|};
+    let a = socket_connect sock in
+    socket_send a {|{"id":"half","op":"zeta|};
     Unix.close a;
     (* Client B: a full request; must be answered normally. *)
-    let b = connect () in
-    send b (P.request_to_string (req ~id:"whole" P.Zeta) ^ "\n");
-    let line = recv_line b in
+    let b = socket_connect sock in
+    socket_send b (P.request_to_string (req ~id:"whole" P.Zeta) ^ "\n");
+    let line = socket_recv_line b in
     (match P.response_of_string line with
     | Ok (P.Done { id = "whole"; _ }) -> ()
     | _ -> Alcotest.failf "client B got %S" line);
     Unix.close b;
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _, st ->
-        Alcotest.failf "daemon exit: %s"
-          (match st with
-          | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-          | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-          | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s));
+    check_daemon_exit_0 pid;
     let log = In_channel.with_open_text errf In_channel.input_all in
     check_true "partial line logged as a disconnect"
       (contains ~sub:"disconnected mid-request" log)
+  end
+
+(* Three hand-written lines in one write over the Unix socket: a decimal
+   matrix [zeta], a [gamma] at r = 4 and an unknown op on a [csv] space.
+   Each gets its line back with the expected status, and the daemon exits
+   0 after its three requests. *)
+let test_socket_round_trip () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else begin
+    let sock = tmp_path "rt.sock" in
+    let errf = tmp_path "rt.err" in
+    let cleanup () =
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; errf ]
+    in
+    Fun.protect ~finally:cleanup @@ fun () ->
+    let pid = spawn_socket_daemon ~sock ~errf ~max_requests:3 in
+    let c = socket_connect sock in
+    let m = {|{"matrix": [[0, 1.5, 2], [1.2, 0, 3], [2, 1, 0]]}|} in
+    socket_send c
+      (String.concat "\n"
+         [ {|{"id": "a", "op": "zeta", "space": |} ^ m ^ "}";
+           {|{"id": "b", "op": "gamma", "r": 4, "space": |} ^ m ^ "}";
+           {|{"id": "c", "op": "warp", "space": {"csv": "0,2\n2,0"}}|} ]
+      ^ "\n");
+    let got =
+      List.init 3 (fun _ ->
+          let r = J.parse (socket_recv_line c) in
+          (J.mem_str "id" r, J.mem_str "status" r))
+      |> List.sort compare
+    in
+    Unix.close c;
+    check_true "a ok, b ok, c error"
+      (got
+      = [ (Some "a", Some "ok"); (Some "b", Some "ok"); (Some "c", Some "error") ]);
+    check_daemon_exit_0 pid
   end
 
 (* A supervised daemon that chaos-SIGKILLs itself mid-batch: the
@@ -1694,6 +1739,7 @@ let suite =
           test_cli_rejects_bad_resource_flags;
         case "mid-request disconnect is logged and isolated"
           test_socket_disconnect_mid_request;
+        case "socket round trip: ok, ok, error" test_socket_round_trip;
         case "supervised restart rides out chaos crashes"
           test_supervised_restart_rides_out_crashes;
         case "supervised --metrics prints the worker's registry"
