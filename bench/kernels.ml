@@ -1,14 +1,14 @@
-(* The flat/log-domain kernel benchmark: naive row-matrix sweep vs the
-   optimized flat-layout sweep (sequential and parallel) on GEO-SINR
-   spaces of growing n.  Emits a table and machine-readable
-   BENCH_kernels.json so the speedup and pruning hit-rate are tracked
+(* The flat/log-domain kernel benchmark: naive row-matrix sweeps vs the
+   optimized flat-layout sweeps (sequential and parallel), zeta and phi,
+   on GEO-SINR spaces of growing n.  Emits a table and machine-readable
+   BENCH_kernels.json so the speedups and pruning hit-rates are tracked
    across PRs.
 
-   The naive kernel below is the pre-optimization sweep kept verbatim
+   The naive kernels below are the pre-optimization sweeps kept verbatim
    (same shape as test/naive_ref.ml): bounds-checked [Decay_space.matrix]
-   rows, inline [log]s in the bisection predicate, no pruning tables.  Its
-   witness must stay bit-for-bit equal to the optimized kernels' at every
-   size — the [identical] column asserts that on each run. *)
+   rows, inline [log]s in the bisection predicate, no pruning tables.
+   Their witnesses must stay bit-for-bit equal to the optimized kernels'
+   at every size — the [identical] column asserts that on each run. *)
 
 module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
@@ -67,6 +67,23 @@ let naive_zeta_witness d =
   done;
   !best
 
+let naive_phi_witness d =
+  let n = D.n d in
+  let f = D.matrix d in
+  let best = ref { x = 0; y = 2; z = 1; value = 1. } in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if y <> x then
+        for z = 0 to n - 1 do
+          if z <> x && z <> y then begin
+            let v = f.(x).(y) /. (f.(x).(z) +. f.(z).(y)) in
+            if v > !best.value then best := { x; y = z; z = y; value = v }
+          end
+        done
+    done
+  done;
+  !best
+
 (* Per-call cost of [Obs.with_span] with no trace sink installed: the
    price every instrumented hot path pays when observability is off.
    The budget below is three orders of magnitude above the expected cost
@@ -95,12 +112,16 @@ let kernel_deltas f =
   let read name = Obs.counter_value (Obs.counter ("kernel." ^ name)) in
   let names =
     [ "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
-      "bisections" ]
+      "bisections"; "minplus_rows" ]
   in
   let before = List.map read names in
   let v = f () in
   let deltas = List.map2 (fun k b -> (k, read k - b)) names before in
   (v, fun k -> List.assoc k deltas)
+
+let sweeps =
+  [ ("zeta", naive_zeta_witness, fun ctx d -> Met.zeta_witness ~ctx d);
+    ("phi", naive_phi_witness, fun ctx d -> Met.phi_witness ~ctx d) ]
 
 let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
     =
@@ -108,58 +129,70 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
     T.create
       ~title:
         (Printf.sprintf
-           "flat log-domain kernels: zeta sweep, naive vs optimized \
-            (par jobs=%d)"
+           "flat log-domain kernels: zeta and phi sweeps, naive vs \
+            optimized (par jobs=%d)"
            par_jobs)
-      [ "n"; "naive (ms)"; "opt seq (ms)"; "opt par (ms)"; "seq speedup";
-        "par speedup"; "pruned"; "identical" ]
+      [ "sweep"; "n"; "naive (ms)"; "opt seq (ms)"; "opt par (ms)";
+        "seq speedup"; "par speedup"; "pruned"; "min-plus rows";
+        "identical" ]
   in
   let sizes = List.filter (fun n -> n <= max_n) [ 64; 128; 256; 512 ] in
   let entries =
-    List.map
+    List.concat_map
       (fun n ->
         let space = geo_space n in
         let reps = if n >= 256 then 2 else 3 in
         let naive_reps = if n >= 256 then 1 else 2 in
-        let w_naive, naive_s =
-          Timing.time_best ~reps:naive_reps (fun () -> naive_zeta_witness space)
-        in
-        let (w_seq, opt_seq_s), delta =
-          kernel_deltas (fun () ->
+        List.map
+          (fun (sweep, naive, opt) ->
+            let w_naive, naive_s =
+              Timing.time_best ~reps:naive_reps (fun () -> naive space)
+            in
+            let (w_seq, opt_seq_s), delta =
+              kernel_deltas (fun () ->
+                  Timing.time_best ~reps (fun () ->
+                      opt (Ctx.make ~jobs:1 ()) space))
+            in
+            let w_par, opt_par_s =
               Timing.time_best ~reps (fun () ->
-                  Met.zeta_witness ~ctx:(Ctx.make ~jobs:1 ()) space))
-        in
-        let w_par, opt_par_s =
-          Timing.time_best ~reps (fun () ->
-              Met.zeta_witness ~ctx:(Ctx.make ~jobs:par_jobs ()) space)
-        in
-        let identical = w_naive = w_seq && w_seq = w_par in
-        let seq_speedup = naive_s /. Float.max 1e-9 opt_seq_s in
-        let par_speedup = naive_s /. Float.max 1e-9 opt_par_s in
-        (* Covered triples the row/pair/tile bounds eliminated wholesale,
-           never touched by the inner loop. *)
-        let pruned_fraction =
-          let tr = delta "triples" in
-          if tr = 0 then 0.
-          else
-            float_of_int
-              (tr - delta "plain_skips" - delta "cheap_skips" - delta "deep")
-            /. float_of_int tr
-        in
-        T.add_row table
-          [ T.I n; T.F2 (naive_s *. 1e3); T.F2 (opt_seq_s *. 1e3);
-            T.F2 (opt_par_s *. 1e3); T.F2 seq_speedup; T.F2 par_speedup;
-            T.F2 pruned_fraction; T.S (string_of_bool identical) ];
-        ( identical,
-          J.Obj
-            [ ("n", J.Num (float_of_int n)); ("naive_s", J.Num naive_s);
-              ("opt_seq_s", J.Num opt_seq_s); ("opt_par_s", J.Num opt_par_s);
-              ("seq_speedup", J.Num seq_speedup);
-              ("par_speedup", J.Num par_speedup);
-              ("pruned_fraction", J.Num pruned_fraction);
-              ("exp_evals", J.Num (float_of_int (delta "exp_evals")));
-              ("bisections", J.Num (float_of_int (delta "bisections")));
-              ("identical", J.Bool identical) ] ))
+                  opt (Ctx.make ~jobs:par_jobs ()) space)
+            in
+            let identical = w_naive = w_seq && w_seq = w_par in
+            let seq_speedup = naive_s /. Float.max 1e-9 opt_seq_s in
+            let par_speedup = naive_s /. Float.max 1e-9 opt_par_s in
+            (* Covered triples no test looked at: eliminated wholesale by
+               the row/pair/tile bounds.  Counters are summed over the
+               [reps] timed sweeps, so per-sweep counts divide by it. *)
+            let pruned_fraction =
+              let tr = delta "triples" in
+              if tr = 0 then 0.
+              else
+                float_of_int
+                  (tr - delta "plain_skips" - delta "cheap_skips"
+                 - delta "deep")
+                /. float_of_int tr
+            in
+            let per_sweep k = delta k / reps in
+            T.add_row table
+              [ T.S sweep; T.I n; T.F2 (naive_s *. 1e3);
+                T.F2 (opt_seq_s *. 1e3); T.F2 (opt_par_s *. 1e3);
+                T.F2 seq_speedup; T.F2 par_speedup; T.F2 pruned_fraction;
+                T.I (per_sweep "minplus_rows");
+                T.S (string_of_bool identical) ];
+            ( identical,
+              J.Obj
+                [ ("sweep", J.Str sweep); ("n", J.Num (float_of_int n));
+                  ("naive_s", J.Num naive_s); ("opt_seq_s", J.Num opt_seq_s);
+                  ("opt_par_s", J.Num opt_par_s);
+                  ("seq_speedup", J.Num seq_speedup);
+                  ("par_speedup", J.Num par_speedup);
+                  ("pruned_fraction", J.Num pruned_fraction);
+                  ( "minplus_rows",
+                    J.Num (float_of_int (per_sweep "minplus_rows")) );
+                  ("exp_evals", J.Num (float_of_int (per_sweep "exp_evals")));
+                  ("bisections", J.Num (float_of_int (per_sweep "bisections")));
+                  ("identical", J.Bool identical) ] ))
+          sweeps)
       sizes
   in
   T.print table;
@@ -177,7 +210,7 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
         (J.to_string
            (J.Obj
               [ ("benchmark", J.Str "flat_logdomain_kernels");
-                ("sweep", J.Str "zeta"); ("jobs_parallel", num_i par_jobs);
+                ("jobs_parallel", num_i par_jobs);
                 ( "domains_available",
                   num_i (Core.Prelude.Parallel.auto_jobs ()) );
                 ( "span_off_overhead_ns",

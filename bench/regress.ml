@@ -184,6 +184,14 @@ let run_suite ?(reps = 5) ?(large = false) () =
         ignore (Met.zeta_witness ~ctx:seq next);
         ignore (Met.phi ~ctx:seq next))
   in
+  let geo_sweeps =
+    (* Both sweeps on a geometric space of perfbench's offline size, where
+       the bounds prune almost nothing and the min-plus pass runs. *)
+    let s256 = geo_space 256 in
+    measure ~name:"geo_sweeps_n256" ~reps (fun () ->
+        ignore (Met.zeta_witness ~ctx:seq s256);
+        ignore (Met.phi_witness ~ctx:seq s256))
+  in
   let analysis =
     (* The whole `bg analyze` report, gamma at r = 4, on the kind of small
        walled space perfbench's offline workload reports on: mostly the
@@ -195,7 +203,8 @@ let run_suite ?(reps = 5) ?(large = false) () =
           office)
   in
   let base =
-    [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep; analysis ]
+    [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep;
+      geo_sweeps; analysis ]
   in
   if not large then base
   else begin

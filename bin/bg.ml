@@ -813,8 +813,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the flat log-domain kernel benchmark (naive vs optimized \
-          zeta sweep, pruning hit-rates, cache behaviour, disabled-span \
-          overhead) and record BENCH_kernels.json; or, with \
+          zeta and phi sweeps, pruning hit-rates, min-plus rows, \
+          disabled-span overhead) and record BENCH_kernels.json; or, with \
           --record/--check/--write-baseline, run the perf-regression \
           suite against committed baselines.")
     Term.(

@@ -117,37 +117,55 @@ let is_guard_set d ~x guards =
   done;
   !ok
 
+(* The uncovered nodes sit in the prefix [unc.(0 .. len-1)], compacted
+   after each pick.  A count does not depend on the order it is taken
+   in, ties go to the lowest y, and removal is a set operation, so the
+   guard list does not depend on how the uncovered nodes are ordered. *)
 let greedy_guards d ~x =
   let n = Decay_space.n d in
-  let uncovered = Hashtbl.create 16 in
-  for z = 0 to n - 1 do
-    if z <> x then Hashtbl.replace uncovered z ()
-  done;
-  let covers y z =
-    y = z || Decay_space.decay d z y <= Decay_space.decay d z x
+  if x < 0 || x >= n then
+    invalid_arg "Dimension.greedy_guards: node out of range";
+  let f = Decay_space.Flat.data d in
+  let unc = Array.init (n - 1) (fun i -> if i < x then i else i + 1) in
+  (* [fzx.(z) = f(z,x)]: [y] covers [z] when y = z or f(z,y) <= f(z,x). *)
+  let fzx =
+    Array.init n (fun z -> Decay_space.Flat.unsafe_get f ((z * n) + x))
   in
+  let len = ref (n - 1) in
   let guards = ref [] in
-  while Hashtbl.length uncovered > 0 do
+  while !len > 0 do
     (* Pick the candidate guard covering the most uncovered nodes. *)
-    let best = ref (-1) and best_count = ref (-1) in
+    let best = ref (-1) and best_count = ref 0 in
     for y = 0 to n - 1 do
       if y <> x then begin
         let count = ref 0 in
-        Hashtbl.iter (fun z () -> if covers y z then incr count) uncovered;
+        for i = 0 to !len - 1 do
+          let z = Array.unsafe_get unc i in
+          if
+            y = z
+            || Decay_space.Flat.unsafe_get f ((z * n) + y)
+               <= Array.unsafe_get fzx z
+          then incr count
+        done;
         if !count > !best_count then begin
           best := y;
           best_count := !count
         end
       end
     done;
+    (* Every node covers itself, so [best] is a real node. *)
     let y = !best in
-    if !best_count <= 0 then
-      (* Cannot happen: every node covers itself. *)
-      assert false;
     guards := y :: !guards;
-    let to_remove = ref [] in
-    Hashtbl.iter (fun z () -> if covers y z then to_remove := z :: !to_remove) uncovered;
-    List.iter (Hashtbl.remove uncovered) !to_remove
+    let kept = ref 0 in
+    for i = 0 to !len - 1 do
+      let z = unc.(i) in
+      if not (y = z || Decay_space.Flat.unsafe_get f ((z * n) + y) <= fzx.(z))
+      then begin
+        unc.(!kept) <- z;
+        incr kept
+      end
+    done;
+    len := !kept
   done;
   List.sort compare !guards
 

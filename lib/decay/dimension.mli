@@ -68,7 +68,8 @@ val is_guard_set : Decay_space.t -> x:int -> int list -> bool
 
 val greedy_guards : Decay_space.t -> x:int -> int list
 (** A small guard set for [x] by greedy set cover (within a [ln n] factor of
-    the minimum, which Welzl shows equals the independence dimension). *)
+    the minimum, which Welzl shows equals the independence dimension).
+    @raise Invalid_argument when [x] is not a node. *)
 
 val max_guard_count : Decay_space.t -> int
 (** Largest greedy guard-set size over all nodes — the quantity bounded by 6

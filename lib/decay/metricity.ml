@@ -73,10 +73,10 @@ let zeta_triple_logs ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy =
 
 (* ------------------------------------------------- pruning bound tables *)
 
-(* Per-row / per-column extrema of the off-diagonal decays, in both the
-   raw and the log domain, plus tile-granular minima when the space is
-   large enough for cache-blocked iteration.  O(n^2) to build — noise
-   against the O(n^3) sweeps they prune.
+(* Per-row / per-column extrema of the off-diagonal decays, in the log
+   domain for zeta and the raw one for phi, plus tile-granular minima
+   when the space is large enough for cache-blocked iteration.  O(n^2)
+   to build, against the O(n^3) sweeps they prune.
 
    The pruning invariants (see doc page "flat kernels"):
 
@@ -132,71 +132,61 @@ let exp_lb =
   Array.init 513 (fun j -> exp (-0.125 *. float_of_int j) *. (1. -. 1e-13))
 
 type bounds = {
-  row_lmin : float array;
-  row_lmax : float array;
-  col_lmin : float array;
-  gmin_l : float;
-  row_fmin : float array;
-  row_fmax : float array;
-  col_fmin : float array;
-  gmin_f : float;
+  row_min : float array;
+  row_max : float array;
+  col_min : float array;
+  gmin : float;
   ntiles : int; (* 0 = tiling disabled *)
-  row_tlmin : float array; (* x * ntiles + t *)
-  col_tlmin : float array;
-  row_tfmin : float array;
-  col_tfmin : float array;
+  row_tmin : float array; (* x * ntiles + t *)
+  col_tmin : float array;
 }
 
-let build_bounds d =
-  let n = Decay_space.n d in
-  let f = F.data d in
-  let lg = F.logs d in
-  let ft = F.transpose d in
-  let lt = F.log_transpose d in
+(* The bound tables of one domain, from its row-major buffer [a] and its
+   transpose [at]: zeta reads the logs, phi the decays themselves. *)
+let build_bounds n (a : F.buf) (at : F.buf) =
   let ntiles =
     if n >= tile_threshold then (n + tile_size - 1) / tile_size else 0
   in
-  let row_lmin = Array.make n infinity
-  and row_lmax = Array.make n neg_infinity
-  and col_lmin = Array.make n infinity
-  and row_fmin = Array.make n infinity
-  and row_fmax = Array.make n neg_infinity
-  and col_fmin = Array.make n infinity in
-  let row_tlmin = Array.make (max 1 (n * ntiles)) infinity
-  and col_tlmin = Array.make (max 1 (n * ntiles)) infinity
-  and row_tfmin = Array.make (max 1 (n * ntiles)) infinity
-  and col_tfmin = Array.make (max 1 (n * ntiles)) infinity in
+  let row_min = Array.make n infinity
+  and row_max = Array.make n neg_infinity
+  and col_min = Array.make n infinity in
+  let row_tmin = Array.make (max 1 (n * ntiles)) infinity
+  and col_tmin = Array.make (max 1 (n * ntiles)) infinity in
   for i = 0 to n - 1 do
     let base = i * n in
-    for j = 0 to n - 1 do
-      if j <> i then begin
-        let v = F.unsafe_get f (base + j)
-        and l = F.unsafe_get lg (base + j)
-        and vt = F.unsafe_get ft (base + j)
-        and ltv = F.unsafe_get lt (base + j) in
-        if v < row_fmin.(i) then row_fmin.(i) <- v;
-        if v > row_fmax.(i) then row_fmax.(i) <- v;
-        if l < row_lmin.(i) then row_lmin.(i) <- l;
-        if l > row_lmax.(i) then row_lmax.(i) <- l;
-        if vt < col_fmin.(i) then col_fmin.(i) <- vt;
-        if ltv < col_lmin.(i) then col_lmin.(i) <- ltv;
-        if ntiles > 0 then begin
-          let t = (i * ntiles) + (j / tile_size) in
-          if l < row_tlmin.(t) then row_tlmin.(t) <- l;
-          if ltv < col_tlmin.(t) then col_tlmin.(t) <- ltv;
-          if v < row_tfmin.(t) then row_tfmin.(t) <- v;
-          if vt < col_tfmin.(t) then col_tfmin.(t) <- vt
+    let rmin = ref infinity and rmax = ref neg_infinity
+    and cmin = ref infinity in
+    for t = 0 to max 1 ntiles - 1 do
+      let lo = t * tile_size in
+      let hi = if ntiles = 0 then n else min n (lo + tile_size) in
+      let tmin = ref infinity and tcmin = ref infinity in
+      for j = lo to hi - 1 do
+        if j <> i then begin
+          let v = F.unsafe_get a (base + j)
+          and vt = F.unsafe_get at (base + j) in
+          if v < !tmin then tmin := v;
+          if v > !rmax then rmax := v;
+          if vt < !tcmin then tcmin := vt
         end
-      end
-    done
+      done;
+      if ntiles > 0 then begin
+        row_tmin.((i * ntiles) + t) <- !tmin;
+        col_tmin.((i * ntiles) + t) <- !tcmin
+      end;
+      if !tmin < !rmin then rmin := !tmin;
+      if !tcmin < !cmin then cmin := !tcmin
+    done;
+    row_min.(i) <- !rmin;
+    row_max.(i) <- !rmax;
+    col_min.(i) <- !cmin
   done;
-  let gmin_l = Array.fold_left Float.min infinity row_lmin
-  and gmin_f = Array.fold_left Float.min infinity row_fmin in
-  {
-    row_lmin; row_lmax; col_lmin; gmin_l;
-    row_fmin; row_fmax; col_fmin; gmin_f;
-    ntiles; row_tlmin; col_tlmin; row_tfmin; col_tfmin;
-  }
+  let gmin = Array.fold_left Float.min infinity row_min in
+  { row_min; row_max; col_min; gmin; ntiles; row_tmin; col_tmin }
+
+let log_bounds d =
+  build_bounds (Decay_space.n d) (F.logs d) (F.log_transpose d)
+
+let decay_bounds d = build_bounds (Decay_space.n d) (F.data d) (F.transpose d)
 
 (* Lexicographic order on iteration coordinates — the naive sweep's
    first-seen tie-break, made explicit so any visit order agrees with it. *)
@@ -238,21 +228,23 @@ let bisections = Obs.counter "kernel.bisections"
 let row_prunes = Obs.counter "kernel.row_prunes"
 let pair_prunes = Obs.counter "kernel.pair_prunes"
 let tile_prunes = Obs.counter "kernel.tile_prunes"
+let minplus_rows = Obs.counter "kernel.minplus_rows"
 
 type tally = {
   t_plain : int; (* dismissed by the plain triangle inequality *)
-  t_cheap : int; (* dismissed by the log-domain incumbent bound *)
+  t_cheap : int; (* dismissed by the incumbent bound or the min-plus pass *)
   t_deep : int; (* reached the exp check / bisection stage *)
   t_exp : int; (* ran the 3-exp holds test *)
   t_bis : int; (* ran the full bisection *)
   t_rows : int; (* whole rows skipped by the row bound *)
   t_pairs : int; (* whole z-loops skipped by the pair bound *)
   t_tiles : int; (* z-tiles skipped by the tile bound *)
+  t_minplus : int; (* rows whose pairs the min-plus pass screened *)
 }
 
 let empty_tally =
   { t_plain = 0; t_cheap = 0; t_deep = 0; t_exp = 0; t_bis = 0; t_rows = 0;
-    t_pairs = 0; t_tiles = 0 }
+    t_pairs = 0; t_tiles = 0; t_minplus = 0 }
 
 let merge a b =
   {
@@ -264,6 +256,7 @@ let merge a b =
     t_rows = a.t_rows + b.t_rows;
     t_pairs = a.t_pairs + b.t_pairs;
     t_tiles = a.t_tiles + b.t_tiles;
+    t_minplus = a.t_minplus + b.t_minplus;
   }
 
 (* Count one executed sweep over all ordered triples of n nodes. *)
@@ -280,17 +273,113 @@ let publish t =
   Obs.add row_prunes t.t_rows;
   Obs.add pair_prunes t.t_pairs;
   Obs.add tile_prunes t.t_tiles;
+  Obs.add minplus_rows t.t_minplus;
   (* When tracing, pin the sweep's pruning story to its span. *)
   if Obs.tracing () then begin
     Obs.add_span_attr "plain_skips" (Obs.I t.t_plain);
     Obs.add_span_attr "cheap_skips" (Obs.I t.t_cheap);
     Obs.add_span_attr "deep" (Obs.I t.t_deep);
-    Obs.add_span_attr "bisections" (Obs.I t.t_bis)
+    Obs.add_span_attr "bisections" (Obs.I t.t_bis);
+    Obs.add_span_attr "minplus_rows" (Obs.I t.t_minplus)
   end
+
+(* -------------------------------------------------------- min-plus pass *)
+
+(* Where pruning fails — on geometric spaces the bounds dismiss ~1% of
+   the triples — both sweeps screen their pairs with one row pass of a
+   min-plus product instead:
+
+     m(x,y) = min over ALL z of a(x,z) +. a(z,y).
+
+   - phi runs it on the decays themselves.  For positive operands float
+     [/.] is monotone in its divisor, so [f(x,y) /. m(x,y)] is the
+     pair's largest ratio [f(x,y) /. (f(x,z) +. f(z,y))], bit for bit.
+     The diagonal terms (z = x or z = y) add 0 to f(x,y) and give the
+     ratio 1, and the initial witness is the lex-first triple at value
+     1, so a pair whose maximum is at most 1 cannot replace it.  A pair
+     whose maximum is below the incumbent is dismissed; every other pair
+     runs its ordinary z-loop, which keeps the lex tie rule.
+   - zeta runs it on [G = exp ((1. /. v0) *. log f)] for an incumbent v0
+     it starts from (the seed below).  These are the floats [holds_logs]
+     computes at v0, so [m(x,y) >= G(x,y)] says exactly that every
+     triple of the pair holds at v0 (the diagonal terms are G(x,y)
+     itself, since G is 0 on the diagonal).  Such a pair holds at
+     v0 <= incumbent, which is the property the incumbent skip already
+     relies on: a triple that holds at z never bisects above z.  A
+     triple whose value is V fails at V, so a pair holding a triple that
+     ties or beats the incumbent is still flagged, and ties reach the
+     lex check.  Flagged pairs run the ordinary z-loop at the current
+     incumbent, bisection included.
+   - Both sweeps start every chunk from the same seed, the exact witness
+     of an induced sub-space (a real triple with its real value), so no
+     result depends on [jobs]; the seed is what lets one G table serve
+     the whole zeta sweep.
+
+   The pass streams row z once per block of up to [block] rows: one add
+   and one compare per triple, no [exp], no division, and no branch for
+   z = x or z = y.  It costs n^2 per row whatever the bounds say, so a
+   sweep takes it only where the bounds would let most pairs through. *)
+
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Rows per pass block: each loaded cell of row z feeds this many minima. *)
+let block = 4
+
+(* Spaces below this size (the serving workload's) never take the pass. *)
+let minplus_floor = 64
+
+(* [minplus a n rows k m] sets [m.(r * n + y)] to the min-plus row of
+   [x = rows.(r)] for [r < k <= block]; slots [k..block-1] repeat the
+   last row.  [m] holds [block * n] cells, allocated once per chunk. *)
+let minplus (a : fbuf) n rows k m =
+  let x0 = rows.(0)
+  and x1 = rows.(min 1 (k - 1))
+  and x2 = rows.(min 2 (k - 1))
+  and x3 = rows.(k - 1) in
+  Array.fill m 0 (block * n) infinity;
+  for z = 0 to n - 1 do
+    let a0 = Bigarray.Array1.unsafe_get a ((x0 * n) + z)
+    and a1 = Bigarray.Array1.unsafe_get a ((x1 * n) + z)
+    and a2 = Bigarray.Array1.unsafe_get a ((x2 * n) + z)
+    and a3 = Bigarray.Array1.unsafe_get a ((x3 * n) + z) in
+    let zr = z * n in
+    for y = 0 to n - 1 do
+      let b = Bigarray.Array1.unsafe_get a (zr + y) in
+      let v = a0 +. b in
+      if v < Array.unsafe_get m y then Array.unsafe_set m y v;
+      let v = a1 +. b and i = n + y in
+      if v < Array.unsafe_get m i then Array.unsafe_set m i v;
+      let v = a2 +. b and i = (2 * n) + y in
+      if v < Array.unsafe_get m i then Array.unsafe_set m i v;
+      let v = a3 +. b and i = (3 * n) + y in
+      if v < Array.unsafe_get m i then Array.unsafe_set m i v
+    done
+  done
+
+(* [exp (t *. log f)] cell by cell (0 on the diagonal): at [t = 1. /. v]
+   exactly the floats [holds_logs] compares at [v]. *)
+let exp_table ~jobs d t =
+  let n = Decay_space.n d in
+  let lg = F.logs d in
+  let g = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * n) in
+  Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:()
+    ~map:(fun lo hi ->
+      for i = lo * n to (hi * n) - 1 do
+        Bigarray.Array1.unsafe_set g i (exp (t *. F.unsafe_get lg i))
+      done)
+    ~combine:(fun () () -> ());
+  g
+
+let no_table = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
+type path = Pruned | Minplus
+type dispatch = Auto | Only of path
 
 (* ----------------------------------------------------------- zeta sweep *)
 
-let zeta_chunk d bb init x_lo x_hi =
+(* [g] is the pass's table [exp (t *. log f)] at [t = 1. /. init.value],
+   or [no_table] for the pruned path. *)
+let zeta_chunk ~g d bb init x_lo x_hi =
   let n = Decay_space.n d in
   let f = F.data d in
   let lg = F.logs d in
@@ -299,8 +388,11 @@ let zeta_chunk d bb init x_lo x_hi =
   let c_plain = ref 0 and c_scanned = ref 0 and c_deep = ref 0
   and c_exp = ref 0 and c_bis = ref 0
   and c_rows = ref 0 and c_pairs = ref 0 and c_tiles = ref 0
-  and c_phantom = ref 0 in
+  and c_phantom = ref 0 and c_passed = ref 0 and c_minplus = ref 0 in
   let best = ref init in
+  let pass = Bigarray.Array1.dim g > 0 in
+  let m = Array.make (if pass then block * n else 0) 0. in
+  let rows = Array.make block 0 in
   (* Mutable hot-loop scalars, kept in a float array so the loop reads
      them unboxed (a [float ref] would box):
        [state.(0)] — the geometric-mean skip threshold [cut],
@@ -317,8 +409,10 @@ let zeta_chunk d bb init x_lo x_hi =
      local closure it cost an indirect call plus environment loads per
      candidate, ~25 ns on 2.4M calls at n = 256). *)
   let tcount = if bb.ntiles = 0 then 1 else bb.ntiles in
-  let pw = if n >= tile_threshold then panel_width else 1 in
-  let row_done = Array.make pw false in
+  let pw =
+    if pass then block else if n >= tile_threshold then panel_width else 1
+  in
+  let row_done = Array.make pw false and slot = Array.make pw 0 in
   let p_lo = ref x_lo in
   while !p_lo < x_hi do
     let p0 = !p_lo in
@@ -327,23 +421,39 @@ let zeta_chunk d bb init x_lo x_hi =
        bound is monotone in the incumbent, so a row dismissed here stays
        dismissed; a row it cannot dismiss yet is still covered pair by
        pair below (the pair bound dominates the row bound). *)
+    let live = ref 0 in
     for x = p0 to p_hi - 1 do
       let skip =
-        bb.row_lmax.(x) -. (0.5 *. (bb.row_lmin.(x) +. bb.gmin_l))
+        bb.row_max.(x) -. (0.5 *. (bb.row_min.(x) +. bb.gmin))
         <= (ln2 *. (!best).value) -. prune_margin
       in
       row_done.(x - p0) <- skip;
       if skip then incr c_rows
+      else if pass then begin
+        rows.(!live) <- x;
+        slot.(x - p0) <- !live;
+        incr live
+      end
     done;
+    if pass && !live > 0 then begin
+      minplus g n rows !live m;
+      c_minplus := !c_minplus + !live
+    end;
     for y = 0 to n - 1 do
       for x = p0 to p_hi - 1 do
         if (not row_done.(x - p0)) && y <> x then begin
           let row = x * n in
           let fxy = F.unsafe_get f (row + y) in
           let lxy = F.unsafe_get lg (row + y) in
-          let psum = 0.5 *. (bb.row_lmin.(x) +. bb.col_lmin.(y)) in
-          if lxy -. psum <= (ln2 *. (!best).value) -. prune_margin then
-            incr c_pairs
+          if
+            pass
+            && Array.unsafe_get m ((slot.(x - p0) * n) + y)
+               >= Bigarray.Array1.unsafe_get g (row + y)
+          then c_passed := !c_passed + (n - 2)
+          else if
+            lxy -. (0.5 *. (bb.row_min.(x) +. bb.col_min.(y)))
+            <= (ln2 *. (!best).value) -. prune_margin
+          then incr c_pairs
           else begin
             let yrow = y * n in
             (* The z-loop's hot path touches only the two log streams: a
@@ -368,8 +478,8 @@ let zeta_chunk d bb init x_lo x_hi =
                 bb.ntiles > 0
                 && lxy
                    -. (0.5
-                      *. (bb.row_tlmin.((x * bb.ntiles) + t)
-                         +. bb.col_tlmin.((y * bb.ntiles) + t)))
+                      *. (bb.row_tmin.((x * bb.ntiles) + t)
+                         +. bb.col_tmin.((y * bb.ntiles) + t)))
                    <= (ln2 *. (!best).value) -. prune_margin
               then incr c_tiles
               else begin
@@ -504,36 +614,104 @@ let zeta_chunk d bb init x_lo x_hi =
   ( !best,
     {
       t_plain = !c_plain - !c_phantom;
-      t_cheap = !c_scanned - !c_plain - !c_deep;
+      t_cheap = !c_scanned - !c_plain - !c_deep + !c_passed;
       t_deep = !c_deep;
       t_exp = !c_exp;
       t_bis = !c_bis;
       t_rows = !c_rows;
       t_pairs = !c_pairs;
       t_tiles = !c_tiles;
+      t_minplus = !c_minplus;
     } )
 
-let zeta_sweep ~jobs d =
+let zeta_init = { x = 0; y = 1; z = 2; value = 1. }
+
+(* Nodes of the induced sub-space whose exact witness seeds both sweeps. *)
+let seed_nodes = 32
+
+(* The sub-space induced by [min seed_nodes (n / 2)] evenly spread
+   nodes, with their numbers in [d]; [None] when that is under 3. *)
+let seed_space d =
+  let n = Decay_space.n d in
+  let k = min seed_nodes (n / 2) in
+  if k < 3 then None
+  else begin
+    let idx = Array.init k (fun i -> i * n / k) in
+    Some (idx, Decay_space.sub_space d idx)
+  end
+
+(* A sub-space witness renumbered into the space: a real triple with its
+   real value, or [init] when no triple there exceeds 1. *)
+let lift idx init (w : witness) =
+  if w.value > 1. then { w with x = idx.(w.x); y = idx.(w.y); z = idx.(w.z) }
+  else init
+
+(* The seed of a zeta sweep: the exact witness of the seed sub-space,
+   and whether more than 1/64 of that sub-space's triples survive the
+   geometric-mean cut at its value, which picks the pass.  13-16% do on
+   geometric spaces, ~0.01% on walled ones, where the pruned sweep
+   wins. *)
+let zeta_seed d =
+  match seed_space d with
+  | None -> (zeta_init, false)
+  | Some (idx, sub) ->
+      let k = Decay_space.n sub in
+      let bb = log_bounds sub in
+      let w, _ = zeta_chunk ~g:no_table sub bb zeta_init 0 k in
+      let lg = F.logs sub and lt = F.log_transpose sub in
+      let cut = (ln2 *. w.value) -. prune_margin in
+      let survivors = ref 0 in
+      for x = 0 to k - 1 do
+        for y = 0 to k - 1 do
+          let lxy = F.unsafe_get lg ((x * k) + y) in
+          if
+            y <> x
+            && lxy -. (0.5 *. (bb.row_min.(x) +. bb.col_min.(y))) > cut
+          then
+            for z = 0 to k - 1 do
+              if
+                z <> x && z <> y
+                && lxy
+                   -. (0.5
+                      *. (F.unsafe_get lg ((x * k) + z)
+                         +. F.unsafe_get lt ((y * k) + z)))
+                   > cut
+              then incr survivors
+            done
+        done
+      done;
+      (lift idx zeta_init w, 64 * !survivors > k * (k - 1) * (k - 2))
+
+let zeta_sweep ~dispatch ~jobs d =
   let n = Decay_space.n d in
   (* Warm the views and bound tables on the caller's thread: construction
      is race-free either way, this just keeps the build cost out of the
      parallel region. *)
-  let bb = build_bounds d in
+  F.force d;
+  let bb = log_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "zeta_sweep"
   @@ fun () ->
   record_sweep n;
-  let init = { x = 0; y = 1; z = 2; value = 1. } in
+  let seed, pass =
+    match dispatch with
+    | Only Pruned -> (zeta_init, false)
+    | Only Minplus -> (fst (zeta_seed d), true)
+    | Auto -> if n < minplus_floor then (zeta_init, false) else zeta_seed d
+  in
+  let g = if pass then exp_table ~jobs d (1. /. seed.value) else no_table in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, empty_tally)
-      ~map:(fun x_lo x_hi -> zeta_chunk d bb init x_lo x_hi)
+    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(seed, empty_tally)
+      ~map:(fun x_lo x_hi -> zeta_chunk ~g d bb seed x_lo x_hi)
       ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, merge t1 t2))
   in
   publish tally;
   witness
 
-let zeta_witness ?(ctx = Ctx.default) d =
+let zeta_witness_via dispatch ctx d =
   if Decay_space.n d < 3 then { x = 0; y = 0; z = 0; value = 1. }
-  else zeta_sweep ~jobs:(Ctx.jobs ctx) d
+  else zeta_sweep ~dispatch ~jobs:(Ctx.jobs ctx) d
+
+let zeta_witness ?(ctx = Ctx.default) d = zeta_witness_via Auto ctx d
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
 
@@ -565,172 +743,237 @@ let zeta_upper_bound ?jobs d =
     Float.max 1. (Num.log2 (mx /. mn))
   end
 
+(* The zeta pass at [t = 1. /. (z +. 1e-7)]: a triple fails only where
+   the pass flags its pair and the plain check [fxy <= fxz +. fzy] fails
+   too.  Stops a chunk at its first failure. *)
 let holds_at ?jobs d z =
   let n = Decay_space.n d in
   n < 3
   ||
-  let z' = z +. 1e-7 in
-  let bb = build_bounds d in
+  let jobs = Par.resolve_jobs jobs in
+  let g = exp_table ~jobs d (1. /. (z +. 1e-7)) in
   let f = F.data d in
-  let lg = F.logs d in
   let ft = F.transpose d in
-  let lt = F.log_transpose d in
   let chunk x_lo x_hi =
-    let ok = ref true in
-    let x = ref x_lo in
-    while !ok && !x < x_hi do
-      let x0 = !x in
-      let row = x0 * n in
-      if
-        not
-          (bb.row_lmax.(x0) -. (0.5 *. (bb.row_lmin.(x0) +. bb.gmin_l))
-          <= (ln2 *. z') -. prune_margin)
-      then begin
-        let y = ref 0 in
-        while !ok && !y < n do
-          let y0 = !y in
-          if y0 <> x0 then begin
-            let lxy = F.unsafe_get lg (row + y0) in
-            let psum = 0.5 *. (bb.row_lmin.(x0) +. bb.col_lmin.(y0)) in
-            if not (lxy -. psum <= (ln2 *. z') -. prune_margin) then begin
-              let fxy = F.unsafe_get f (row + y0) in
-              let yrow = y0 * n in
-              let zi = ref 0 in
-              while !ok && !zi < n do
-                let z0 = !zi in
-                if z0 <> x0 && z0 <> y0 then begin
-                  let fxz = F.unsafe_get f (row + z0)
-                  and fzy = F.unsafe_get ft (yrow + z0) in
-                  if fxy > fxz +. fzy then begin
-                    let lxz = F.unsafe_get lg (row + z0)
-                    and lzy = F.unsafe_get lt (yrow + z0) in
-                    if
-                      not
-                        (lxy -. (0.5 *. (lxz +. lzy))
-                        <= (ln2 *. z') -. prune_margin)
-                    then
-                      if
-                        lxy -. Float.max lxz lzy > (ln2 *. z') +. prune_margin
-                      then ok := false (* provably fails at z' *)
-                      else if not (holds_logs ~lxy ~lxz ~lzy z') then
-                        ok := false
-                  end
-                end;
-                incr zi
-              done
-            end
-          end;
-          incr y
+    let m = Array.make (block * n) 0. and rows = Array.make block 0 in
+    let ok = ref true and p = ref x_lo in
+    while !ok && !p < x_hi do
+      let k = min block (x_hi - !p) in
+      for r = 0 to k - 1 do
+        rows.(r) <- !p + r
+      done;
+      minplus g n rows k m;
+      for r = 0 to k - 1 do
+        let row = rows.(r) * n in
+        for y = 0 to n - 1 do
+          let gxy = Bigarray.Array1.unsafe_get g (row + y) in
+          if !ok && not (m.((r * n) + y) >= gxy) then begin
+            let fxy = F.unsafe_get f (row + y) in
+            for z = 0 to n - 1 do
+              if
+                fxy > F.unsafe_get f (row + z) +. F.unsafe_get ft ((y * n) + z)
+                && not
+                     (Bigarray.Array1.unsafe_get g (row + z)
+                      +. Bigarray.Array1.unsafe_get g ((z * n) + y)
+                     >= gxy)
+              then ok := false
+            done
+          end
         done
-      end;
-      incr x
+      done;
+      p := !p + k
     done;
     !ok
   in
-  Par.map_reduce_chunks
-    ~jobs:(Par.resolve_jobs jobs)
-    ~lo:0 ~hi:n ~neutral:true ~map:chunk ~combine:( && )
+  Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:true ~map:chunk
+    ~combine:( && )
 
 (* ------------------------------------------------------------ phi sweep *)
 
-let phi_chunk d bb init x_lo x_hi =
+let phi_chunk ~dispatch d bb init x_lo x_hi =
   let n = Decay_space.n d in
   let f = F.data d in
   let ft = F.transpose d in
   let c_rows = ref 0 and c_pairs = ref 0 and c_tiles = ref 0
-  and c_deep = ref 0 in
+  and c_deep = ref 0 and c_passed = ref 0 and c_minplus = ref 0 in
   let best = ref init in
   let pw = if n >= tile_threshold then panel_width else 1 in
-  let row_done = Array.make pw false in
-  let p_lo = ref x_lo in
-  while !p_lo < x_hi do
-    let p0 = !p_lo in
-    let p_hi = min x_hi (p0 + pw) in
-    (* Float [+.] and [/.] are monotone, so these bounds dominate every v
-       in their scope exactly.  Skips are on strict [<]: a scope whose
-       bound ties the incumbent is still scanned, so the lex tie-break
-       below sees every potential tying triple whatever the visit
-       order. *)
-    for x = p0 to p_hi - 1 do
-      let skip =
-        bb.row_fmax.(x) /. (bb.row_fmin.(x) +. bb.gmin_f) < (!best).value
-      in
-      row_done.(x - p0) <- skip;
-      if skip then incr c_rows
+  let may_pass =
+    match dispatch with
+    | Only p -> p = Minplus
+    | Auto -> n >= minplus_floor
+  in
+  let m = Array.make (if may_pass then block * n else 0) 0.
+  and rows = Array.make block 0 in
+  let row_done = Array.make (max pw block) false
+  and slot = Array.make (max pw block) 0 in
+  let row_skip x =
+    bb.row_max.(x) /. (bb.row_min.(x) +. bb.gmin) < (!best).value
+  in
+  (* More than a quarter of the pairs of rows [lo..hi-1] that the row
+     bound keeps survive the pair bound at the incumbent (multiplied
+     out: the count only picks a path). *)
+  let dense lo hi =
+    let b = (!best).value in
+    let c = ref 0 and kept = ref 0 in
+    for x = lo to hi - 1 do
+      if not (row_skip x) then begin
+        let row = x * n and rmin = bb.row_min.(x) in
+        incr kept;
+        for y = 0 to n - 1 do
+          if
+            F.unsafe_get f (row + y)
+            >= b *. (rmin +. Array.unsafe_get bb.col_min y)
+          then incr c
+        done
+      end
     done;
-    for y = 0 to n - 1 do
-      for x = p0 to p_hi - 1 do
-        if (not row_done.(x - p0)) && y <> x then begin
-          let row = x * n in
-          let fxy = F.unsafe_get f (row + y) in
-          if fxy /. (bb.row_fmin.(x) +. bb.col_fmin.(y)) < (!best).value
-          then incr c_pairs
-          else begin
-            let yrow = y * n in
-            let scan z_lo z_hi =
-              for z = z_lo to z_hi - 1 do
-                if z <> x && z <> y then begin
-                  let fxz = F.unsafe_get f (row + z)
-                  and fzy = F.unsafe_get ft (yrow + z) in
-                  incr c_deep;
-                  let v = fxy /. (fxz +. fzy) in
-                  let b = !best in
-                  (* phi compares f(x,z) against f(x,y) + f(y,z): outer
-                     pair (x,z) with midpoint y.  The iterator hands us
-                     exactly that inequality's decays with roles named
-                     (x, y, z) = (start, end, midpoint), so the witness
-                     stores the iterator's z as the midpoint field y. *)
-                  if
-                    v > b.value
-                    || (v = b.value && lex_before x y z b.x b.z b.y)
-                  then best := { x; y = z; z = y; value = v }
-                end
-              done
-            in
-            if bb.ntiles = 0 then scan 0 n
-            else
-              for t = 0 to bb.ntiles - 1 do
-                let tmin =
-                  bb.row_tfmin.((x * bb.ntiles) + t)
-                  +. bb.col_tfmin.((y * bb.ntiles) + t)
-                in
-                if fxy /. tmin < (!best).value then incr c_tiles
-                else scan (t * tile_size) (min n ((t + 1) * tile_size))
-              done
+    4 * !c > !kept * (n - 1)
+  in
+  (* The z-loop of one pair; [z <> x, y] in iteration coordinates. *)
+  let scan_pair x y fxy =
+    let row = x * n and yrow = y * n in
+    for t = 0 to max 1 bb.ntiles - 1 do
+      let lo = t * tile_size in
+      let hi = if bb.ntiles = 0 then n else min n (lo + tile_size) in
+      if
+        bb.ntiles > 0
+        && fxy
+           /. (bb.row_tmin.((x * bb.ntiles) + t)
+              +. bb.col_tmin.((y * bb.ntiles) + t))
+           < (!best).value
+      then incr c_tiles
+      else
+        for z = lo to hi - 1 do
+          if z <> x && z <> y then begin
+            let fxz = F.unsafe_get f (row + z)
+            and fzy = F.unsafe_get ft (yrow + z) in
+            incr c_deep;
+            let v = fxy /. (fxz +. fzy) in
+            let b = !best in
+            (* phi compares f(x,z) against f(x,y) + f(y,z): outer
+               pair (x,z) with midpoint y.  The iterator hands us
+               exactly that inequality's decays with roles named
+               (x, y, z) = (start, end, midpoint), so the witness
+               stores the iterator's z as the midpoint field y. *)
+            if v > b.value || (v = b.value && lex_before x y z b.x b.z b.y)
+            then best := { x; y = z; z = y; value = v }
           end
+        done
+    done
+  in
+  let unit = max pw block in
+  let u_lo = ref x_lo in
+  while !u_lo < x_hi do
+    let u0 = !u_lo in
+    let u_hi = min x_hi (u0 + unit) in
+    let pass =
+      match dispatch with
+      | Only p -> p = Minplus
+      | Auto -> may_pass && dense u0 u_hi
+    in
+    let p_lo = ref u0 in
+    while !p_lo < u_hi do
+      let p0 = !p_lo in
+      let p_hi = min u_hi (p0 + if pass then block else pw) in
+      (* Float [+.] and [/.] are monotone, so these bounds dominate every
+         v in their scope exactly.  Skips are on strict [<]: a scope whose
+         bound ties the incumbent is still scanned, so the lex tie-break
+         sees every potential tying triple whatever the visit order. *)
+      let live = ref 0 in
+      for x = p0 to p_hi - 1 do
+        let skip = row_skip x in
+        row_done.(x - p0) <- skip;
+        if skip then incr c_rows
+        else if pass then begin
+          rows.(!live) <- x;
+          slot.(x - p0) <- !live;
+          incr live
         end
-      done
+      done;
+      if pass && !live > 0 then begin
+        minplus (F.data d :> fbuf) n rows !live m;
+        c_minplus := !c_minplus + !live
+      end;
+      for y = 0 to n - 1 do
+        for x = p0 to p_hi - 1 do
+          if (not row_done.(x - p0)) && y <> x then begin
+            let fxy = F.unsafe_get f ((x * n) + y) in
+            if pass then begin
+              (* The pair's largest ratio, exactly (see the pass). *)
+              let r = fxy /. Array.unsafe_get m ((slot.(x - p0) * n) + y) in
+              if r < (!best).value || r <= 1. then
+                c_passed := !c_passed + (n - 2)
+              else scan_pair x y fxy
+            end
+            else if
+              fxy /. (bb.row_min.(x) +. bb.col_min.(y)) < (!best).value
+            then incr c_pairs
+            else scan_pair x y fxy
+          end
+        done
+      done;
+      p_lo := p_hi
     done;
-    p_lo := p_hi
+    u_lo := u_hi
   done;
   ( !best,
     {
       empty_tally with
+      t_cheap = !c_passed;
       t_deep = !c_deep;
       t_rows = !c_rows;
       t_pairs = !c_pairs;
       t_tiles = !c_tiles;
+      t_minplus = !c_minplus;
     } )
 
-let phi_sweep ~jobs d =
+let phi_init = { x = 0; y = 2; z = 1; value = 1. }
+
+(* The exact witness of the seed sub-space, the phi counterpart of
+   [zeta_seed]: every chunk starts from it, so the first paths are
+   chosen against a real incumbent. *)
+let phi_seed d =
+  match seed_space d with
+  | None -> phi_init
+  | Some (idx, sub) ->
+      let w, _ =
+        phi_chunk ~dispatch:(Only Pruned) sub (decay_bounds sub) phi_init 0
+          (Decay_space.n sub)
+      in
+      lift idx phi_init w
+
+let phi_sweep ~dispatch ~jobs d =
   let n = Decay_space.n d in
-  let bb = build_bounds d in
+  let bb = decay_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "phi_sweep"
   @@ fun () ->
   record_sweep n;
-  let init = { x = 0; y = 2; z = 1; value = 1. } in
+  let seed =
+    match dispatch with
+    | Only Pruned -> phi_init
+    | Only Minplus -> phi_seed d
+    | Auto -> if n < minplus_floor then phi_init else phi_seed d
+  in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(init, empty_tally)
-      ~map:(fun x_lo x_hi -> phi_chunk d bb init x_lo x_hi)
+    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(seed, empty_tally)
+      ~map:(fun x_lo x_hi -> phi_chunk ~dispatch d bb seed x_lo x_hi)
       ~combine:(fun (w1, t1) (w2, t2) -> (better_phi w1 w2, merge t1 t2))
   in
   publish tally;
   witness
 
-let phi_witness ?(ctx = Ctx.default) d =
+let phi_witness_via dispatch ctx d =
   if Decay_space.n d < 3 then { x = 0; y = 0; z = 0; value = 1. }
-  else phi_sweep ~jobs:(Ctx.jobs ctx) d
+  else phi_sweep ~dispatch ~jobs:(Ctx.jobs ctx) d
 
+let phi_witness ?(ctx = Ctx.default) d = phi_witness_via Auto ctx d
 let phi ?ctx d = (phi_witness ?ctx d).value
 let phi_log ?ctx d = Num.log2 (phi ?ctx d)
 let clear_caches () = ()
+
+let forced_zeta_witness path ?(ctx = Ctx.default) d =
+  zeta_witness_via (Only path) ctx d
+
+let forced_phi_witness path ?(ctx = Ctx.default) d =
+  phi_witness_via (Only path) ctx d

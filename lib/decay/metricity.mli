@@ -23,10 +23,48 @@
     {!Bg_prelude.Obs} counters [kernel.sweeps], [kernel.triples],
     [kernel.plain_skips], [kernel.cheap_skips], [kernel.deep],
     [kernel.exp_evals], [kernel.bisections], [kernel.row_prunes],
-    [kernel.pair_prunes] and [kernel.tile_prunes], once per sweep and
-    identically at every job count; when tracing, the sweep's span also
-    carries [plain_skips], [cheap_skips], [deep] and [bisections].  The
-    counts are diagnostics and never influence a result. *)
+    [kernel.pair_prunes], [kernel.tile_prunes] and [kernel.minplus_rows],
+    once per sweep and identically at every job count; when tracing, the
+    sweep's span also carries [plain_skips], [cheap_skips], [deep],
+    [bisections] and [minplus_rows].  [plain_skips + cheap_skips + deep]
+    never exceeds [triples]; the rest are the triples no test looked at.
+    The counts are diagnostics and never influence a result.
+
+    {2 Two paths, one result}
+
+    Both sweeps have two ways to dismiss the pairs (x, y) whose z-loops
+    cannot change the witness.  The {e pruned} path tests row, pair and
+    tile bounds against the incumbent (the best value found so far).
+    Where those bounds fail, as on geometric spaces, a {e min-plus row
+    pass} screens every pair of a block of rows at once: it computes
+    [m(x,y) = min over all z of a(x,z) + a(z,y)] with one add and one
+    compare per triple.  A pair the pass dismisses counts its [n - 2]
+    triples as [cheap_skips], and every row it screens counts once in
+    [minplus_rows].  On spaces of 64 or more nodes, every chunk of a
+    sweep starts from the exact witness of the sub-space induced by 32
+    evenly spread nodes (the {e seed}), a real triple with its real
+    value.
+    - phi runs the pass on the decays.  Float division by a positive
+      divisor is monotone, so [f(x,y) /. m(x,y)] is the pair's largest
+      ratio, bit for bit; the pair is dismissed when that is below the
+      incumbent or at most 1 (the initial witness is the lex-first
+      triple at value 1, which no pair at most 1 can replace).  The
+      sweep takes the pass for the next 4 rows (16 from 512 nodes) when
+      more than a quarter of their pairs survive the pair bound at the
+      incumbent.
+    - zeta runs the pass on [G = exp ((1. /. v0) *. log f)], where v0 is
+      the seed's value: the floats the sweep's holds test computes at
+      v0.  [m(x,y) >= G(x,y)] proves that every triple of the pair holds
+      at v0, hence at the incumbent, which is the property the incumbent
+      skip already relies on.  A triple whose value is V fails at V, so
+      any pair with a triple that ties or beats the incumbent is still
+      scanned and ties still reach the lex check.  The sweep takes the
+      pass when more than 1/64 of the seed sub-space's triples survive
+      the geometric-mean cut at v0 (13-16% on geometric spaces, about
+      0.01% on walled ones).
+    Every pair the pass keeps runs the pruned path's z-loop unchanged,
+    and every chunk starts from the same incumbent, so the witness is the
+    same on either path and at every job count. *)
 
 type witness = { x : int; y : int; z : int; value : float }
 (** The triple achieving an extremal parameter, and the value there. *)
@@ -58,7 +96,8 @@ val zeta_upper_bound : ?jobs:int -> Decay_space.t -> float
 
 val holds_at : ?jobs:int -> Decay_space.t -> float -> bool
 (** [holds_at d z] checks the relaxed triangle inequality at parameter [z]
-    for all triples (within the bisection tolerance). *)
+    for all triples (within the bisection tolerance), on the zeta pass at
+    [z +. 1e-7]. *)
 
 val phi : ?ctx:Ctx.t -> Decay_space.t -> float
 (** The relaxed-triangle-inequality constant
@@ -78,3 +117,20 @@ val phi_log : ?ctx:Ctx.t -> Decay_space.t -> float
 val clear_caches : unit -> unit
 (** Does nothing.  Kept only because [perfbench/] still calls it; no
     kernel keeps results. *)
+
+(** {1 Test-only} *)
+
+type path =
+  | Pruned  (** bounds only, no pass, no seed *)
+  | Minplus  (** the pass on every row, seeded *)
+
+val forced_zeta_witness : path -> ?ctx:Ctx.t -> Decay_space.t -> witness
+(** For tests only: {!zeta_witness} with the path fixed instead of chosen
+    from counts, at any [n].  [Minplus] seeds from a sub-space of
+    [min 32 (n / 2)] nodes (none below 6 nodes); [Pruned] starts from
+    the initial witness.  No context, flag or environment variable
+    reaches it. *)
+
+val forced_phi_witness : path -> ?ctx:Ctx.t -> Decay_space.t -> witness
+(** For tests only: {!phi_witness} with the path fixed, like
+    {!forced_zeta_witness}. *)

@@ -99,6 +99,9 @@ let test_holds_at_matches_naive () =
         [ 1.; 2.; 3.; 8. ])
     (families ())
 
+(* The two sweep paths a test can force (Metricity's test-only entry). *)
+let paths = [ ("pruned", Met.Pruned); ("min-plus", Met.Minplus) ]
+
 let test_tiled_kernels_match_naive () =
   (* n = 512 is where the zeta/phi sweeps switch to z-tiles and x-panels
      (Metricity's tile_threshold); the families above never reach it.
@@ -136,7 +139,22 @@ let test_tiled_kernels_match_naive () =
           [ 1; 2 ])
   in
   check_true "the tiled path ran: z-tiles were pruned"
-    (List.assoc "tile_prunes" k > 0)
+    (List.assoc "tile_prunes" k > 0);
+  List.iter
+    (fun (name, path) ->
+      List.iter
+        (fun jobs ->
+          let ctx = ctx_j jobs in
+          check_witness
+            (Printf.sprintf "tiled zeta witness, %s path, jobs=%d" name jobs)
+            zeta
+            (Met.forced_zeta_witness path ~ctx d);
+          check_witness
+            (Printf.sprintf "tiled phi witness, %s path, jobs=%d" name jobs)
+            phi
+            (Met.forced_phi_witness path ~ctx d))
+        [ 1; 2 ])
+    paths
 
 let prop_random_witness_identity =
   qcheck ~count:40 "optimized zeta/phi witnesses = naive on random spaces"
@@ -227,6 +245,166 @@ let test_gamma_ladder_matches_naive () =
               (k "gamma_skipped" > 0))
         [ 1; 2; 4 ])
     (Lazy.force ladder_spaces)
+
+(* -------------------------------------------------- min-plus row passes *)
+
+let prop_forced_paths_match_naive =
+  qcheck ~count:60 "each forced path's zeta/phi witnesses = naive (n 3-22)"
+    QCheck.(triple (int_range 0 10_000) (int_range 3 22) bool)
+    (fun (seed, n, sym) ->
+      let d = if sym then random_space ~n seed else random_asym_space ~n seed in
+      let zw = Naive_ref.zeta_witness ~jobs:1 d in
+      let pw = Naive_ref.phi_witness ~jobs:1 d in
+      List.for_all
+        (fun (_, path) ->
+          List.for_all
+            (fun jobs ->
+              let ctx = ctx_j jobs in
+              Met.forced_zeta_witness path ~ctx d = zw
+              && Met.forced_phi_witness path ~ctx d = pw)
+            [ 1; 4 ])
+        paths)
+
+let prop_holds_at_near_zeta =
+  qcheck ~count:40 "holds_at = naive just below and above zeta (n 3-22)"
+    QCheck.(triple (int_range 0 10_000) (int_range 3 22) bool)
+    (fun (seed, n, sym) ->
+      let d = if sym then random_space ~n seed else random_asym_space ~n seed in
+      let z = Naive_ref.zeta ~jobs:1 d in
+      List.for_all
+        (fun z ->
+          Bool.equal
+            (Naive_ref.holds_at ~jobs:1 d z)
+            (Met.holds_at ~jobs:2 d z))
+        [ z -. 1e-6; z -. 1e-7; z; z +. 1e-6 ])
+
+(* Each forced path against the naive sweep at [jobs] 1 and 4. *)
+let check_paths_match_naive name d =
+  let zw = Naive_ref.zeta_witness ~jobs:2 d in
+  let pw = Naive_ref.phi_witness ~jobs:2 d in
+  List.iter
+    (fun (pname, path) ->
+      List.iter
+        (fun jobs ->
+          let ctx = ctx_j jobs in
+          let what = Printf.sprintf "%s, %s path, jobs=%d" name pname jobs in
+          check_witness ("zeta " ^ what) zw
+            (Met.forced_zeta_witness path ~ctx d);
+          check_witness ("phi " ^ what) pw
+            (Met.forced_phi_witness path ~ctx d))
+        [ 1; 4 ])
+    paths;
+  (zw, pw)
+
+let test_forced_paths_on_ties () =
+  (* Exactly collinear triples tie on the lex rule; in the uniform space
+     every pair ties and no triple beats the initial witness. *)
+  ignore
+    (check_paths_match_naive "grid 10x10, alpha 3"
+       (D.of_points ~alpha:3. (Sp.grid_points ~rows:10 ~cols:10 ~spacing:1.)));
+  let zw, pw = check_paths_match_naive "uniform 96" (Sp.uniform 96) in
+  check_witness "uniform zeta is the initial triple"
+    { Met.x = 0; y = 1; z = 2; value = 1. } zw;
+  check_witness "uniform phi is the initial triple"
+    { Met.x = 0; y = 2; z = 1; value = 1. } pw
+
+let geo_space ~n seed =
+  D.of_points ~alpha:3. (Sp.random_points (Rng.create seed) ~n ~side:25.)
+
+let geo256 = lazy (geo_space ~n:256 7)
+
+let test_paths_agree () =
+  (* Up to n = 96 against the naive sweep; above, the naive zeta alone
+     takes ~0.4 s, so both forced paths and the automatic choice must
+     agree with each other. *)
+  ignore (check_paths_match_naive "geometric n=96" (geo_space ~n:96 5));
+  ignore (check_paths_match_naive "evolve n=80"
+            Core.Decay.Evolve.(
+              space (create ~name:"walk" ~seed:3 { default with n = 80 })));
+  List.iter
+    (fun (name, d) ->
+      let zw = Met.zeta_witness ~ctx:(ctx_j 1) d in
+      let pw = Met.phi_witness ~ctx:(ctx_j 1) d in
+      List.iter
+        (fun jobs ->
+          let ctx = ctx_j jobs in
+          let what = Printf.sprintf "%s, jobs=%d" name jobs in
+          check_witness ("zeta automatic " ^ what) zw (Met.zeta_witness ~ctx d);
+          check_witness ("phi automatic " ^ what) pw (Met.phi_witness ~ctx d);
+          List.iter
+            (fun (pname, path) ->
+              check_witness
+                (Printf.sprintf "zeta %s path, %s" pname what)
+                zw
+                (Met.forced_zeta_witness path ~ctx d);
+              check_witness
+                (Printf.sprintf "phi %s path, %s" pname what)
+                pw
+                (Met.forced_phi_witness path ~ctx d))
+            paths)
+        [ 1; 4 ])
+    [ ("geometric n=256", Lazy.force geo256);
+      ("office n=256", List.assoc "office" (Lazy.force ladder_spaces));
+      ("evolve n=176", List.assoc "evolve" (Lazy.force ladder_spaces)) ]
+
+(* The [minplus_rows] attribute of every sweep span [f] records. *)
+let traced_minplus_rows f =
+  let module Obs = Core.Prelude.Obs in
+  let module J = Core.Prelude.Jsonl in
+  let path = Filename.temp_file "bg_kernels" ".jsonl" in
+  Obs.set_trace_file path;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.close_trace ();
+      Sys.remove path)
+    (fun () ->
+      let v = f () in
+      Obs.close_trace ();
+      let rows =
+        List.filter_map
+          (fun e ->
+            match (J.mem_str "name" e, J.member "attrs" e) with
+            | Some name, Some attrs
+              when name = "zeta_sweep" || name = "phi_sweep" ->
+                Option.map
+                  (fun r -> (name, int_of_float r))
+                  (J.mem_num "minplus_rows" attrs)
+            | _ -> None)
+          (J.parse_lines (J.read_file path))
+      in
+      (v, rows))
+
+let test_minplus_counters () =
+  let geo = Lazy.force geo256 in
+  List.iter
+    (fun jobs ->
+      let ctx = ctx_j jobs in
+      List.iter
+        (fun (name, sweep) ->
+          let ((), k), spans =
+            traced_minplus_rows (fun () -> kernel_deltas (fun () -> sweep ctx))
+          in
+          let k c = List.assoc c k in
+          let what = Printf.sprintf "%s, geometric n=256, jobs=%d" name jobs in
+          check_int ("minplus_rows counter, " ^ what) 256 (k "minplus_rows");
+          check_true ("minplus_rows span attribute, " ^ what)
+            (spans = [ (name ^ "_sweep", 256) ]);
+          check_true ("visited <= triples, " ^ what)
+            (k "plain_skips" + k "cheap_skips" + k "deep" <= k "triples");
+          check_true ("pruned fraction below 0.05, " ^ what)
+            (pruned_fraction
+               (List.map (fun c -> (c, k c))
+                  [ "triples"; "plain_skips"; "cheap_skips"; "deep" ])
+            < 0.05))
+        [ ("zeta", fun ctx -> ignore (Met.zeta_witness ~ctx geo));
+          ("phi", fun ctx -> ignore (Met.phi_witness ~ctx geo)) ])
+    [ 1; 4 ];
+  let clutter = List.assoc "clutter" (Lazy.force ladder_spaces) in
+  let _, k =
+    kernel_deltas (fun () -> Met.zeta_witness ~ctx:(ctx_j 2) clutter)
+  in
+  check_int "clutter zeta keeps the pruned path" 0
+    (List.assoc "minplus_rows" k)
 
 let bits a = Array.map Int64.bits_of_float a
 
@@ -424,6 +602,12 @@ let suite =
         prop_random_gamma_identity;
         case "gamma ladder = naive on radio and churn spaces"
           test_gamma_ladder_matches_naive;
+        prop_forced_paths_match_naive;
+        prop_holds_at_near_zeta;
+        case "forced paths = naive on tie-heavy spaces"
+          test_forced_paths_on_ties;
+        case "forced paths and automatic choice agree" test_paths_agree;
+        case "min-plus counters and span attribute" test_minplus_counters;
         case "summarize and decays_db = naive" test_summarize_matches_naive;
         case "kernels keep no results" test_kernels_keep_no_results;
         case "memo basics" test_memo_basics;

@@ -51,7 +51,7 @@ let kernel_deltas f =
   let names =
     [ "sweeps"; "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
       "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes";
-      "gamma_visited"; "gamma_skipped"; "gamma_exact"; "gamma_greedy";
+      "minplus_rows"; "gamma_visited"; "gamma_skipped"; "gamma_exact"; "gamma_greedy";
       "gamma_budget_cutoffs" ]
   in
   let read () =
