@@ -99,6 +99,8 @@ let tests () =
                space30 ~r:1.));
       Test.make ~name:"radio decay matrix (20 nodes)"
         (Staged.stage (fun () -> Core.Radio.Measure.decay_space env nodes));
+      Test.make ~name:"radio decay matrix (256 nodes)"
+        (Staged.stage (fun () -> Benchkit.Regress.office_space 256));
       Test.make ~name:"first-fit schedule (40 links)"
         (Staged.stage (fun () -> Core.Sched.Scheduler.first_fit inst40));
       Test.make ~name:"weighted exact (16 links)"

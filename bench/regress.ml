@@ -202,9 +202,20 @@ let run_suite ?(reps = 5) ?(large = false) () =
           ~config:{ Core.Analysis.ctx = seq; gamma_at = [ 4. ] }
           office)
   in
+  let radio =
+    (* The radio simulator's build of a 256-node office (perfbench's
+       offline site size), sequential like the entries above: the build
+       takes the ambient job count, so pin it to 1 while timing. *)
+    let jobs = Core.Prelude.Parallel.default_jobs () in
+    Core.Prelude.Parallel.set_default_jobs 1;
+    Fun.protect
+      ~finally:(fun () -> Core.Prelude.Parallel.set_default_jobs jobs)
+      (fun () ->
+        measure ~name:"radio_office_n256" ~reps (fun () -> office_space 256))
+  in
   let base =
     [ zeta_seq; phi_seq; gamma; parse; span_off; serve; full_sweep;
-      geo_sweeps; analysis ]
+      geo_sweeps; analysis; radio ]
   in
   if not large then base
   else begin

@@ -4,14 +4,65 @@ let make a b = { a; b }
 let length s = Point.dist s.a s.b
 let midpoint s = Point.lerp s.a s.b 0.5
 
-(* Robust-enough orientation test for our synthetic floor plans: the sign
-   of cross (q - p) (r - p), written on the raw coordinates with the same
-   IEEE operations in the same order as [Point.cross (Point.sub q p)
-   (Point.sub r p)], so the answer is bit-identical and nothing is
-   allocated. *)
+(* The exact sign of [cross (q - p) (r - p)], after Shewchuk's orient2d
+   ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+   Geometric Predicates", 1997).
+
+   The filter computes the determinant as [l - r] in floats.  With
+   eps = 2^-53, the computed value is within (3 + 16 eps) eps (|l| + |r|)
+   of the exact one (0x1.8000000000004p-52 is that constant), so beyond
+   the bound its sign is the exact sign.  It stays inline: nothing is
+   boxed unless a triple is near-degenerate, and only those reach the
+   out-of-line [orientation_exact]. *)
+
+(* Expanding the determinant leaves six products (the two [px py] terms
+   cancel).  Each is an exact two-product [hi + lo] by [Float.fma], and
+   two-sum grow-expansion adds the twelve parts into a nonoverlapping
+   expansion whose largest nonzero component carries the sign of the
+   exact sum.  Exact unless a product overflows or underflows. *)
+let[@inline never] orientation_exact px py qx qy rx ry =
+  let e = Array.make 12 0. and len = ref 0 in
+  let grow b =
+    let q = ref b in
+    for i = 0 to !len - 1 do
+      let a = e.(i) in
+      let s = !q +. a in
+      let bv = s -. !q in
+      e.(i) <- (!q -. (s -. bv)) +. (a -. bv);
+      q := s
+    done;
+    e.(!len) <- !q;
+    incr len
+  in
+  let product a b =
+    let p = a *. b in
+    grow (Float.fma a b (-.p));
+    grow p
+  in
+  product qx ry;
+  product (-.qx) py;
+  product (-.px) ry;
+  product (-.qy) rx;
+  product qy px;
+  product py rx;
+  let rec sign i =
+    if i < 0 then 0
+    else if e.(i) > 0. then 1
+    else if e.(i) < 0. then -1
+    else sign (i - 1)
+  in
+  sign (!len - 1)
+
 let[@inline] orientation px py qx qy rx ry =
-  let v = ((qx -. px) *. (ry -. py)) -. ((qy -. py) *. (rx -. px)) in
-  if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
+  let l = (qx -. px) *. (ry -. py) and r = (qy -. py) *. (rx -. px) in
+  let det = l -. r in
+  let bound = 0x1.8000000000004p-52 *. (Float.abs l +. Float.abs r) in
+  if det > bound then 1
+  else if det < -.bound then -1
+  else orientation_exact px py qx qy rx ry
+
+let orient (p : Point.t) (q : Point.t) (r : Point.t) =
+  orientation p.x p.y q.x q.y r.x r.y
 
 (* Assuming p, q, r collinear: does q lie on [p, r]? *)
 let[@inline] on_segment px py qx qy rx ry =
@@ -21,7 +72,9 @@ let[@inline] on_segment px py qx qy rx ry =
   && qy <= Float.max py ry
 
 (* [intersects] on raw coordinates: the path (p1, q1) against the segment
-   (p2, q2). *)
+   (p2, q2).  The orientations are exact, so this is the closed segments'
+   true intersection test, and swapping p1 and q1 negates o1 and o2 and
+   swaps o3 with o4: the answer cannot depend on the path's direction. *)
 let[@inline] crosses p1x p1y q1x q1y p2x p2y q2x q2y =
   let o1 = orientation p1x p1y q1x q1y p2x p2y in
   let o2 = orientation p1x p1y q1x q1y q2x q2y in
@@ -51,29 +104,44 @@ let pack weighted =
   packed
 
 (* The loop sits here, next to [crosses], so the orientation tests inline
-   into it and no coordinate is boxed per wall. *)
+   into it and no coordinate is boxed per wall.  A wall whose endpoints
+   both lie beyond one side of the path's bounding box cannot meet the
+   path, and [crosses] is exact, so skipping it changes no answer. *)
 let crossed_weight packed a b =
   let ax = a.Point.x and ay = a.Point.y and bx = b.Point.x and by = b.Point.y in
+  let x_lo = Float.min ax bx and x_hi = Float.max ax bx in
+  let y_lo = Float.min ay by and y_hi = Float.max ay by in
   let acc = ref 0. in
   for i = 0 to (Array.length packed / 5) - 1 do
     let o = 5 * i in
+    let p2x = packed.(o) and p2y = packed.(o + 1) in
+    let q2x = packed.(o + 2) and q2y = packed.(o + 3) in
     if
-      crosses ax ay bx by packed.(o) packed.(o + 1) packed.(o + 2) packed.(o + 3)
+      not
+        ((p2x < x_lo && q2x < x_lo)
+        || (p2x > x_hi && q2x > x_hi)
+        || (p2y < y_lo && q2y < y_lo)
+        || (p2y > y_hi && q2y > y_hi))
+      && crosses ax ay bx by p2x p2y q2x q2y
     then acc := !acc +. packed.(o + 4)
   done;
   !acc
 
+(* The signs decide.  [o1 = o2 = 0] holds for collinear segments and
+   for an [s1] of length zero, [o3 = o4 = 0] for an [s2] of length zero:
+   those get no point, nor do segments that do not meet.  The rest cross
+   at exactly one point.  The float parameter [t] along [s1] is clamped
+   into [0, 1], and a NaN (a denominator rounded to zero) becomes 0. *)
 let intersection s1 s2 =
-  let d1 = Point.sub s1.b s1.a and d2 = Point.sub s2.b s2.a in
-  let denom = Point.cross d1 d2 in
-  if Float.abs denom < 1e-12 then None
+  let p1 = s1.a and q1 = s1.b and p2 = s2.a and q2 = s2.b in
+  let o1 = orient p1 q1 p2 and o2 = orient p1 q1 q2 in
+  let o3 = orient p2 q2 p1 and o4 = orient p2 q2 q1 in
+  if (o1 = 0 && o2 = 0) || (o3 = 0 && o4 = 0) || not (intersects s1 s2) then None
   else begin
-    let diff = Point.sub s2.a s1.a in
-    let t = Point.cross diff d2 /. denom in
-    let u = Point.cross diff d1 /. denom in
-    if t >= 0. && t <= 1. && u >= 0. && u <= 1. then
-      Some (Point.add s1.a (Point.scale t d1))
-    else None
+    let d1 = Point.sub q1 p1 and d2 = Point.sub q2 p2 in
+    let t = Point.cross (Point.sub p2 p1) d2 /. Point.cross d1 d2 in
+    let t = if t >= 0. then Float.min t 1. else 0. in
+    Some (Point.add p1 (Point.scale t d1))
   end
 
 let dist_point s p =

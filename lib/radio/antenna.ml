@@ -4,6 +4,7 @@ type t =
   | Cardioid of { max_gain_db : float }
 
 let isotropic = Isotropic
+let is_isotropic = function Isotropic -> true | Sector _ | Cardioid _ -> false
 
 let sector ~beamwidth ~gain_db ~back_db =
   if beamwidth <= 0. || beamwidth > 2. *. Float.pi then

@@ -11,6 +11,9 @@ type t
 val isotropic : t
 (** 0 dB in every direction. *)
 
+val is_isotropic : t -> bool
+(** [true] for {!isotropic} only: its {!gain_db} is [0.] at every angle. *)
+
 val sector : beamwidth:float -> gain_db:float -> back_db:float -> t
 (** Flat [gain_db] within [beamwidth] radians of boresight (total width),
     [back_db] (typically negative) elsewhere. *)

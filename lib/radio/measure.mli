@@ -13,8 +13,19 @@ val decay_space :
   ?seed:int -> ?config:Propagation.config -> ?name:string ->
   Environment.t -> Node.t array -> Bg_decay.Decay_space.t
 (** The ground-truth decay space of a deployment: for each ordered pair,
-    link-budget loss (model + walls + frozen shadowing + antenna gains at
-    both ends [+ fading]) converted to a decay. *)
+    link-budget loss (model + walls + frozen shadowing [- fading] - the
+    antenna gains at both ends) converted to a decay.
+
+    The symmetric part (model, walls, shadowing) is evaluated once per
+    unordered pair: the wall test is exact ({!Bg_geom.Segment}), so it
+    is the same in both directions.  Fading and the gains are evaluated
+    per ordered pair, and only when present: isotropic ends are skipped,
+    and with no fading and only isotropic nodes the decay itself is
+    computed once per unordered pair and the space is symmetric bit for
+    bit.  Rows are spread over the shared pool at
+    {!Bg_prelude.Parallel.default_jobs}[ ()] (what [bg --jobs] sets);
+    every draw is keyed on its pair, so the cells are the same at every
+    job count. *)
 
 val rssi_dbm :
   tx_power_dbm:float -> loss_db:float -> float
@@ -36,7 +47,9 @@ val prr :
     the thresholding rule [SINR >= beta], with small-scale fading applied to
     the desired signal.  With [No_fading] this is the exact step function;
     with fading it is the smooth S-curve whose near-threshold shape
-    experimental studies report (experiment E13). *)
+    experimental studies report (experiment E13).
+
+    @raise Invalid_argument if [beta <= 0.] or [samples < 1]. *)
 
 val distance_decay_correlation :
   Environment.t -> Node.t array -> Bg_decay.Decay_space.t -> float

@@ -6,7 +6,10 @@
    "improve" this module — its value is that it stays naive.  The same
    holds for the boolean-mask MIS solvers behind [Bg_graph.Mis] and the
    solve-every-ball dimension estimators behind [Bg_decay.Dimension] and
-   [Bg_geom.Metric.doubling_constant]. *)
+   [Bg_geom.Metric.doubling_constant], for the radio simulator's
+   per-ordered-pair [Measure.decay_space] with its tolerance wall test,
+   and for an exact orientation sign written independently of
+   [Bg_geom.Segment]'s. *)
 
 module Decay_space = Core.Decay.Decay_space
 module Num = Core.Prelude.Numerics
@@ -598,3 +601,162 @@ let max_guard_count d =
     if k > !best then best := k
   done;
   !best
+
+(* ----------------------------------------------------------- geometry *)
+
+(* The exact sign of [cross (q - p) (r - p)], sharing no code with
+   [Segment.orient]: each difference is split exactly into [a + a'] by
+   two-sum, each of the eight products of [(a + a') (b + b') - (c + c')
+   (d + d')] is a Dekker two-product on Veltkamp splits (no [Float.fma]),
+   and the sixteen parts are summed exactly, with no filter in front.
+   Exact for coordinates whose products neither overflow nor underflow
+   (and below 2^995, where the split stays finite). *)
+
+let two_sum a b =
+  let s = a +. b in
+  let bv = s -. a in
+  (s, (a -. (s -. bv)) +. (b -. bv))
+
+let split a =
+  let c = 134217729. *. a (* 2^27 + 1 *) in
+  let hi = c -. (c -. a) in
+  (hi, a -. hi)
+
+let two_product a b =
+  let p = a *. b in
+  let ah, al = split a and bh, bl = split b in
+  (p, (((ah *. bh) -. p) +. (ah *. bl) +. (al *. bh)) +. (al *. bl))
+
+(* Grow a nonoverlapping expansion (increasing magnitude) by one term at
+   a time; the sum's sign is that of its largest nonzero component. *)
+let exact_sign terms =
+  let grow e b =
+    let q, hs =
+      List.fold_left
+        (fun (q, hs) a ->
+          let s, h = two_sum q a in
+          (s, h :: hs))
+        (b, []) e
+    in
+    List.rev (q :: hs)
+  in
+  let e = List.fold_left grow [] terms in
+  match List.find_opt (fun c -> c <> 0.) (List.rev e) with
+  | None -> 0
+  | Some c -> if c > 0. then 1 else -1
+
+let orient (p : Core.Geom.Point.t) (q : Core.Geom.Point.t)
+    (r : Core.Geom.Point.t) =
+  let a, a' = two_sum q.x (-.p.x) and b, b' = two_sum r.y (-.p.y) in
+  let c, c' = two_sum q.y (-.p.y) and d, d' = two_sum r.x (-.p.x) in
+  let parts x y = let h, l = two_product x y in [ h; l ] in
+  exact_sign
+    (List.concat
+       [ parts a b; parts a b'; parts a' b; parts a' b';
+         parts (-.c) d; parts (-.c) d'; parts (-.c') d; parts (-.c') d' ])
+
+(* Closed-segment intersection on [orient]. *)
+let intersects (s1 : Core.Geom.Segment.t) (s2 : Core.Geom.Segment.t) =
+  let on_segment (p : Core.Geom.Point.t) (q : Core.Geom.Point.t)
+      (r : Core.Geom.Point.t) =
+    Float.min p.x r.x <= q.x
+    && q.x <= Float.max p.x r.x
+    && Float.min p.y r.y <= q.y
+    && q.y <= Float.max p.y r.y
+  in
+  let p1 = s1.a and q1 = s1.b and p2 = s2.a and q2 = s2.b in
+  let o1 = orient p1 q1 p2 and o2 = orient p1 q1 q2 in
+  let o3 = orient p2 q2 p1 and o4 = orient p2 q2 q1 in
+  if o1 <> o2 && o3 <> o4 then true
+  else
+    (o1 = 0 && on_segment p1 p2 q1)
+    || (o2 = 0 && on_segment p1 q2 q1)
+    || (o3 = 0 && on_segment p2 p1 q2)
+    || (o4 = 0 && on_segment p2 q1 q2)
+
+(* -------------------------------------------------------------- radio *)
+
+(* [Measure.decay_space] as it was before exact wall crossings: every
+   ordered pair evaluated in full through [Decay_space.of_fn], the walls
+   by the orientation test with an absolute 1e-12 tolerance, summed in
+   wall-list order. *)
+
+module Radio = Core.Radio
+module Rng = Core.Prelude.Rng
+
+let tolerance_orientation px py qx qy rx ry =
+  let v = ((qx -. px) *. (ry -. py)) -. ((qy -. py) *. (rx -. px)) in
+  if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
+
+let tolerance_crosses p1x p1y q1x q1y p2x p2y q2x q2y =
+  let on_segment px py qx qy rx ry =
+    Float.min px rx <= qx
+    && qx <= Float.max px rx
+    && Float.min py ry <= qy
+    && qy <= Float.max py ry
+  in
+  let o1 = tolerance_orientation p1x p1y q1x q1y p2x p2y in
+  let o2 = tolerance_orientation p1x p1y q1x q1y q2x q2y in
+  let o3 = tolerance_orientation p2x p2y q2x q2y p1x p1y in
+  let o4 = tolerance_orientation p2x p2y q2x q2y q1x q1y in
+  if o1 <> o2 && o3 <> o4 then true
+  else
+    (o1 = 0 && on_segment p1x p1y p2x p2y q1x q1y)
+    || (o2 = 0 && on_segment p1x p1y q2x q2y q1x q1y)
+    || (o3 = 0 && on_segment p2x p2y p1x p1y q2x q2y)
+    || (o4 = 0 && on_segment p2x p2y q1x q1y q2x q2y)
+
+let tolerance_wall_loss_db env (a : Core.Geom.Point.t) (b : Core.Geom.Point.t)
+    =
+  List.fold_left
+    (fun acc (w : Radio.Environment.wall) ->
+      let s = w.segment in
+      if tolerance_crosses a.x a.y b.x b.y s.a.x s.a.y s.b.x s.b.y then
+        acc +. w.material.Radio.Material.attenuation_db
+      else acc)
+    0. (Radio.Environment.walls env)
+
+let large_scale_loss_db config env a b =
+  let loss =
+    Radio.Propagation.large_scale_loss_db
+      { config with Radio.Propagation.walls = false }
+      env a b
+  in
+  if config.Radio.Propagation.walls then loss +. tolerance_wall_loss_db env a b
+  else loss
+
+let pair_rng ~seed ~ordered i j =
+  let a, b = if ordered || i <= j then (i, j) else (j, i) in
+  Rng.create ((seed * 1_000_003) + (a * 7919) + b)
+
+let decay_space ?(seed = 0) ?(config = Radio.Propagation.default)
+    ?(name = "radio") env (nodes : Radio.Node.t array) =
+  let n = Array.length nodes in
+  Decay_space.of_fn ~name n (fun i j ->
+      let ni = nodes.(i) and nj = nodes.(j) in
+      let loss = large_scale_loss_db config env ni.pos nj.pos in
+      let loss =
+        if config.Radio.Propagation.shadowing_sigma_db > 0. then begin
+          let rng = pair_rng ~seed ~ordered:false i j in
+          loss
+          +. Rng.gaussian ~sigma:config.Radio.Propagation.shadowing_sigma_db rng
+        end
+        else loss
+      in
+      let loss =
+        match config.Radio.Propagation.fading with
+        | Radio.Propagation.No_fading -> loss
+        | f ->
+            let rng = pair_rng ~seed:(seed + 17) ~ordered:true i j in
+            loss
+            -. (10.
+               *. log10
+                    (Float.max 1e-12 (Radio.Propagation.fading_multiplier f rng))
+               )
+      in
+      let loss =
+        loss
+        -. Radio.Node.gain_towards_db ni nj.pos
+        -. Radio.Node.gain_towards_db nj ni.pos
+      in
+      Radio.Propagation.loss_to_decay loss)

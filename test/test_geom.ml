@@ -72,75 +72,114 @@ let test_intersects_collinear_disjoint () =
   let s2 = S.make (P.make 2. 0.) (P.make 3. 0.) in
   check_false "collinear disjoint" (S.intersects s1 s2)
 
-(* The predicate written with [Point.sub] and [Point.cross], kept as the
-   reference: [intersects] must answer exactly as this does. *)
-let reference_intersects (s1 : S.t) (s2 : S.t) =
-  let orientation p q r =
-    let v = P.cross (P.sub q p) (P.sub r p) in
-    if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
-  in
-  let on_segment (p : P.t) (q : P.t) (r : P.t) =
-    Float.min p.x r.x <= q.x
-    && q.x <= Float.max p.x r.x
-    && Float.min p.y r.y <= q.y
-    && q.y <= Float.max p.y r.y
-  in
-  let p1 = s1.a and q1 = s1.b and p2 = s2.a and q2 = s2.b in
-  let o1 = orientation p1 q1 p2 in
-  let o2 = orientation p1 q1 q2 in
-  let o3 = orientation p2 q2 p1 in
-  let o4 = orientation p2 q2 q1 in
-  if o1 <> o2 && o3 <> o4 then true
-  else
-    (o1 = 0 && on_segment p1 p2 q1)
-    || (o2 = 0 && on_segment p1 q2 q1)
-    || (o3 = 0 && on_segment p2 p1 q2)
-    || (o4 = 0 && on_segment p2 q1 q2)
-
 (* Endpoints on a small integer grid (touching, collinear, overlapping),
    anywhere in a box, or within 1e-11..1e-14 of the line y = x/2 (near-
-   collinear, inside the orientation tolerance); some segments have zero
-   length. *)
-let prop_intersects_matches_reference =
-  let open QCheck.Gen in
-  let grid =
+   collinear: where a float determinant's sign can be wrong); some
+   segments have zero length. *)
+let grid_point =
+  QCheck.Gen.(
     map
       (fun (x, y) -> P.make (float_of_int x) (float_of_int y))
-      (pair (int_range (-3) 3) (int_range (-3) 3))
-  in
-  let free =
-    map
-      (fun (x, y) -> P.make x y)
-      (pair (float_range (-10.) 10.) (float_range (-10.) 10.))
-  in
-  let near =
+      (pair (int_range (-3) 3) (int_range (-3) 3)))
+
+let free_point =
+  QCheck.Gen.(
+    map (fun (x, y) -> P.make x y)
+      (pair (float_range (-10.) 10.) (float_range (-10.) 10.)))
+
+let near_point =
+  QCheck.Gen.(
     map
       (fun (t, e, k) ->
         P.make t ((0.5 *. t) +. (e *. (10. ** float_of_int (-k)))))
-      (triple (float_range (-3.) 3.) (float_range (-1.) 1.) (int_range 11 14))
-  in
-  let point = frequency [ (2, grid); (1, free); (2, near) ] in
+      (triple (float_range (-3.) 3.) (float_range (-1.) 1.) (int_range 11 14)))
+
+let mixed_point =
+  QCheck.Gen.frequency [ (2, grid_point); (1, free_point); (2, near_point) ]
+
+let print_point (p : P.t) = Printf.sprintf "(%h,%h)" p.x p.y
+
+let segment_arb =
   let segment =
-    frequency
-      [ (4, map (fun (a, b) -> S.make a b) (pair point point));
-        (1, map (fun a -> S.make a a) point) ]
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun (a, b) -> S.make a b) (pair mixed_point mixed_point));
+          (1, map (fun a -> S.make a a) mixed_point) ])
   in
-  let print (s : S.t) =
-    Printf.sprintf "(%h,%h)-(%h,%h)" s.a.x s.a.y s.b.x s.b.y
+  let print (s : S.t) = print_point s.a ^ "-" ^ print_point s.b in
+  QCheck.make ~print:QCheck.Print.(pair print print) QCheck.Gen.(pair segment segment)
+
+let prop_intersects_matches_reference =
+  qcheck ~count:3000 "intersects = Point-based exact reference" segment_arb
+    (fun (s1, s2) -> Bool.equal (S.intersects s1 s2) (Naive_ref.intersects s1 s2))
+
+let triple_arb gen =
+  QCheck.make ~print:QCheck.Print.(triple print_point print_point print_point) gen
+
+let points3 point = QCheck.Gen.triple point point point
+
+let prop_orient_antisymmetric =
+  qcheck ~count:2000 "orient q p r = - orient p q r" (triple_arb (points3 mixed_point))
+    (fun (p, q, r) -> S.orient q p r = - S.orient p q r)
+
+let prop_orient_cyclic =
+  qcheck ~count:2000 "orient p q r = orient q r p" (triple_arb (points3 mixed_point))
+    (fun (p, q, r) -> S.orient p q r = S.orient q r p)
+
+(* On coordinates k/8 with |k| <= 64 every difference, product and the
+   final subtraction of the plain determinant are exact floats, so its
+   sign is the true one. *)
+let prop_orient_dyadic_grid =
+  let dyadic =
+    QCheck.Gen.(
+      map
+        (fun (i, j) -> P.make (float_of_int i /. 8.) (float_of_int j /. 8.))
+        (pair (int_range (-64) 64) (int_range (-64) 64)))
   in
-  qcheck ~count:3000 "intersects = Point-based reference"
-    (QCheck.make ~print:QCheck.Print.(pair print print) (pair segment segment))
-    (fun (s1, s2) ->
-      Bool.equal (S.intersects s1 s2) (reference_intersects s1 s2))
+  qcheck ~count:2000 "orient = plain determinant on a dyadic grid"
+    (triple_arb (points3 dyadic)) (fun (p, q, r) ->
+      S.orient p q r = Float.compare (P.cross (P.sub q p) (P.sub r p)) 0.)
+
+(* r near the line through p and q, off it by 1e-11..1e-14: the filter
+   fails on about one such triple in eight, and the exact fallback
+   decides. *)
+let prop_orient_near_collinear =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((p, q), (t, e, k)) ->
+          let r = P.lerp p q t in
+          (p, q, P.make r.x (r.y +. (e *. (10. ** float_of_int (-k))))))
+        (pair (pair free_point free_point)
+           (triple (float_range (-2.) 3.) (float_range (-1.) 1.) (int_range 11 14))))
+  in
+  qcheck ~count:3000 "orient = exact reference near collinear" (triple_arb gen)
+    (fun (p, q, r) ->
+      let o = Naive_ref.orient p q r in
+      S.orient p q r = o && S.orient q p r = -o && S.orient q r p = o)
+
+let test_orient_beats_the_float_sign () =
+  (* The plain float determinant puts p right of the line from q to r;
+     exactly, p lies (barely) left of it. *)
+  let p = P.make 0x1.000000000002ap-1 0x1.000000000003p-1 in
+  let q = P.make 12. 12. and r = P.make 24. 24. in
+  check_int "float determinant" (-1)
+    (Float.compare (P.cross (P.sub q p) (P.sub r p)) 0.);
+  check_int "reference" 1 (Naive_ref.orient p q r);
+  check_int "orient" 1 (S.orient p q r);
+  check_int "antisymmetric" (-1) (S.orient q p r)
 
 let test_intersects_tolerance_case () =
-  (* Orientations 0, 1, 1, 0 under the 1e-12 tolerance: reported as
-     crossing although the segments are 0.57 m apart, which is why a
-     bounding-box pre-filter would change answers. *)
+  (* The wall lies strictly above y = 0 (its ends at y = 1e-12 and
+     2.5e-12) and 0.57 m beyond the path's end, so the two do not meet.
+     The former 1e-12 tolerance rounded both of the wall's orientations
+     to 0 and reported a crossing; the exact test does not, in either
+     direction of the path. *)
   let path = S.make (P.make 0. 0.) (P.make 1. 0.) in
   let wall = S.make (P.make 1.5667 1e-12) (P.make 2.5667 2.5e-12) in
-  check_true "reference reports a crossing" (reference_intersects path wall);
-  check_true "intersects agrees" (S.intersects path wall)
+  check_false "reference: no crossing" (Naive_ref.intersects path wall);
+  check_false "intersects agrees" (S.intersects path wall);
+  check_false "reversed path" (S.intersects (S.make path.b path.a) wall)
 
 let test_intersection_point () =
   let s1 = S.make (P.make 0. 0.) (P.make 2. 2.) in
@@ -153,6 +192,37 @@ let test_intersection_none () =
   let s1 = S.make (P.make 0. 0.) (P.make 1. 0.) in
   let s2 = S.make (P.make 0. 1.) (P.make 1. 1.) in
   check_true "no intersection" (S.intersection s1 s2 = None)
+
+let test_intersection_sub_micrometre () =
+  (* A right-angle crossing at sub-micrometre scale: its cross product
+     (2e-13) is tiny in absolute terms, but the segments are not
+     parallel, so both predicates find the crossing. *)
+  let s1 = S.make (P.make 0. 0.) (P.make 1e-6 0.) in
+  let s2 = S.make (P.make 5e-7 (-1e-7)) (P.make 5e-7 1e-7) in
+  check_true "intersects" (S.intersects s1 s2);
+  match S.intersection s1 s2 with
+  | Some p -> check_true "at (5e-7, 0)" (P.equal ~eps:1e-15 p (P.make 5e-7 0.))
+  | None -> Alcotest.fail "expected an intersection point"
+
+let test_intersection_collinear () =
+  let s1 = S.make (P.make 0. 0.) (P.make 2. 0.) in
+  check_true "overlap" (S.intersection s1 (S.make (P.make 1. 0.) (P.make 3. 0.)) = None);
+  check_true "end to end" (S.intersection s1 (S.make (P.make 2. 0.) (P.make 3. 0.)) = None);
+  check_true "a point on it" (S.intersection s1 (S.make (P.make 1. 0.) (P.make 1. 0.)) = None);
+  match S.intersection s1 (S.make (P.make 2. 0.) (P.make 2. 5.)) with
+  | Some p -> check_true "touching at (2, 0)" (P.equal p (P.make 2. 0.))
+  | None -> Alcotest.fail "expected the touching point"
+
+let prop_intersection_agrees_with_intersects =
+  let collinear (s1 : S.t) (s2 : S.t) =
+    (Naive_ref.orient s1.a s1.b s2.a = 0 && Naive_ref.orient s1.a s1.b s2.b = 0)
+    || (Naive_ref.orient s2.a s2.b s1.a = 0 && Naive_ref.orient s2.a s2.b s1.b = 0)
+  in
+  qcheck ~count:3000 "intersection <> None iff intersects, unless collinear"
+    segment_arb (fun (s1, s2) ->
+      let point = S.intersection s1 s2 <> None in
+      (not point || S.intersects s1 s2)
+      && (collinear s1 s2 || Bool.equal point (S.intersects s1 s2)))
 
 let test_length_midpoint () =
   let s = S.make (P.make 0. 0.) (P.make 6. 8.) in
@@ -283,8 +353,16 @@ let suite =
         case "collinear disjoint" test_intersects_collinear_disjoint;
         case "tolerance crossing" test_intersects_tolerance_case;
         prop_intersects_matches_reference;
+        prop_orient_antisymmetric;
+        prop_orient_cyclic;
+        prop_orient_dyadic_grid;
+        prop_orient_near_collinear;
+        case "orient beats the float sign" test_orient_beats_the_float_sign;
         case "intersection point" test_intersection_point;
         case "no intersection point" test_intersection_none;
+        case "sub-micrometre intersection" test_intersection_sub_micrometre;
+        case "collinear intersection" test_intersection_collinear;
+        prop_intersection_agrees_with_intersects;
         case "length/midpoint" test_length_midpoint;
         case "point distance" test_dist_point;
         case "crossings count" test_crossings;

@@ -67,6 +67,55 @@ let test_random_clutter_count () =
   let e = Env.random_clutter (rng 1) ~side:20. ~n_walls:15 [ Mat.concrete ] in
   check_int "wall count" 15 (List.length (Env.walls e))
 
+(* Path ends anywhere on the floor, or on the office's wall lines and
+   door edges, where paths touch walls and run along them. *)
+let prop_wall_loss_symmetric =
+  let coord =
+    QCheck.Gen.(
+      frequency
+        [ (3, float_range (-1.) 25.);
+          (1, oneofl [ 0.; 6.; 8.4; 9.6; 12.; 18.; 2.4; 3.6 ]) ])
+  in
+  let point = QCheck.Gen.map (fun (x, y) -> P.make x y) (QCheck.Gen.pair coord coord) in
+  let office = Env.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. Mat.drywall in
+  qcheck ~count:2000 "wall loss symmetric, = reject-free sum"
+    (QCheck.make
+       ~print:(fun (k, a, b) -> Printf.sprintf "%d (%h,%h)-(%h,%h)" k a.P.x a.P.y b.P.x b.P.y)
+       QCheck.Gen.(triple small_nat point point))
+    (fun (k, a, b) ->
+      let env =
+        if k mod 2 = 0 then office
+        else Env.random_clutter (rng k) ~side:25. ~n_walls:30 [ Mat.concrete; Mat.metal ]
+      in
+      let path = S.make a b in
+      let plain =
+        List.fold_left
+          (fun acc w ->
+            if S.intersects path w.Env.segment then acc +. w.Env.material.Mat.attenuation_db
+            else acc)
+          0. (Env.walls env)
+      in
+      let ab = Env.wall_loss_db env a b and ba = Env.wall_loss_db env b a in
+      Int64.equal (Int64.bits_of_float ab) (Int64.bits_of_float ba)
+      && Int64.equal (Int64.bits_of_float ab) (Int64.bits_of_float plain))
+
+(* The orientation filter stays inline in the wall loop: a path's loss
+   allocates only its boxed result, where an out-of-line predicate would
+   box six floats per wall test. *)
+let test_wall_loss_allocates_only_its_result () =
+  let env = Env.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. Mat.drywall in
+  let pts =
+    Array.of_list (Core.Decay.Spaces.random_points (rng 3) ~n:40 ~side:17.)
+  in
+  let before = Gc.minor_words () in
+  for i = 0 to 39 do
+    for j = 0 to 39 do
+      ignore (Sys.opaque_identity (Env.wall_loss_db env pts.(i) pts.(j)))
+    done
+  done;
+  let words = (Gc.minor_words () -. before) /. 1600. in
+  check_true (Printf.sprintf "%.2f words per call <= 3" words) (words <= 3.)
+
 let test_random_clutter_requires_materials () =
   Alcotest.check_raises "no materials"
     (Invalid_argument "Environment.random_clutter: no materials") (fun () ->
@@ -179,11 +228,74 @@ let test_decay_space_deterministic () =
   let d3 = Meas.decay_space ~seed:43 env nodes in
   check_false "different seed differs" (D.matrix d1 = D.matrix d3)
 
+let bit_symmetric d =
+  let n = D.n d and ok = ref true in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Int64.bits_of_float (D.decay d i j) <> Int64.bits_of_float (D.decay d j i)
+      then ok := false
+    done
+  done;
+  !ok
+
+(* Isotropic nodes and no fading: every term is symmetric, with or
+   without walls, so the cells are equal bit for bit. *)
 let test_decay_space_symmetric_shadowing () =
-  let env = Env.empty ~side:10. in
-  let nodes = Node.of_points (Core.Decay.Spaces.random_points (rng 8) ~n:6 ~side:9.) in
-  let d = Meas.decay_space ~seed:1 env nodes in
-  check_true "frozen shadowing is symmetric" (D.is_symmetric d)
+  let nodes seed side =
+    Node.of_points (Core.Decay.Spaces.random_points (rng seed) ~n:30 ~side)
+  in
+  let free = Meas.decay_space ~seed:1 (Env.empty ~side:10.) (nodes 8 9.) in
+  check_true "free space" (bit_symmetric free);
+  let office = Env.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. Mat.drywall in
+  check_true "office" (bit_symmetric (Meas.decay_space ~seed:2 office (nodes 9 17.)));
+  let clutter =
+    Env.random_clutter (rng 10) ~side:25. ~n_walls:30 [ Mat.concrete; Mat.metal ]
+  in
+  check_true "clutter" (bit_symmetric (Meas.decay_space ~seed:3 clutter (nodes 11 24.)))
+
+(* Random office, clutter and corridor deployments, with shadowing on or
+   off, Rayleigh fading, sector antennas on all or half of the nodes:
+   every cell equals the per-ordered-pair reference bit for bit (equal
+   digests), at jobs 1 and at jobs 4. *)
+let prop_decay_space_matches_reference =
+  let sector = Ant.sector ~beamwidth:1.2 ~gain_db:8. ~back_db:(-12.) in
+  let build (seed, kind, n, variant) =
+    let g = rng seed in
+    let env, side =
+      match kind with
+      | 0 -> (Env.office ~rooms_x:3 ~rooms_y:3 ~room_size:6. Mat.drywall, 17.)
+      | 1 -> (Env.random_clutter g ~side:25. ~n_walls:30 [ Mat.concrete; Mat.metal ], 24.)
+      | _ -> (Env.corridor ~rooms:5 ~room_size:5. ~corridor_width:2. Mat.brick, 24.)
+    in
+    let pts = Core.Decay.Spaces.random_points g ~n ~side in
+    let nodes =
+      match variant with
+      | 2 -> Node.random_oriented g sector pts
+      | 3 ->
+          let directed = Node.random_oriented g sector pts in
+          Array.mapi (fun i nd -> if i mod 2 = 0 then nd else Node.make nd.Node.pos) directed
+      | _ -> Node.of_points pts
+    in
+    let config =
+      { Prop.default with
+        Prop.fading = (if variant mod 2 = 1 then Prop.Rayleigh else Prop.No_fading);
+        shadowing_sigma_db = (if variant = 4 then 0. else 6.) }
+    in
+    (env, nodes, config)
+  in
+  qcheck ~count:60 "decay space = per-pair reference, jobs 1 and 4"
+    QCheck.(quad small_nat (int_range 0 2) (int_range 2 40) (int_range 0 4))
+    (fun ((seed, _, _, _) as c) ->
+      let env, nodes, config = build c in
+      let at jobs =
+        let saved = Core.Prelude.Parallel.default_jobs () in
+        Core.Prelude.Parallel.set_default_jobs jobs;
+        Fun.protect
+          ~finally:(fun () -> Core.Prelude.Parallel.set_default_jobs saved)
+          (fun () -> D.digest (Meas.decay_space ~seed ~config env nodes))
+      in
+      let reference = D.digest (Naive_ref.decay_space ~seed ~config env nodes) in
+      String.equal (at 1) reference && String.equal (at 4) reference)
 
 let test_decay_space_free_space_geo () =
   (* Free-space config on isotropic nodes reproduces d^2 geometry exactly
@@ -252,6 +364,15 @@ let test_prr_step_without_fading () =
   check_float "below threshold" 0.
     (Meas.prr g ~beta:2. ~mean_sinr:1. ~fading:Prop.No_fading)
 
+let test_prr_rejects_no_samples () =
+  List.iter
+    (fun (samples, fading) ->
+      Alcotest.check_raises
+        (Printf.sprintf "samples %d" samples)
+        (Invalid_argument "Measure.prr: samples must be at least 1")
+        (fun () -> ignore (Meas.prr ~samples (rng 1) ~beta:1. ~mean_sinr:2. ~fading)))
+    [ (0, Prop.Rayleigh); (-5, Prop.Rayleigh); (0, Prop.No_fading) ]
+
 let test_prr_smooth_with_rayleigh () =
   let g = rng 13 in
   (* Rayleigh: PRR = exp(-beta/mean). *)
@@ -308,6 +429,9 @@ let suite =
         case "corridor builds" test_corridor_builds;
         case "random clutter count" test_random_clutter_count;
         case "clutter needs materials" test_random_clutter_requires_materials;
+        prop_wall_loss_symmetric;
+        case "wall loss allocates only its result"
+          test_wall_loss_allocates_only_its_result;
       ] );
     ( "radio.antenna",
       [
@@ -332,12 +456,14 @@ let suite =
       [
         case "deterministic" test_decay_space_deterministic;
         case "symmetric shadowing" test_decay_space_symmetric_shadowing;
+        prop_decay_space_matches_reference;
         case "free space is geo" test_decay_space_free_space_geo;
         case "antenna reciprocity" test_anisotropic_reciprocity;
         case "fading asymmetry" test_fading_breaks_symmetry;
         case "rssi quantization" test_measured_quantization;
         case "noise-floor censoring" test_measured_censoring;
         case "prr step" test_prr_step_without_fading;
+        case "prr rejects samples < 1" test_prr_rejects_no_samples;
         case "prr rayleigh s-curve" test_prr_smooth_with_rayleigh;
         case "free-space correlation 1" test_distance_correlation_free_space;
         case "clutter kills correlation" test_clutter_lowers_correlation;

@@ -1266,10 +1266,13 @@ let test_socket_round_trip () =
     check_daemon_exit_0 pid
   end
 
-(* A supervised daemon that chaos-SIGKILLs itself mid-batch: the
-   supervisor restarts it on the same pipes, the client's deadline
-   retries recover the lost batch, and the WAL-backed cache carries
-   answers across incarnations.  Every request still answered once. *)
+(* A supervised daemon that chaos-SIGKILLs itself mid-batch and drops
+   or tears 2% of its replies: the supervisor restarts it on the same
+   pipes, the client's deadline retries recover the lost answers, and
+   the WAL-backed cache carries answers across incarnations.  Every
+   request is still answered once.  Then the same trace is replayed
+   with chaos off over the recovered cache, which must have kept most
+   answers: CI's chaos-smoke checks, with its thresholds. *)
 let test_supervised_restart_rides_out_crashes () =
   if not (Sys.file_exists bg_exe) then Alcotest.skip ()
   else
@@ -1291,14 +1294,25 @@ let test_supervised_restart_rides_out_crashes () =
         let r =
           L.drive_subprocess ~window:8 ~client
             [| bg_exe; "serve"; "--supervise"; "--batch-size"; "8"; "--cache";
-               cache; "--chaos"; "crash=mid-batch:3"; "--chaos-seed"; "11";
-               "--jobs"; "1" |]
+               cache; "--chaos"; "drop=0.02,torn=0.02,crash=mid-batch:3";
+               "--chaos-seed"; "11"; "--jobs"; "1" |]
             (L.generate w)
         in
         check_int "every request answered" r.L.sent r.L.answered;
         check_int "all ok" r.L.sent r.L.ok;
         check_int "nothing abandoned" 0 r.L.gave_up;
-        check_true "the crash actually cost retries" (r.L.retries > 0))
+        check_true "the crash actually cost retries" (r.L.retries > 0);
+        let warm =
+          L.drive_subprocess ~window:8
+            [| bg_exe; "serve"; "--batch-size"; "8"; "--cache"; cache; "--jobs";
+               "1" |]
+            (L.generate w)
+        in
+        check_int "warm: every request answered" warm.L.sent warm.L.answered;
+        check_int "warm: nothing abandoned" 0 warm.L.gave_up;
+        check_true
+          (Printf.sprintf "warm hit rate %.3f > 0.5" (L.hit_rate warm))
+          (L.hit_rate warm > 0.5))
 
 (* Run [bg args] to completion with [input] on stdin; returns the exit
    status, stdout and stderr. *)
