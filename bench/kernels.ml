@@ -1,8 +1,10 @@
 (* The flat/log-domain kernel benchmark: naive row-matrix sweeps vs the
    optimized flat-layout sweeps (sequential and parallel), zeta and phi,
-   on GEO-SINR spaces of growing n.  Emits a table and machine-readable
-   BENCH_kernels.json so the speedups and pruning hit-rates are tracked
-   across PRs.
+   on spaces of growing n: a GEO-SINR space, which is exactly symmetric,
+   so the optimized sweeps visit each pair once, and the same points
+   under per-direction shadowing, which is not, so they take the full
+   sweep.  Emits a table and machine-readable BENCH_kernels.json so the
+   speedups and pruning hit-rates are tracked across PRs.
 
    The naive kernels below are the pre-optimization sweeps kept verbatim
    (same shape as test/naive_ref.ml): bounds-checked [Decay_space.matrix]
@@ -101,10 +103,14 @@ let span_off_overhead_ns () =
   ignore !sink;
   cost
 
-let geo_space n =
-  D.of_points ~alpha:3.
-    (Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 2024) ~n
-       ~side:30.)
+let points n =
+  Core.Decay.Spaces.random_points (Core.Prelude.Rng.create 2024) ~n ~side:30.
+
+let spaces n =
+  [ ("geo", D.of_points ~alpha:3. (points n));
+    ( "perturbed",
+      Core.Decay.Spaces.perturbed (Core.Prelude.Rng.create 2025) ~alpha:3.
+        ~sigma:0.5 (points n) ) ]
 
 (* The sweep's [kernel.*] counters, read as deltas of the Obs registry
    around [f ()]: the same numbers `bg analyze --metrics` prints. *)
@@ -132,7 +138,7 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
            "flat log-domain kernels: zeta and phi sweeps, naive vs \
             optimized (par jobs=%d)"
            par_jobs)
-      [ "sweep"; "n"; "naive (ms)"; "opt seq (ms)"; "opt par (ms)";
+      [ "sweep"; "space"; "n"; "naive (ms)"; "opt seq (ms)"; "opt par (ms)";
         "seq speedup"; "par speedup"; "pruned"; "min-plus rows";
         "identical" ]
   in
@@ -140,11 +146,10 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
   let entries =
     List.concat_map
       (fun n ->
-        let space = geo_space n in
         let reps = if n >= 256 then 2 else 3 in
         let naive_reps = if n >= 256 then 1 else 2 in
         List.map
-          (fun (sweep, naive, opt) ->
+          (fun ((kind, space), (sweep, naive, opt)) ->
             let w_naive, naive_s =
               Timing.time_best ~reps:naive_reps (fun () -> naive space)
             in
@@ -174,14 +179,15 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
             in
             let per_sweep k = delta k / reps in
             T.add_row table
-              [ T.S sweep; T.I n; T.F2 (naive_s *. 1e3);
+              [ T.S sweep; T.S kind; T.I n; T.F2 (naive_s *. 1e3);
                 T.F2 (opt_seq_s *. 1e3); T.F2 (opt_par_s *. 1e3);
                 T.F2 seq_speedup; T.F2 par_speedup; T.F2 pruned_fraction;
                 T.I (per_sweep "minplus_rows");
                 T.S (string_of_bool identical) ];
             ( identical,
               J.Obj
-                [ ("sweep", J.Str sweep); ("n", J.Num (float_of_int n));
+                [ ("sweep", J.Str sweep); ("space", J.Str kind);
+                  ("n", J.Num (float_of_int n));
                   ("naive_s", J.Num naive_s); ("opt_seq_s", J.Num opt_seq_s);
                   ("opt_par_s", J.Num opt_par_s);
                   ("seq_speedup", J.Num seq_speedup);
@@ -192,7 +198,9 @@ let run ?(par_jobs = 4) ?(max_n = 512) ?(json_path = "BENCH_kernels.json") ()
                   ("exp_evals", J.Num (float_of_int (per_sweep "exp_evals")));
                   ("bisections", J.Num (float_of_int (per_sweep "bisections")));
                   ("identical", J.Bool identical) ] ))
-          sweeps)
+          (List.concat_map
+             (fun space -> List.map (fun sweep -> (space, sweep)) sweeps)
+             (spaces n)))
       sizes
   in
   T.print table;

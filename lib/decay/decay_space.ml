@@ -2,6 +2,9 @@
    float64 ([f(p,q)] at index [p*n + q]), plus lazily built companion
    buffers that the O(n^3) analysis kernels stream over:
 
+   - [sym]:       whether every cell equals its mirror bit for bit; on
+                  such a space the transposes below are the buffers
+                  they transpose, and the sweeps visit each pair once;
    - [logs]:      natural log of every decay (diagonal: [neg_infinity]),
                   so the metricity bisection never calls [log] per triple;
    - [trans]:     the transpose, so the inner z-loop of a triple sweep
@@ -37,6 +40,7 @@ type t = {
   n : int;
   flat : buf;
   name : string;
+  sym : bool option Atomic.t;
   logs : buf option Atomic.t;
   trans : buf option Atomic.t;
   log_trans : buf option Atomic.t;
@@ -69,6 +73,7 @@ let wrap name n flat =
     n;
     flat;
     name;
+    sym = Atomic.make None;
     logs = Atomic.make None;
     trans = Atomic.make None;
     log_trans = Atomic.make None;
@@ -123,12 +128,31 @@ let of_fn ?(name = "decay") n fn =
   done;
   make name n flat
 
+let check_alpha alpha =
+  if alpha <= 0. then invalid_arg "Decay_space.of_metric: alpha must be positive"
+
 let of_metric ?(name = "geo") ~alpha (m : Bg_geom.Metric.t) =
-  if alpha <= 0. then invalid_arg "Decay_space.of_metric: alpha must be positive";
+  check_alpha alpha;
   of_fn ~name m.Bg_geom.Metric.n (fun i j -> m.Bg_geom.Metric.d.(i).(j) ** alpha)
 
+(* [Point.dist] is symmetric bit for bit (it squares coordinate
+   differences), so each unordered pair's [**] fills both cells: the
+   same floats [of_metric] over [Metric.of_points] computes per ordered
+   pair, without the boxed metric matrix. *)
 let of_points ?(name = "plane") ~alpha points =
-  of_metric ~name ~alpha (Bg_geom.Metric.of_points points)
+  check_alpha alpha;
+  let pts = Array.of_list points in
+  let n = Array.length pts in
+  let flat = alloc (n * n) in
+  for i = 0 to n - 1 do
+    flat.{(i * n) + i} <- 0.;
+    for j = i + 1 to n - 1 do
+      let f = Bg_geom.Point.dist pts.(i) pts.(j) ** alpha in
+      flat.{(i * n) + j} <- f;
+      flat.{(j * n) + i} <- f
+    done
+  done;
+  make name n flat
 
 let n d = d.n
 let name d = d.name
@@ -169,13 +193,44 @@ let once d cell build =
               Atomic.set cell (Some b);
               b)
 
-let logs_of (flat : buf) =
-  let m = Bigarray.Array1.dim flat in
-  let l = alloc m in
-  for i = 0 to m - 1 do
-    let v = ba_unsafe_get flat i in
-    ba_unsafe_set l i (if v > 0. then log v else neg_infinity)
+(* Row by row over the upper triangle, stopping at the first cell whose
+   mirror has other bits: asymmetric spaces pay one comparison. *)
+let mirrored n (flat : buf) =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    let row = !i * n and j = ref (!i + 1) in
+    while !ok && !j < n do
+      ok :=
+        Int64.bits_of_float (ba_unsafe_get flat (row + !j))
+        = Int64.bits_of_float (ba_unsafe_get flat ((!j * n) + !i));
+      incr j
+    done;
+    incr i
   done;
+  !ok
+
+let exactly_symmetric d = once d d.sym (fun () -> mirrored d.n d.flat)
+
+(* On a symmetric space one [log] fills a cell and its mirror. *)
+let logs_of ~sym n (flat : buf) =
+  let l = alloc (n * n) in
+  if sym then
+    for i = 0 to n - 1 do
+      let row = i * n in
+      let v = ba_unsafe_get flat (row + i) in
+      ba_unsafe_set l (row + i) (if v > 0. then log v else neg_infinity);
+      for j = i + 1 to n - 1 do
+        let v = ba_unsafe_get flat (row + j) in
+        let lv = if v > 0. then log v else neg_infinity in
+        ba_unsafe_set l (row + j) lv;
+        ba_unsafe_set l ((j * n) + i) lv
+      done
+    done
+  else
+    for i = 0 to (n * n) - 1 do
+      let v = ba_unsafe_get flat i in
+      ba_unsafe_set l i (if v > 0. then log v else neg_infinity)
+    done;
   l
 
 (* Tiled transpose: process 32x32 blocks so both the source rows and the
@@ -200,18 +255,31 @@ let transpose_of n (src : buf) =
   done;
   dst
 
+(* Each view reads the flag before taking the build lock: [once] is not
+   reentrant.  On a symmetric space a transpose is the buffer it would
+   transpose, shared; [buf] is private outside this module, so nothing
+   can write through the alias. *)
 let flat_view d = d.flat
-let log_flat_view d = once d d.logs (fun () -> logs_of d.flat)
-let transpose_view d = once d d.trans (fun () -> transpose_of d.n d.flat)
 
-let log_transpose_view d =
-  match Atomic.get d.log_trans with
+let log_flat_view d =
+  match Atomic.get d.logs with
   | Some b -> b
   | None ->
-      (* Force the prerequisite outside the lock: [once] is not
-         reentrant. *)
-      let lg = log_flat_view d in
-      once d d.log_trans (fun () -> transpose_of d.n lg)
+      let sym = exactly_symmetric d in
+      once d d.logs (fun () -> logs_of ~sym d.n d.flat)
+
+let transpose_view d =
+  if exactly_symmetric d then d.flat
+  else once d d.trans (fun () -> transpose_of d.n d.flat)
+
+let log_transpose_view d =
+  if exactly_symmetric d then log_flat_view d
+  else
+    match Atomic.get d.log_trans with
+    | Some b -> b
+    | None ->
+        let lg = log_flat_view d in
+        once d d.log_trans (fun () -> transpose_of d.n lg)
 
 module Flat = struct
   type nonrec buf = buf
@@ -285,13 +353,15 @@ let off_diagonal_fold op init d =
 let min_decay d = off_diagonal_fold Float.min infinity d
 let max_decay d = off_diagonal_fold Float.max 0. d
 
+(* Validated like every constructor: a transform can overflow a cell to
+   [inf] or underflow it to [0]. *)
 let map_flat fn d =
   let m = Bigarray.Array1.dim d.flat in
   let flat = alloc m in
   for i = 0 to m - 1 do
     ba_unsafe_set flat i (fn (ba_unsafe_get d.flat i))
   done;
-  wrap d.name d.n flat
+  make d.name d.n flat
 
 let scale k d =
   if k <= 0. then invalid_arg "Decay_space.scale: factor must be positive";

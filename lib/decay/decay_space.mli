@@ -60,7 +60,10 @@ val of_metric : ?name:string -> alpha:float -> Bg_geom.Metric.t -> t
     [zeta] equals the path-loss exponent [alpha]. *)
 
 val of_points : ?name:string -> alpha:float -> Bg_geom.Point.t list -> t
-(** Euclidean GEO-SINR decay space on planar points. *)
+(** Euclidean GEO-SINR decay space on planar points: the same cells as
+    [of_metric ~alpha (Metric.of_points points)], computed once per
+    unordered pair straight into the flat buffer.  Coincident points
+    raise the cell-addressed nonpositive-decay message. *)
 
 val n : t -> int
 (** Number of nodes. *)
@@ -85,7 +88,24 @@ val matrix : t -> float array array
 (** A defensive copy of the decay matrix. *)
 
 val is_symmetric : ?eps:float -> t -> bool
-(** Whether [f(p,q) = f(q,p)] within relative tolerance. *)
+(** Whether [f(p,q) = f(q,p)] within relative tolerance [eps] (default
+    [1e-9]): the tolerant notion reports use.  The kernels' shortcut is
+    {!exactly_symmetric}. *)
+
+val exactly_symmetric : t -> bool
+(** Whether [f(p,q)] and [f(q,p)] are the same float, bit for bit, for
+    every pair.  Computed at most once per space, lazily and race-free
+    like the {!Flat} views, by a row-major pass over the upper triangle
+    that stops at the first pair that differs, so an asymmetric space
+    pays about one comparison.
+
+    Only consumers that read every cell anyway ask for it: the lazy
+    views, the zeta and phi sweeps ({!Metricity}) and
+    {!Statistics.summarize}.  On a symmetric space the views alias
+    ({!Flat.transpose} is {!Flat.data}, {!Flat.log_transpose} is
+    {!Flat.logs}), the sweeps visit each unordered pair once, and the
+    summary reads the upper triangle.  The estimators never ask, so a
+    memory-mapped space they sample is never paged in whole. *)
 
 val min_decay : t -> float
 (** Smallest off-diagonal decay.  Raises on spaces with fewer than two
@@ -97,11 +117,15 @@ val max_decay : t -> float
 val scale : float -> t -> t
 (** Multiply all decays by a positive constant.  The metricity is invariant
     under scaling only in the trivial sense that quasi-distances rescale;
-    tests cover the exact behaviour. *)
+    tests cover the exact behaviour.
+    @raise Invalid_argument when a product overflows to [inf] or
+    underflows to [0], with the cell-addressed message of {!of_matrix}. *)
 
 val pow : float -> t -> t
 (** [pow e d] raises every decay to the positive power [e]; this multiplies
-    the metricity by exactly [e] (for [zeta >= 1] results). *)
+    the metricity by exactly [e] (for [zeta >= 1] results).
+    @raise Invalid_argument like {!scale} when a power leaves the finite
+    positive floats. *)
 
 val symmetrize : t -> t
 (** Replace [f(p,q)] and [f(q,p)] by their maximum, the conservative
@@ -133,7 +157,12 @@ val pp : Format.formatter -> t -> unit
     workers may request any view at any time — whoever arrives first
     builds, everyone else waits or takes the published buffer.  There is
     no force-before-fanout contract anymore; {!Flat.force} remains as a
-    warm-up hint only. *)
+    warm-up hint only.
+
+    On an {!exactly_symmetric} space no transpose is built: each
+    transpose view is the buffer it transposes, and {!Flat.logs} fills a
+    cell and its mirror from one [log].  The views are equal value for
+    value either way. *)
 
 module Flat : sig
   type buf = private
@@ -150,19 +179,24 @@ module Flat : sig
   val logs : t -> buf
   (** Natural logs of the decays (diagonal: [neg_infinity]), built lazily
       on first use.  Lets the metricity bisection reuse [log f] instead of
-      calling [log] per triple. *)
+      calling [log] per triple.  Building it computes the symmetry
+      flag. *)
 
   val transpose : t -> buf
   (** The transposed decay matrix ([f(q,p)] at index [p*n + q]), built
       lazily with a cache-blocked transpose.  Turns the column accesses of
-      the triple sweeps into sequential row streams. *)
+      the triple sweeps into sequential row streams.  On an
+      {!exactly_symmetric} space it is {!data} itself (physically equal),
+      and asking for it computes the flag. *)
 
   val log_transpose : t -> buf
-  (** Transpose of {!logs}, built lazily. *)
+  (** Transpose of {!logs}, built lazily; {!logs} itself on an
+      {!exactly_symmetric} space. *)
 
   val force : t -> unit
-  (** Build all lazy companions now.  Purely a warm-up/pre-touch hint —
-      concurrent first use is safe without it. *)
+  (** Build all lazy companions (and the symmetry flag) now.  Purely a
+      warm-up/pre-touch hint — concurrent first use is safe without
+      it. *)
 
   val length : buf -> int
   (** Number of cells ([n*n]). *)

@@ -230,8 +230,7 @@ let gamma_sweep ?exact_limit ~jobs d ~r =
   in
   let order = Array.init n Fun.id in
   Array.sort (fun a b -> Float.compare bound.(b) bound.(a)) order;
-  let stripes = min jobs n in
-  let stripe s =
+  let stripe ~stripes s =
     let best = ref 0. and exact = ref 0 and greedy = ref 0 and cut = ref 0 in
     let i = ref s in
     while !i < n && not (bound.(order.(!i)) *. (1. +. bound_margin) < !best) do
@@ -250,16 +249,10 @@ let gamma_sweep ?exact_limit ~jobs d ~r =
     done;
     (!best, { t_exact = !exact; t_greedy = !greedy; t_cut = !cut })
   in
-  let combine (a, ta) (b, tb) = ((if b > a then b else a), merge ta tb) in
   let best, t =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:stripes ~neutral:(0., empty_tally)
-      ~map:(fun s_lo s_hi ->
-        let acc = ref (0., empty_tally) in
-        for s = s_lo to s_hi - 1 do
-          acc := combine !acc (stripe s)
-        done;
-        !acc)
-      ~combine
+    Par.map_reduce_stripes ~jobs ~units:n ~neutral:(0., empty_tally)
+      ~map:stripe
+      ~combine:(fun (a, ta) (b, tb) -> ((if b > a then b else a), merge ta tb))
   in
   publish ~n t;
   best

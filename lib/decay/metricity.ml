@@ -202,7 +202,7 @@ let better a b =
   else if b.value = a.value && lex_before b.x b.y b.z a.x a.y a.z then b
   else a
 
-(* phi stores its witness with the y/z roles swapped (see [phi_chunk]);
+(* phi stores its witness with the y/z roles swapped (see [phi_stripe]);
    its iteration coordinates are [(w.x, w.z, w.y)]. *)
 let better_phi a b =
   if b.value > a.value then b
@@ -212,7 +212,7 @@ let better_phi a b =
 (* ------------------------------------------------------ kernel counters *)
 
 (* Pruning diagnostics, published as [kernel.*] Obs counters; they never
-   influence results.  Chunks never write shared state from worker
+   influence results.  Stripes never write shared state from worker
    domains: each fills a private [tally], tallies are summed in the
    deterministic combine of [Par.map_reduce_chunks], and the caller
    publishes the total once per sweep, so the counts do not depend on
@@ -240,11 +240,12 @@ type tally = {
   t_pairs : int; (* whole z-loops skipped by the pair bound *)
   t_tiles : int; (* z-tiles skipped by the tile bound *)
   t_minplus : int; (* rows whose pairs the min-plus pass screened *)
+  t_mirror : int; (* pairs y < x left to their mirror (x, y) *)
 }
 
 let empty_tally =
   { t_plain = 0; t_cheap = 0; t_deep = 0; t_exp = 0; t_bis = 0; t_rows = 0;
-    t_pairs = 0; t_tiles = 0; t_minplus = 0 }
+    t_pairs = 0; t_tiles = 0; t_minplus = 0; t_mirror = 0 }
 
 let merge a b =
   {
@@ -257,6 +258,7 @@ let merge a b =
     t_pairs = a.t_pairs + b.t_pairs;
     t_tiles = a.t_tiles + b.t_tiles;
     t_minplus = a.t_minplus + b.t_minplus;
+    t_mirror = a.t_mirror + b.t_mirror;
   }
 
 (* Count one executed sweep over all ordered triples of n nodes. *)
@@ -280,7 +282,8 @@ let publish t =
     Obs.add_span_attr "cheap_skips" (Obs.I t.t_cheap);
     Obs.add_span_attr "deep" (Obs.I t.t_deep);
     Obs.add_span_attr "bisections" (Obs.I t.t_bis);
-    Obs.add_span_attr "minplus_rows" (Obs.I t.t_minplus)
+    Obs.add_span_attr "minplus_rows" (Obs.I t.t_minplus);
+    Obs.add_span_attr "mirrored" (Obs.I t.t_mirror)
   end
 
 (* -------------------------------------------------------- min-plus pass *)
@@ -310,7 +313,7 @@ let publish t =
      ties or beats the incumbent is still flagged, and ties reach the
      lex check.  Flagged pairs run the ordinary z-loop at the current
      incumbent, bisection included.
-   - Both sweeps start every chunk from the same seed, the exact witness
+   - Both sweeps start every stripe from the same seed, the exact witness
      of an induced sub-space (a real triple with its real value), so no
      result depends on [jobs]; the seed is what lets one G table serve
      the whole zeta sweep.
@@ -328,10 +331,11 @@ let block = 4
 (* Spaces below this size (the serving workload's) never take the pass. *)
 let minplus_floor = 64
 
-(* [minplus a n rows k m] sets [m.(r * n + y)] to the min-plus row of
-   [x = rows.(r)] for [r < k <= block]; slots [k..block-1] repeat the
-   last row.  [m] holds [block * n] cells, allocated once per chunk. *)
-let minplus (a : fbuf) n rows k m =
+(* [minplus a n ~y_lo rows k m] sets [m.(r * n + y)] for [y >= y_lo] to
+   the min-plus row of [x = rows.(r)] for [r < k <= block]; slots
+   [k..block-1] repeat the last row.  [m] holds [block * n] cells,
+   allocated once per stripe. *)
+let minplus (a : fbuf) n ~y_lo rows k m =
   let x0 = rows.(0)
   and x1 = rows.(min 1 (k - 1))
   and x2 = rows.(min 2 (k - 1))
@@ -343,7 +347,7 @@ let minplus (a : fbuf) n rows k m =
     and a2 = Bigarray.Array1.unsafe_get a ((x2 * n) + z)
     and a3 = Bigarray.Array1.unsafe_get a ((x3 * n) + z) in
     let zr = z * n in
-    for y = 0 to n - 1 do
+    for y = y_lo to n - 1 do
       let b = Bigarray.Array1.unsafe_get a (zr + y) in
       let v = a0 +. b in
       if v < Array.unsafe_get m y then Array.unsafe_set m y v;
@@ -357,17 +361,30 @@ let minplus (a : fbuf) n rows k m =
   done
 
 (* [exp (t *. log f)] cell by cell (0 on the diagonal): at [t = 1. /. v]
-   exactly the floats [holds_logs] compares at [v]. *)
+   exactly the floats [holds_logs] compares at [v].  On a symmetric space
+   one [exp] fills a cell and its mirror; units of 16 rows keep two
+   stripes' mirrored column writes off each other's cache lines. *)
 let exp_table ~jobs d t =
   let n = Decay_space.n d in
   let lg = F.logs d in
+  let sym = Decay_space.exactly_symmetric d in
   let g = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * n) in
-  Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:()
-    ~map:(fun lo hi ->
-      for i = lo * n to (hi * n) - 1 do
-        Bigarray.Array1.unsafe_set g i (exp (t *. F.unsafe_get lg i))
-      done)
-    ~combine:(fun () () -> ());
+  let rows = 16 in
+  let units = (n + rows - 1) / rows in
+  Par.map_reduce_stripes ~jobs ~units ~neutral:() ~combine:(fun () () -> ())
+    ~map:(fun ~stripes s ->
+      let u = ref s in
+      while !u < units do
+        for i = !u * rows to min n ((!u + 1) * rows) - 1 do
+          let row = i * n in
+          for j = (if sym then i else 0) to n - 1 do
+            let v = exp (t *. F.unsafe_get lg (row + j)) in
+            Bigarray.Array1.unsafe_set g (row + j) v;
+            if sym then Bigarray.Array1.unsafe_set g ((j * n) + i) v
+          done
+        done;
+        u := !u + stripes
+      done);
   g
 
 let no_table = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
@@ -375,11 +392,41 @@ let no_table = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 type path = Pruned | Minplus
 type dispatch = Auto | Only of path
 
+(* Both sweeps deal their rows to the pool in interleaved stripes, one
+   unit of rows at a time: one pass block, or one x-panel from
+   [tile_threshold] nodes.  On a symmetric space row x holds the
+   n - 1 - x pairs right of the diagonal, so contiguous chunks would
+   leave the first one three quarters of the work.  Every stripe starts
+   from the seed and threads its own incumbent, and [better] picks by
+   value, then lex order, so the witness does not depend on the
+   striping. *)
+let unit_rows n = if n >= tile_threshold then panel_width else block
+
+let striped ~jobs ~n ~seed ~better stripe =
+  Par.map_reduce_stripes ~jobs
+    ~units:((n + unit_rows n - 1) / unit_rows n)
+    ~neutral:(seed, empty_tally)
+    ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, merge t1 t2))
+    ~map:stripe
+
+(* On a symmetric space a sweep visits only the pairs x < y: the
+   mirrored triple (y, x, z) reads the same three floats with its legs
+   swapped, so its value is the same bits, and the lex-first maximizer
+   has x < y.  Each mirrored pair counts its n - 2 triples as cheaply
+   seen, as a pair the pass dismisses does. *)
+let mirror_tally ~sym n t =
+  if not sym then t
+  else begin
+    let pairs = n * (n - 1) / 2 in
+    { t with t_cheap = t.t_cheap + (pairs * (n - 2)); t_mirror = pairs }
+  end
+
 (* ----------------------------------------------------------- zeta sweep *)
 
-(* [g] is the pass's table [exp (t *. log f)] at [t = 1. /. init.value],
-   or [no_table] for the pruned path. *)
-let zeta_chunk ~g d bb init x_lo x_hi =
+(* Stripe [s] of [stripes] of a zeta sweep.  [g] is the pass's table
+   [exp (t *. log f)] at [t = 1. /. init.value], or [no_table] for the
+   pruned path; [sym] restricts the sweep to the pairs x < y. *)
+let zeta_stripe ~g ~sym d bb init ~stripes s =
   let n = Decay_space.n d in
   let f = F.data d in
   let lg = F.logs d in
@@ -413,10 +460,14 @@ let zeta_chunk ~g d bb init x_lo x_hi =
     if pass then block else if n >= tile_threshold then panel_width else 1
   in
   let row_done = Array.make pw false and slot = Array.make pw 0 in
-  let p_lo = ref x_lo in
-  while !p_lo < x_hi do
+  let unit = unit_rows n in
+  let p_lo = ref (s * unit) in
+  while !p_lo < n do
     let p0 = !p_lo in
-    let p_hi = min x_hi (p0 + pw) in
+    let u0 = p0 - (p0 mod unit) in
+    let u_hi = min n (u0 + unit) in
+    let p_hi = min u_hi (p0 + pw) in
+    if p0 = u0 then Par.check_deadline ();
     (* Row-skip prepass against the incumbent at panel entry.  The row
        bound is monotone in the incumbent, so a row dismissed here stays
        dismissed; a row it cannot dismiss yet is still covered pair by
@@ -436,12 +487,12 @@ let zeta_chunk ~g d bb init x_lo x_hi =
       end
     done;
     if pass && !live > 0 then begin
-      minplus g n rows !live m;
+      minplus g n ~y_lo:(if sym then rows.(0) + 1 else 0) rows !live m;
       c_minplus := !c_minplus + !live
     end;
-    for y = 0 to n - 1 do
+    for y = (if sym then p0 + 1 else 0) to n - 1 do
       for x = p0 to p_hi - 1 do
-        if (not row_done.(x - p0)) && y <> x then begin
+        if (not row_done.(x - p0)) && if sym then x < y else x <> y then begin
           let row = x * n in
           let fxy = F.unsafe_get f (row + y) in
           let lxy = F.unsafe_get lg (row + y) in
@@ -609,10 +660,11 @@ let zeta_chunk ~g d bb init x_lo x_hi =
         end
       done
     done;
-    p_lo := p_hi
+    p_lo := if p_hi < u_hi then p_hi else u0 + (stripes * unit)
   done;
   ( !best,
     {
+      empty_tally with
       t_plain = !c_plain - !c_phantom;
       t_cheap = !c_scanned - !c_plain - !c_deep + !c_passed;
       t_deep = !c_deep;
@@ -657,7 +709,10 @@ let zeta_seed d =
   | Some (idx, sub) ->
       let k = Decay_space.n sub in
       let bb = log_bounds sub in
-      let w, _ = zeta_chunk ~g:no_table sub bb zeta_init 0 k in
+      let w, _ =
+        zeta_stripe ~g:no_table ~sym:(Decay_space.exactly_symmetric sub) sub
+          bb zeta_init ~stripes:1 0
+      in
       let lg = F.logs sub and lt = F.log_transpose sub in
       let cut = (ln2 *. w.value) -. prune_margin in
       let survivors = ref 0 in
@@ -688,6 +743,7 @@ let zeta_sweep ~dispatch ~jobs d =
      is race-free either way, this just keeps the build cost out of the
      parallel region. *)
   F.force d;
+  let sym = Decay_space.exactly_symmetric d in
   let bb = log_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "zeta_sweep"
   @@ fun () ->
@@ -700,11 +756,9 @@ let zeta_sweep ~dispatch ~jobs d =
   in
   let g = if pass then exp_table ~jobs d (1. /. seed.value) else no_table in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(seed, empty_tally)
-      ~map:(fun x_lo x_hi -> zeta_chunk ~g d bb seed x_lo x_hi)
-      ~combine:(fun (w1, t1) (w2, t2) -> (better w1 w2, merge t1 t2))
+    striped ~jobs ~n ~seed ~better (zeta_stripe ~g ~sym d bb seed)
   in
-  publish tally;
+  publish (mirror_tally ~sym n tally);
   witness
 
 let zeta_witness_via dispatch ctx d =
@@ -762,7 +816,7 @@ let holds_at ?jobs d z =
       for r = 0 to k - 1 do
         rows.(r) <- !p + r
       done;
-      minplus g n rows k m;
+      minplus g n ~y_lo:0 rows k m;
       for r = 0 to k - 1 do
         let row = rows.(r) * n in
         for y = 0 to n - 1 do
@@ -790,7 +844,8 @@ let holds_at ?jobs d z =
 
 (* ------------------------------------------------------------ phi sweep *)
 
-let phi_chunk ~dispatch d bb init x_lo x_hi =
+(* Stripe [s] of [stripes] of a phi sweep, like [zeta_stripe]. *)
+let phi_stripe ~dispatch ~sym d bb init ~stripes s =
   let n = Decay_space.n d in
   let f = F.data d in
   let ft = F.transpose d in
@@ -862,11 +917,12 @@ let phi_chunk ~dispatch d bb init x_lo x_hi =
         done
     done
   in
-  let unit = max pw block in
-  let u_lo = ref x_lo in
-  while !u_lo < x_hi do
+  let unit = unit_rows n in
+  let u_lo = ref (s * unit) in
+  while !u_lo < n do
+    Par.check_deadline ();
     let u0 = !u_lo in
-    let u_hi = min x_hi (u0 + unit) in
+    let u_hi = min n (u0 + unit) in
     let pass =
       match dispatch with
       | Only p -> p = Minplus
@@ -892,12 +948,15 @@ let phi_chunk ~dispatch d bb init x_lo x_hi =
         end
       done;
       if pass && !live > 0 then begin
-        minplus (F.data d :> fbuf) n rows !live m;
+        minplus (F.data d :> fbuf) n
+          ~y_lo:(if sym then rows.(0) + 1 else 0)
+          rows !live m;
         c_minplus := !c_minplus + !live
       end;
-      for y = 0 to n - 1 do
+      for y = (if sym then p0 + 1 else 0) to n - 1 do
         for x = p0 to p_hi - 1 do
-          if (not row_done.(x - p0)) && y <> x then begin
+          if (not row_done.(x - p0)) && if sym then x < y else x <> y then
+          begin
             let fxy = F.unsafe_get f ((x * n) + y) in
             if pass then begin
               (* The pair's largest ratio, exactly (see the pass). *)
@@ -915,7 +974,7 @@ let phi_chunk ~dispatch d bb init x_lo x_hi =
       done;
       p_lo := p_hi
     done;
-    u_lo := u_hi
+    u_lo := u0 + (stripes * unit)
   done;
   ( !best,
     {
@@ -931,20 +990,22 @@ let phi_chunk ~dispatch d bb init x_lo x_hi =
 let phi_init = { x = 0; y = 2; z = 1; value = 1. }
 
 (* The exact witness of the seed sub-space, the phi counterpart of
-   [zeta_seed]: every chunk starts from it, so the first paths are
+   [zeta_seed]: every stripe starts from it, so the first paths are
    chosen against a real incumbent. *)
 let phi_seed d =
   match seed_space d with
   | None -> phi_init
   | Some (idx, sub) ->
       let w, _ =
-        phi_chunk ~dispatch:(Only Pruned) sub (decay_bounds sub) phi_init 0
-          (Decay_space.n sub)
+        phi_stripe ~dispatch:(Only Pruned)
+          ~sym:(Decay_space.exactly_symmetric sub)
+          sub (decay_bounds sub) phi_init ~stripes:1 0
       in
       lift idx phi_init w
 
 let phi_sweep ~dispatch ~jobs d =
   let n = Decay_space.n d in
+  let sym = Decay_space.exactly_symmetric d in
   let bb = decay_bounds d in
   Obs.with_span ~attrs:[ ("n", Obs.I n); ("jobs", Obs.I jobs) ] "phi_sweep"
   @@ fun () ->
@@ -956,11 +1017,10 @@ let phi_sweep ~dispatch ~jobs d =
     | Auto -> if n < minplus_floor then phi_init else phi_seed d
   in
   let witness, tally =
-    Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:(seed, empty_tally)
-      ~map:(fun x_lo x_hi -> phi_chunk ~dispatch d bb seed x_lo x_hi)
-      ~combine:(fun (w1, t1) (w2, t2) -> (better_phi w1 w2, merge t1 t2))
+    striped ~jobs ~n ~seed ~better:better_phi
+      (phi_stripe ~dispatch ~sym d bb seed)
   in
-  publish tally;
+  publish (mirror_tally ~sym n tally);
   witness
 
 let phi_witness_via dispatch ctx d =

@@ -26,9 +26,31 @@
     [kernel.pair_prunes], [kernel.tile_prunes] and [kernel.minplus_rows],
     once per sweep and identically at every job count; when tracing, the
     sweep's span also carries [plain_skips], [cheap_skips], [deep],
-    [bisections] and [minplus_rows].  [plain_skips + cheap_skips + deep]
-    never exceeds [triples]; the rest are the triples no test looked at.
-    The counts are diagnostics and never influence a result.
+    [bisections], [minplus_rows] and [mirrored] (the pairs left to their
+    mirror, below).  [plain_skips + cheap_skips + deep] never exceeds
+    [triples]; the rest are the triples no test looked at.  The counts
+    are diagnostics and never influence a result.
+
+    {2 Symmetric spaces}
+
+    On an {!Decay_space.exactly_symmetric} space both sweeps visit only
+    the pairs x < y.  The mirrored triple (y, x, z) of a triple (x, y, z)
+    reads the same three floats with its two legs swapped: zeta's
+    [fxy <= fxz +. fzy], [Float.min] and holds test and phi's
+    [fxy /. (fxz +. fzy)] are symmetric in the legs, so its value is the
+    same bits.  The lex-first maximizer therefore has x < y (for phi in
+    iteration coordinates, outer pair first), and the witness is the
+    naive sweep's.  Each mirrored pair counts its [n - 2] triples as
+    [cheap_skips], as a pair the min-plus pass dismisses does, so the
+    [n (n - 1) / 2] mirrored pairs account for half of [triples].  The
+    min-plus pass then fills only the y above its block's first row.
+
+    Rows go to the pool in interleaved stripes, one unit of rows at a
+    time: one pass block (4 rows), or one x-panel (16 rows) from 512
+    nodes, so the longer early rows of a symmetric sweep spread over
+    every job.  Each stripe starts
+    from the seed, threads its own incumbent and polls the ambient
+    {!Bg_prelude.Parallel.with_deadline} budget between units of rows.
 
     {2 Two paths, one result}
 
@@ -40,7 +62,7 @@
     [m(x,y) = min over all z of a(x,z) + a(z,y)] with one add and one
     compare per triple.  A pair the pass dismisses counts its [n - 2]
     triples as [cheap_skips], and every row it screens counts once in
-    [minplus_rows].  On spaces of 64 or more nodes, every chunk of a
+    [minplus_rows].  On spaces of 64 or more nodes, every stripe of a
     sweep starts from the exact witness of the sub-space induced by 32
     evenly spread nodes (the {e seed}), a real triple with its real
     value.
@@ -63,7 +85,7 @@
       the geometric-mean cut at v0 (13-16% on geometric spaces, about
       0.01% on walled ones).
     Every pair the pass keeps runs the pruned path's z-loop unchanged,
-    and every chunk starts from the same incumbent, so the witness is the
+    and every stripe starts from the same incumbent, so the witness is the
     same on either path and at every job count. *)
 
 type witness = { x : int; y : int; z : int; value : float }

@@ -14,9 +14,17 @@ type summary = {
 }
 
 val summarize : ?ctx:Ctx.t -> Decay_space.t -> summary
-(** Requires at least 2 nodes.  [ctx.jobs] chunks the pairwise sweep across
-    the domain pool (default {!Bg_prelude.Parallel.default_jobs}); the
-    summary is identical at every job count. *)
+(** Requires at least 2 nodes.  [ctx.jobs] chunks the pairwise asymmetry
+    sweep across the domain pool (default
+    {!Bg_prelude.Parallel.default_jobs}); the summary is identical at
+    every job count.
+
+    On an {!Decay_space.exactly_symmetric} space the asymmetry is [0]
+    without a sweep, and the minimum, maximum and median come from the
+    [n (n - 1) / 2] upper-triangle values.  Each value appears twice
+    among the ordered pairs, so the two middle ranks of the full multiset
+    land on the triangle's: the median is the same bits (an average of a
+    value with itself is that value). *)
 
 val effective_alpha :
   positions:Bg_geom.Point.t array -> Decay_space.t -> Bg_prelude.Stats.fit

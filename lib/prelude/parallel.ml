@@ -344,3 +344,15 @@ let map_reduce_chunks ~jobs ~lo ~hi ~neutral ~map ~combine =
       !acc
     end
   end
+
+let map_reduce_stripes ~jobs ~units ~neutral ~map ~combine =
+  let stripes = max 1 (min jobs units) in
+  map_reduce_chunks ~jobs ~lo:0
+    ~hi:(if units <= 0 then 0 else stripes)
+    ~neutral ~combine
+    ~map:(fun s_lo s_hi ->
+      let acc = ref (map ~stripes s_lo) in
+      for s = s_lo + 1 to s_hi - 1 do
+        acc := combine !acc (map ~stripes s)
+      done;
+      !acc)

@@ -144,3 +144,20 @@ val map_reduce_chunks :
     [map] that raises cancels the remaining chunks and re-raises in the
     caller; an exceeded budget raises {!Timeout}.  Parallel work always
     runs on the shared {!get_default} pool. *)
+
+val map_reduce_stripes :
+  jobs:int ->
+  units:int ->
+  neutral:'a ->
+  map:(stripes:int -> int -> 'a) ->
+  combine:('a -> 'a -> 'a) ->
+  'a
+(** [map_reduce_stripes ~jobs ~units ~neutral ~map ~combine] deals
+    [units] units of work in interleaved stripes: unit [u] goes to stripe
+    [u mod stripes], with [stripes = min jobs units].  [map ~stripes s]
+    runs stripe [s] and owns its loop over the units [s], [s + stripes],
+    ..., so it can thread state from one unit to the next.  Stripes run
+    through {!map_reduce_chunks} and [combine] folds their results in
+    stripe order; [neutral] is returned when [units <= 0].  Interleaving
+    balances work that shrinks or grows along the range, such as the
+    pairs right of a matrix diagonal, row by row. *)

@@ -60,16 +60,13 @@ let decay_space ?(seed = 0) ?(config = Propagation.default) ?(name = "radio")
       end
     done
   in
-  let stripes = max 1 (min (Par.default_jobs ()) n) in
-  Par.map_reduce_chunks ~jobs:stripes ~lo:0 ~hi:stripes ~neutral:()
+  Par.map_reduce_stripes ~jobs:(Par.default_jobs ()) ~units:n ~neutral:()
     ~combine:(fun () () -> ())
-    ~map:(fun s_lo s_hi ->
-      for s = s_lo to s_hi - 1 do
-        let i = ref s in
-        while !i < n do
-          row !i;
-          i := !i + stripes
-        done
+    ~map:(fun ~stripes s ->
+      let i = ref s in
+      while !i < n do
+        row !i;
+        i := !i + stripes
       done);
   Bg_decay.Decay_space.of_bigarray ~name n flat
 

@@ -71,6 +71,23 @@ let test_scale_pow () =
   check_float "pow" 2. (D.decay (D.pow 0.5 d) 0 1);
   check_float "pow other entry" 3. (D.decay (D.pow 0.5 d) 1 0)
 
+(* A transform that leaves the finite positive floats is rejected with
+   the offending cell's address, as [of_matrix] would reject the cells. *)
+let test_scale_pow_validate () =
+  let d =
+    D.of_matrix [| [| 0.; 100.; 2. |]; [| 100.; 0.; 1e-30 |]; [| 2.; 1e-30; 0. |] |]
+  in
+  Alcotest.check_raises "pow overflows to inf"
+    (Invalid_argument "decay: non-finite decay inf at (0,1)") (fun () ->
+      ignore (D.pow 200. d));
+  Alcotest.check_raises "scale underflows to 0"
+    (Invalid_argument
+       "decay: nonpositive decay 0 at (1,2) between distinct nodes")
+    (fun () -> ignore (D.scale 1e-300 d));
+  Alcotest.check_raises "scale overflows to inf"
+    (Invalid_argument "decay: non-finite decay inf at (0,1)") (fun () ->
+      ignore (D.scale 1e307 d))
+
 let test_symmetrize () =
   let d = D.symmetrize (D.of_matrix [| [| 0.; 1. |]; [| 7.; 0. |] |]) in
   check_float "takes max" 7. (D.decay d 0 1);
@@ -93,6 +110,25 @@ let test_of_metric_embeds_alpha () =
   let d = D.of_metric ~alpha:2. m in
   check_float "squared distance" 9. (D.decay d 0 2);
   check_float "squared distance 2" 4. (D.decay d 1 2)
+
+let prop_of_points_is_of_metric =
+  qcheck ~count:60 "of_points cells = of_metric over Metric.of_points"
+    QCheck.(triple (int_range 0 10_000) (int_range 0 40) (float_range 0.5 6.))
+    (fun (seed, n, alpha) ->
+      let pts = Sp.random_points (rng seed) ~n ~side:30. in
+      let d = D.of_points ~alpha pts in
+      D.exactly_symmetric d
+      && D.digest d = D.digest (D.of_metric ~alpha (M.of_points pts)))
+
+let test_of_points_rejects_coincident () =
+  let p = P.make 1. 2. and q = P.make 4. 6. in
+  Alcotest.check_raises "coincident points"
+    (Invalid_argument
+       "plane: nonpositive decay 0 at (0,2) between distinct nodes")
+    (fun () -> ignore (D.of_points ~alpha:3. [ p; q; p ]));
+  Alcotest.check_raises "alpha must be positive"
+    (Invalid_argument "Decay_space.of_metric: alpha must be positive")
+    (fun () -> ignore (D.of_points ~alpha:0. [ p; q ]))
 
 (* ------------------------------------------------------------ Metricity *)
 
@@ -675,10 +711,14 @@ let suite =
         case "symmetry checks" test_symmetry_checks;
         case "min/max decay" test_min_max_decay;
         case "scale/pow" test_scale_pow;
+        case "scale/pow validate their cells" test_scale_pow_validate;
         case "symmetrize" test_symmetrize;
         case "sub space" test_sub_space;
         case "map" test_map;
         case "of_metric" test_of_metric_embeds_alpha;
+        prop_of_points_is_of_metric;
+        case "of_points rejects coincident points"
+          test_of_points_rejects_coincident;
         case "digest is MD5 of the cells" test_digest_is_md5_of_cells;
       ] );
     ( "decay.metricity",

@@ -347,8 +347,8 @@ let test_paths_agree () =
       ("office n=256", List.assoc "office" (Lazy.force ladder_spaces));
       ("evolve n=176", List.assoc "evolve" (Lazy.force ladder_spaces)) ]
 
-(* The [minplus_rows] attribute of every sweep span [f] records. *)
-let traced_minplus_rows f =
+(* The integer attribute [attr] of every sweep span [f] records. *)
+let traced_attr attr f =
   let module Obs = Core.Prelude.Obs in
   let module J = Core.Prelude.Jsonl in
   let path = Filename.temp_file "bg_kernels" ".jsonl" in
@@ -368,7 +368,7 @@ let traced_minplus_rows f =
               when name = "zeta_sweep" || name = "phi_sweep" ->
                 Option.map
                   (fun r -> (name, int_of_float r))
-                  (J.mem_num "minplus_rows" attrs)
+                  (J.mem_num attr attrs)
             | _ -> None)
           (J.parse_lines (J.read_file path))
       in
@@ -382,7 +382,8 @@ let test_minplus_counters () =
       List.iter
         (fun (name, sweep) ->
           let ((), k), spans =
-            traced_minplus_rows (fun () -> kernel_deltas (fun () -> sweep ctx))
+            traced_attr "minplus_rows" (fun () ->
+                kernel_deltas (fun () -> sweep ctx))
           in
           let k c = List.assoc c k in
           let what = Printf.sprintf "%s, geometric n=256, jobs=%d" name jobs in
@@ -431,6 +432,168 @@ let test_summarize_matches_naive () =
             (same_summary reference (Stat.summarize ~ctx:(ctx_j jobs) d)))
         [ 1; 4 ])
     (("radio-office", office) :: families ())
+
+(* ------------------------------------------------ symmetric spaces *)
+
+(* An exactly symmetric space with decays in {1, 2, 3, 4}: most values
+   tie, so the lex rule decides most witnesses. *)
+let tie_space ~n seed =
+  let g = Rng.create seed in
+  let m = Array.make_matrix n n 0. in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let v = float_of_int (1 + Rng.int g 4) in
+      m.(i).(j) <- v;
+      m.(j).(i) <- v
+    done
+  done;
+  D.of_matrix ~name:"ties" m
+
+(* [d] with cell (i, j) one ulp larger, so no longer exactly symmetric. *)
+let nudged d ~i ~j =
+  D.of_fn ~name:"nudged" (D.n d) (fun p q ->
+      let f = D.decay d p q in
+      if p = i && q = j then Float.succ f else f)
+
+(* A tie space and its nudged copy: each (zeta, phi) pair of [sweeps]
+   against the naive witnesses at jobs 1-4 (3 deals uneven stripes). *)
+let symmetric_and_nudged_match ~sweeps (seed, n) =
+  let d = tie_space ~n seed in
+  let e = nudged d ~i:(seed mod n) ~j:((seed + 1) mod n) in
+  D.exactly_symmetric d
+  && (not (D.exactly_symmetric e))
+  && List.for_all
+       (fun d ->
+         let zw = Naive_ref.zeta_witness ~jobs:1 d in
+         let pw = Naive_ref.phi_witness ~jobs:1 d in
+         List.for_all
+           (fun (zeta, phi) ->
+             List.for_all
+               (fun jobs ->
+                 let ctx = ctx_j jobs in
+                 zeta ctx d = zw && phi ctx d = pw)
+               [ 1; 2; 3; 4 ])
+           sweeps)
+       [ d; e ]
+
+let prop_symmetric_forced_paths =
+  qcheck ~count:40
+    "symmetric tie spaces and nudged copies: forced paths = naive (n 3-22)"
+    QCheck.(pair (int_range 0 10_000) (int_range 3 22))
+    (symmetric_and_nudged_match
+       ~sweeps:
+         (List.map
+            (fun (_, path) ->
+              ( (fun ctx d -> Met.forced_zeta_witness path ~ctx d),
+                fun ctx d -> Met.forced_phi_witness path ~ctx d ))
+            paths))
+
+let prop_symmetric_automatic =
+  qcheck ~count:3
+    "symmetric tie spaces and nudged copies: automatic = naive (n 64-96)"
+    QCheck.(pair (int_range 0 10_000) (int_range 64 96))
+    (symmetric_and_nudged_match
+       ~sweeps:
+         [ ( (fun ctx d -> Met.zeta_witness ~ctx d),
+             fun ctx d -> Met.phi_witness ~ctx d ) ])
+
+(* Pair counts n(n-1)/2 of both parities (1, 3, 6, 10, 15, 21): the
+   triangle's median must be the doubled multiset's.  Tie spaces repeat
+   values, random ones do not; the nudged copies take the full path. *)
+let test_summarize_symmetric () =
+  List.iter
+    (fun n ->
+      let tie = tie_space ~n (100 + n) and rnd = random_space ~n (200 + n) in
+      List.iter
+        (fun (what, d) ->
+          let reference = Naive_ref.summarize ~jobs:1 d in
+          List.iter
+            (fun jobs ->
+              check_true
+                (Printf.sprintf "summarize %s n=%d jobs=%d" what n jobs)
+                (same_summary reference (Stat.summarize ~ctx:(ctx_j jobs) d)))
+            [ 1; 4 ])
+        [ ("tie", tie); ("random", rnd); ("nudged tie", nudged tie ~i:1 ~j:0);
+          ("nudged random", nudged rnd ~i:0 ~j:(n - 1)) ])
+    [ 2; 3; 4; 5; 6; 7 ]
+
+(* The transpose views hold the transposed cells bit for bit; on an
+   exactly symmetric space they are the buffers they transpose. *)
+let test_transpose_views () =
+  let module F = D.Flat in
+  let base = random_space ~n:13 4 in
+  List.iter
+    (fun (name, d, sym) ->
+      let n = D.n d in
+      let f = F.data d and lg = F.logs d in
+      let t = F.transpose d and lt = F.log_transpose d in
+      let same a i b j =
+        Int64.equal (Int64.bits_of_float (F.get a i))
+          (Int64.bits_of_float (F.get b j))
+      in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let v = D.decay d i j in
+          let l = if i = j then neg_infinity else log v in
+          ok :=
+            !ok
+            && same t ((i * n) + j) f ((j * n) + i)
+            && same lt ((i * n) + j) lg ((j * n) + i)
+            && Int64.equal (Int64.bits_of_float (F.get lg ((i * n) + j)))
+                 (Int64.bits_of_float l)
+        done
+      done;
+      check_true ("transposes hold the transposed cells, " ^ name) !ok;
+      check_true ("flag, " ^ name) (Bool.equal sym (D.exactly_symmetric d));
+      check_true ("aliased exactly when symmetric, " ^ name)
+        (Bool.equal sym (t == f && lt == lg)))
+    [ ("random symmetric", base, true); ("tie", tie_space ~n:9 5, true);
+      ("asymmetric", random_asym_space ~n:13 6, false);
+      ("nudged", nudged base ~i:12 ~j:11, false) ]
+
+let test_mirrored_attribute () =
+  let geo = Lazy.force geo256 and asym = random_asym_space ~n:40 8 in
+  List.iter
+    (fun (what, d, mirrored) ->
+      let n = D.n d in
+      let ((), k), spans =
+        traced_attr "mirrored" (fun () ->
+            kernel_deltas (fun () ->
+                ignore (Met.zeta_witness ~ctx:(ctx_j 2) d);
+                ignore (Met.phi_witness ~ctx:(ctx_j 2) d)))
+      in
+      let k c = List.assoc c k in
+      check_true ("mirrored span attributes, " ^ what)
+        (spans = [ ("zeta_sweep", mirrored); ("phi_sweep", mirrored) ]);
+      check_true ("mirrored triples count as cheap skips, " ^ what)
+        (k "cheap_skips" >= 2 * mirrored * (n - 2));
+      check_true ("visited <= triples, " ^ what)
+        (k "plain_skips" + k "cheap_skips" + k "deep" <= k "triples"))
+    [ ("geometric n=256", geo, 256 * 255 / 2); ("asymmetric n=40", asym, 0) ]
+
+(* The forced pruned sweeps take ~25-75 ms on geometric n = 256 (2-core
+   box) and start with no seed or table, so only the stripes' own polls
+   can stop them inside a 2 ms budget. *)
+let test_sweeps_meet_deadlines () =
+  let module Par = Core.Prelude.Parallel in
+  let geo = Lazy.force geo256 in
+  let within seconds what sweep =
+    List.iter
+      (fun jobs ->
+        Alcotest.check_raises
+          (Printf.sprintf "geometric n=256 %s under %g s, jobs=%d" what
+             seconds jobs)
+          Par.Timeout
+          (fun () ->
+            Par.with_deadline ~seconds (fun () -> ignore (sweep (ctx_j jobs)))))
+      [ 1; 2 ]
+  in
+  within 0.001 "zeta" (fun ctx -> Met.zeta_witness ~ctx geo);
+  within 0.002 "pruned zeta" (fun ctx ->
+      Met.forced_zeta_witness Met.Pruned ~ctx geo);
+  within 0.002 "pruned phi" (fun ctx ->
+      Met.forced_phi_witness Met.Pruned ~ctx geo)
 
 (* ------------------------------------------------ no kept results *)
 
@@ -529,16 +692,22 @@ let test_views_race_free_under_pool () =
      before fanning out — the first touch may happen concurrently inside
      pool tasks.  Each trial builds a fresh space and forces all four
      views from four workers at once; values must match the definition
-     and repeated forcing must return the same buffer. *)
+     and repeated forcing must return the same buffer.  Trials 20-39 are
+     symmetric, and the workers race for the symmetry flag too. *)
   let module F = D.Flat in
   let module Par = Core.Prelude.Parallel in
-  for trial = 0 to 19 do
+  for trial = 0 to 39 do
     let n = 40 in
-    let f i j = float_of_int ((((i * 7) + (j * 3) + trial) mod 19) + 1) in
+    let g i j = float_of_int ((((i * 7) + (j * 3) + trial) mod 19) + 1) in
+    let sym = trial >= 20 in
+    let f i j = if sym then g (min i j) (max i j) else g i j in
     let d = D.of_fn ~name:"race" n f in
+    let flags = Atomic.make true in
     let got =
       Par.map_reduce_chunks ~jobs:4 ~lo:0 ~hi:n ~neutral:0.
         ~map:(fun lo hi ->
+          if not (Bool.equal sym (D.exactly_symmetric d)) then
+            Atomic.set flags false;
           let fl = F.data d and lg = F.logs d in
           let tr = F.transpose d and lt = F.log_transpose d in
           let acc = ref 0. in
@@ -569,7 +738,10 @@ let test_views_race_free_under_pool () =
     check_true "repeated force returns the same buffer"
       (F.data d == F.data d && F.logs d == F.logs d
       && F.transpose d == F.transpose d
-      && F.log_transpose d == F.log_transpose d)
+      && F.log_transpose d == F.log_transpose d);
+    check_true
+      (Printf.sprintf "symmetry flag under concurrent first touch (t%d)" trial)
+      (Atomic.get flags)
   done
 
 (* ----------------------------------------------------- counter sanity *)
@@ -616,5 +788,15 @@ let suite =
         case "pruning counters" test_pruning_counters;
         case "lazy views race-free under pool"
           test_views_race_free_under_pool;
+        prop_symmetric_forced_paths;
+        prop_symmetric_automatic;
+        case "summarize = naive on symmetric and nudged spaces"
+          test_summarize_symmetric;
+        case "transpose views, aliased on symmetric spaces"
+          test_transpose_views;
+        case "mirrored pairs: span attribute and counts"
+          test_mirrored_attribute;
+        case "sweeps stop at their deadline at jobs 1 and 2"
+          test_sweeps_meet_deadlines;
       ] );
   ]

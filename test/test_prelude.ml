@@ -432,6 +432,37 @@ let test_par_mrc_deterministic () =
         (collect jobs = seq))
     [ 2; 4; 5; 23 ]
 
+let test_par_stripes () =
+  (* Stripe s of min jobs units gets the units s, s + stripes, ...: every
+     unit is visited once, by the stripe its residue names, and the
+     results fold in stripe order. *)
+  List.iter
+    (fun (jobs, units) ->
+      let got =
+        Par.map_reduce_stripes ~jobs ~units ~neutral:[]
+          ~map:(fun ~stripes s ->
+            let acc = ref [] and u = ref s in
+            while !u < units do
+              acc := (!u, s, stripes) :: !acc;
+              u := !u + stripes
+            done;
+            [ List.rev !acc ])
+          ~combine:( @ )
+      in
+      let stripes = max 1 (min jobs units) in
+      let expected =
+        if units <= 0 then []
+        else
+          List.init stripes (fun s ->
+              List.filter_map
+                (fun u -> if u mod stripes = s then Some (u, s, stripes) else None)
+                (List.init units Fun.id))
+      in
+      check_true
+        (Printf.sprintf "stripes at jobs=%d units=%d" jobs units)
+        (got = expected))
+    [ (1, 10); (2, 10); (3, 10); (4, 3); (7, 1); (4, 0) ]
+
 let test_par_pool_lifecycle () =
   let pool = Par.create ~num_domains:2 () in
   check_int "two workers" 2 (Par.num_domains pool);
@@ -642,6 +673,7 @@ let suite =
         case "map_reduce covers range once" test_par_mrc_cover;
         case "map_reduce neutral on empty" test_par_mrc_empty;
         case "map_reduce jobs-independent" test_par_mrc_deterministic;
+        case "map_reduce_stripes deals units round-robin" test_par_stripes;
         case "dedicated pool lifecycle" test_par_pool_lifecycle;
         case "resolve_jobs" test_par_resolve_jobs;
       ] );
