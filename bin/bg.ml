@@ -889,16 +889,12 @@ let estimate_cmd =
             "Random seed; equal seeds reproduce the estimate bit-for-bit \
              at every job count.")
   in
-  (* Sniff the 8-byte magic: raw matrices are mmapped (out-of-core), CSV
-     goes through the strict parser. *)
-  let is_raw path =
-    match In_channel.with_open_bin path (fun ic -> really_input_string ic 8) with
-    | magic -> magic = "BGDECAY1"
-    | exception End_of_file -> false
-  in
+  (* Raw matrices are mmapped unvalidated (out-of-core: an eager check
+     would touch every page), CSV goes through the strict parser. *)
   let load path =
     or_user_error (fun () ->
-        if is_raw path then Core.Decay.Decay_io.load_raw_mmap path
+        if Core.Decay.Decay_io.is_raw path then
+          Core.Decay.Decay_io.load_raw_mmap path
         else Core.Decay.Decay_io.load path)
   in
   let run file kernel nodes replicates confidence samples r seed jobs trace
@@ -1461,15 +1457,6 @@ let loadgen_cmd =
       & info [ "window" ] ~docv:"N"
           ~doc:"Closed-loop concurrency: requests in flight at once.")
   in
-  let rate_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate" ] ~docv:"RPS"
-          ~doc:
-            "Open-loop cap: issue requests no faster than $(docv) per \
-             second, even when the window has room.")
-  in
   let json_out_arg =
     Arg.(
       value
@@ -1518,7 +1505,7 @@ let loadgen_cmd =
              command's own --trace (the client side), `bg trace report \
              FILE1 FILE2` merges them into per-request causal trees.")
   in
-  let run requests spaces nodes zipf seed window rate json deadline
+  let run requests spaces nodes zipf seed window json deadline
       client_retries slo serve_trace chaos chaos_seed supervise batch_size
       max_queue cache cache_entries request_timeout jobs trace profile
       metrics =
@@ -1536,9 +1523,6 @@ let loadgen_cmd =
     if spaces < 1 then user_error "--spaces must be at least 1 (got %d)" spaces;
     if nodes < 1 then user_error "--nodes must be at least 1 (got %d)" nodes;
     if window < 1 then user_error "--window must be at least 1 (got %d)" window;
-    (match rate with
-    | Some r when not (r > 0.) -> user_error "--rate must be positive (got %g)" r
-    | _ -> ());
     (match jobs with
     | Some j when j < 1 -> user_error "--jobs must be at least 1 (got %d)" j
     | _ -> ());
@@ -1602,7 +1586,7 @@ let loadgen_cmd =
     in
     let report =
       or_user_error (fun () ->
-          L.drive_subprocess ~window ?rate ?client argv trace_reqs)
+          L.drive_subprocess ~window ?client argv trace_reqs)
     in
     Format.printf "%a@." L.pp_report report;
     let slo_statuses =
@@ -1691,9 +1675,9 @@ let loadgen_cmd =
        ~doc:
          "Generate a reproducible production-shaped workload (zipf-skewed \
           repeats over a pool of decay spaces) and replay it against a \
-          spawned `bg serve` daemon, closed-loop at --window concurrency \
-          (optionally rate-capped). With --deadline/--client-retries the \
-          driver retries lost or late answers under seeded backoff; \
+          spawned `bg serve` daemon, closed-loop at --window concurrency. \
+          With --deadline/--client-retries the driver retries lost or \
+          late answers under seeded backoff; \
           --chaos/--supervise pass fault injection and supervision \
           through to the daemon. Reports throughput, p50/p99 latency, \
           cache outcomes, p99 trace-id exemplars and resilience \
@@ -1701,7 +1685,7 @@ let loadgen_cmd =
           --slo objective is violated.")
     Term.(
       const run $ requests_arg $ spaces_arg $ lg_nodes_arg $ zipf_arg
-      $ seed_arg $ window_arg $ rate_arg $ json_out_arg $ deadline_arg
+      $ seed_arg $ window_arg $ json_out_arg $ deadline_arg
       $ client_retries_arg $ lg_slo_arg $ serve_trace_arg $ chaos_arg
       $ chaos_seed_arg $ supervise_arg $ batch_size_arg $ max_queue_arg
       $ cache_file_arg $ cache_entries_arg $ request_timeout_arg $ jobs_arg

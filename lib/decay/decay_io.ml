@@ -113,6 +113,11 @@ let load path =
 let raw_magic = "BGDECAY1"
 let raw_header_len = 16
 
+let is_raw path =
+  match In_channel.with_open_bin path (fun ic -> really_input_string ic 8) with
+  | magic -> magic = raw_magic
+  | exception End_of_file -> false
+
 let save_raw_fn ~n f path =
   if n < 1 then invalid_arg "Decay_io.save_raw_fn: need n >= 1";
   with_atomic_out ~binary:true path (fun oc ->

@@ -71,6 +71,11 @@ val load_repaired :
     [mmap] without copying, so a multi-GB matrix can be analyzed
     out-of-core; the OS pages cells in as the kernels stream over them. *)
 
+val is_raw : string -> bool
+(** Whether the file at [path] starts with the raw format's 8-byte magic
+    tag (a shorter file is not raw).
+    @raise Sys_error if it cannot be opened. *)
+
 val save_raw : Decay_space.t -> string -> unit
 (** Write the raw binary format atomically (temp file + rename), like
     {!save}. *)

@@ -134,8 +134,7 @@ let phi ?ctx ?replicates ?confidence ~nodes rng o =
    stratified over contiguous index bands; y, z are uniform.  Every
    sampled triple's threshold is a true lower bound, so the batch maxima
    are, and the interval machinery is shared. *)
-let zeta_triples ?(tol = 1e-9) ?(replicates = 8) ?(confidence = 0.9) ~samples
-    rng o =
+let zeta_triples ?(replicates = 8) ?(confidence = 0.9) ~samples rng o =
   if o.n < 3 then invalid_arg "Estimators.zeta_triples: need at least 3 nodes";
   if samples < replicates then
     invalid_arg "Estimators.zeta_triples: need samples >= replicates";
@@ -169,7 +168,7 @@ let zeta_triples ?(tol = 1e-9) ?(replicates = 8) ?(confidence = 0.9) ~samples
           and fxz = o.decay x !z
           and fzy = o.decay !z !y in
           if fxy > fxz +. fzy then begin
-            let v = Metricity.zeta_triple ~tol fxy fxz fzy in
+            let v = Metricity.zeta_triple fxy fxz fzy in
             if v > !best then best := v
           end
     done;

@@ -77,7 +77,6 @@ val phi :
     (phi is likewise monotone under restriction). *)
 
 val zeta_triples :
-  ?tol:float ->
   ?replicates:int ->
   ?confidence:float ->
   samples:int ->
@@ -87,7 +86,7 @@ val zeta_triples :
 (** Metricity via stratified {e triple} sampling: [samples] triples split
     over [replicates] batches, [x] stratified over index bands, each
     violating triple resolved by the exact per-triple bisection
-    ({!Metricity.zeta_triple} at [tol]).  O(1) memory and O([samples])
+    ({!Metricity.zeta_triple}).  O(1) memory and O([samples])
     oracle probes — weaker per probe than {!zeta} but usable when even a
     [nodes]^3 sub-sweep is too much.  Requires [n >= 3] and
     [samples >= replicates]. *)

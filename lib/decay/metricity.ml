@@ -5,60 +5,33 @@ module F = Decay_space.Flat
 
 type witness = { x : int; y : int; z : int; value : float }
 
-(* Validity of a given zeta for one triple.  Working in log space avoids
-   repeated [**] on huge decays. *)
-let triple_holds ~fxy ~fxz ~fzy z =
-  let t = 1. /. z in
-  exp (t *. log fxz) +. exp (t *. log fzy) >= exp (t *. log fxy)
-
-(* The same predicate over precomputed logs.  Bit-identical to
-   [triple_holds] whenever [lxy = log fxy] etc., because [log] is
-   deterministic: the kernels below rely on this to reproduce the naive
-   sweep exactly while never calling [log] inside a loop. *)
+(* Validity of a given zeta for one triple, over the logs of its decays.
+   Working in log space avoids repeated [**] on huge decays, and since
+   [log] is deterministic this is bit for bit the naive reference's
+   predicate over the decays themselves: the kernels below rely on this
+   to reproduce the naive sweep exactly while never calling [log] inside
+   a loop. *)
 let holds_logs ~lxy ~lxz ~lzy z =
   let t = 1. /. z in
   exp (t *. lxz) +. exp (t *. lzy) >= exp (t *. lxy)
 
-(* Relative bisection tolerance: every sweep bisects to it, and it is
-   [zeta_triple]'s default. *)
+(* Relative bisection tolerance: every triple bisects to it. *)
 let tol = 1e-9
 
-let zeta_triple ?(tol = tol) fxy fxz fzy =
-  if fxy <= fxz +. fzy then 1.
-  else begin
-    (* zeta >= lg (fxy / min side) always suffices: at that zeta the larger
-       side alone is within a factor 2^(1/zeta) and the two sides add up. *)
-    let m = Float.min fxz fzy in
-    let p = triple_holds ~fxy ~fxz ~fzy in
-    if p 1. then 1.
-    else begin
-      (* Bisect, returning the LOWER end of the final bracket.  Underestimating
-         the threshold (by < tol) keeps the witness sweep's holds-at-incumbent
-         fast path exactly consistent with value comparison: a triple that
-         holds at z can never bisect above z, so skipping it commutes with
-         taking maxima over any chunking of the sweep. *)
-      let lo = ref 1.
-      and hi = ref (Float.max 1.5 (Num.log2 (fxy /. m) +. 1e-6)) in
-      let iters = ref 0 in
-      while
-        !hi -. !lo > tol *. Float.max 1. (Float.abs !hi) && !iters < 200
-      do
-        incr iters;
-        let mid = 0.5 *. (!lo +. !hi) in
-        if p mid then hi := mid else lo := mid
-      done;
-      !lo
-    end
-  end
-
-(* [zeta_triple] for a triple already known to violate the plain triangle
-   inequality, with the logs precomputed: the bisection predicate reuses
-   them, so the loop runs exp-only.  Same control flow, same floats, same
-   result as the tail of [zeta_triple]. *)
+(* The bisection for a triple already known to violate the plain triangle
+   inequality, with the logs precomputed: the predicate reuses them, so
+   the loop runs exp-only.  Returns the LOWER end of the final bracket:
+   underestimating the threshold (by < tol) keeps the witness sweep's
+   holds-at-incumbent fast path exactly consistent with value
+   comparison — a triple that holds at z can never bisect above z, so
+   skipping it commutes with taking maxima over any chunking of the
+   sweep. *)
 let zeta_triple_logs ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy =
   let p z = holds_logs ~lxy ~lxz ~lzy z in
   if p 1. then 1.
   else begin
+    (* zeta >= lg (fxy / min side) always suffices: at that zeta the larger
+       side alone is within a factor 2^(1/zeta) and the two sides add up. *)
     let m = Float.min fxz fzy in
     let lo = ref 1.
     and hi = ref (Float.max 1.5 (Num.log2 (fxy /. m) +. 1e-6)) in
@@ -70,6 +43,12 @@ let zeta_triple_logs ~fxy ~fxz ~fzy ~lxy ~lxz ~lzy =
     done;
     !lo
   end
+
+let zeta_triple fxy fxz fzy =
+  if fxy <= fxz +. fzy then 1.
+  else
+    zeta_triple_logs ~fxy ~fxz ~fzy ~lxy:(log fxy) ~lxz:(log fxz)
+      ~lzy:(log fzy)
 
 (* ------------------------------------------------- pruning bound tables *)
 
@@ -769,78 +748,11 @@ let zeta_witness ?(ctx = Ctx.default) d = zeta_witness_via Auto ctx d
 
 let zeta ?ctx d = (zeta_witness ?ctx d).value
 
-let zeta_upper_bound ?jobs d =
-  let n = Decay_space.n d in
-  if n < 2 then 1.
-  else begin
-    let f = F.data d in
-    let mn, mx =
-      Par.map_reduce_chunks
-        ~jobs:(Par.resolve_jobs jobs)
-        ~lo:0 ~hi:n ~neutral:(infinity, 0.)
-        ~map:(fun lo hi ->
-          let mn = ref infinity and mx = ref 0. in
-          for i = lo to hi - 1 do
-            let base = i * n in
-            for j = 0 to n - 1 do
-              if i <> j then begin
-                let v = F.unsafe_get f (base + j) in
-                if v < !mn then mn := v;
-                if v > !mx then mx := v
-              end
-            done
-          done;
-          (!mn, !mx))
-        ~combine:(fun (mn1, mx1) (mn2, mx2) ->
-          (Float.min mn1 mn2, Float.max mx1 mx2))
-    in
-    Float.max 1. (Num.log2 (mx /. mn))
-  end
-
-(* The zeta pass at [t = 1. /. (z +. 1e-7)]: a triple fails only where
-   the pass flags its pair and the plain check [fxy <= fxz +. fzy] fails
-   too.  Stops a chunk at its first failure. *)
-let holds_at ?jobs d z =
-  let n = Decay_space.n d in
-  n < 3
-  ||
-  let jobs = Par.resolve_jobs jobs in
-  let g = exp_table ~jobs d (1. /. (z +. 1e-7)) in
-  let f = F.data d in
-  let ft = F.transpose d in
-  let chunk x_lo x_hi =
-    let m = Array.make (block * n) 0. and rows = Array.make block 0 in
-    let ok = ref true and p = ref x_lo in
-    while !ok && !p < x_hi do
-      let k = min block (x_hi - !p) in
-      for r = 0 to k - 1 do
-        rows.(r) <- !p + r
-      done;
-      minplus g n ~y_lo:0 rows k m;
-      for r = 0 to k - 1 do
-        let row = rows.(r) * n in
-        for y = 0 to n - 1 do
-          let gxy = Bigarray.Array1.unsafe_get g (row + y) in
-          if !ok && not (m.((r * n) + y) >= gxy) then begin
-            let fxy = F.unsafe_get f (row + y) in
-            for z = 0 to n - 1 do
-              if
-                fxy > F.unsafe_get f (row + z) +. F.unsafe_get ft ((y * n) + z)
-                && not
-                     (Bigarray.Array1.unsafe_get g (row + z)
-                      +. Bigarray.Array1.unsafe_get g ((z * n) + y)
-                     >= gxy)
-              then ok := false
-            done
-          end
-        done
-      done;
-      p := !p + k
-    done;
-    !ok
-  in
-  Par.map_reduce_chunks ~jobs ~lo:0 ~hi:n ~neutral:true ~map:chunk
-    ~combine:( && )
+let zeta_upper_bound d =
+  if Decay_space.n d < 2 then 1.
+  else
+    Float.max 1.
+      (Num.log2 (Decay_space.max_decay d /. Decay_space.min_decay d))
 
 (* ------------------------------------------------------------ phi sweep *)
 

@@ -91,11 +91,14 @@
 type witness = { x : int; y : int; z : int; value : float }
 (** The triple achieving an extremal parameter, and the value there. *)
 
-val zeta_triple : ?tol:float -> float -> float -> float -> float
+val tol : float
+(** The relative bisection tolerance every triple bisects to, [1e-9]. *)
+
+val zeta_triple : float -> float -> float -> float
 (** [zeta_triple fxy fxz fzy] is the smallest [z >= 1] making the relaxed
     inequality [fxy^(1/z) <= fxz^(1/z) + fzy^(1/z)] hold for one triple of
-    decays (bisection; validity is monotone in [z]).  [tol] is the relative
-    bisection tolerance, default [1e-9]. *)
+    decays (bisection to {!tol}; validity is monotone in [z]), bit for
+    bit the value the sweeps compute for that triple. *)
 
 val zeta : ?ctx:Ctx.t -> Decay_space.t -> float
 (** Exact metricity: maximum of {!zeta_triple} over all ordered triples of
@@ -105,7 +108,7 @@ val zeta : ?ctx:Ctx.t -> Decay_space.t -> float
     to exactly the naive evaluation, so the result (and witness) is
     bit-for-bit the naive sweep's.  Returns [1.] for spaces with fewer
     than three nodes.  Every triple bisects to the relative tolerance
-    [1e-9].  [ctx] (default {!Ctx.default}) carries the job count; the
+    {!tol}.  [ctx] (default {!Ctx.default}) carries the job count; the
     result is identical at every job count. *)
 
 val zeta_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
@@ -113,13 +116,9 @@ val zeta_witness : ?ctx:Ctx.t -> Decay_space.t -> witness
     lexicographically smallest [(x, y, z)] wins, at every [jobs] count
     and under every internal loop order. *)
 
-val zeta_upper_bound : ?jobs:int -> Decay_space.t -> float
-(** The paper's a-priori bound [zeta <= max(1, lg (f_max / f_min))]. *)
-
-val holds_at : ?jobs:int -> Decay_space.t -> float -> bool
-(** [holds_at d z] checks the relaxed triangle inequality at parameter [z]
-    for all triples (within the bisection tolerance), on the zeta pass at
-    [z +. 1e-7]. *)
+val zeta_upper_bound : Decay_space.t -> float
+(** The paper's a-priori bound [zeta <= max(1, lg (f_max / f_min))] over
+    the off-diagonal decays ([1.] below two nodes). *)
 
 val phi : ?ctx:Ctx.t -> Decay_space.t -> float
 (** The relaxed-triangle-inequality constant

@@ -22,8 +22,15 @@ module Slo = Bg_serve.Slo
    - no corrupt payload survives into the durable answers — every cached
      result equals the direct computation, bit for bit.
 
-   Everything flows from two integers (workload seed, chaos seed), so a
-   failure replays exactly. *)
+   Everything flows from two integers (workload seed, chaos seed): which
+   reply lines are dropped, torn or corrupted, and at which byte offsets,
+   replays exactly.  The table's retries and corrupt columns still vary
+   by a line or two between runs of one binary (43-46 retries and 14-17
+   corrupt lines seen): every reply prints two wall-clock fields,
+   queue_wait_s and elapsed_s, whose printed length moves the bytes that
+   land at those offsets, and whether a mangled line still parses
+   decides a retry.  With both fields forced to 0 the counts repeat
+   exactly.  The verdict never reads these two columns. *)
 
 let rm_f p = try Sys.remove p with Sys_error _ -> ()
 

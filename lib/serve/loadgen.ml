@@ -11,20 +11,19 @@
    persistent store.
 
    Two drivers replay a trace:
-   - in-process, against a Server.t, for tests and the perf gate;
+   - in-process, against a Server.t, for E30, tests and the perf gate;
    - over pipes against a spawned `bg serve` daemon, closed-loop with a
-     bounded in-flight window (and an optional open-loop target rate),
-     for the end-to-end benchmark.  The pipe driver multiplexes reads
-     and writes with select and keeps writes nonblocking, so a busy
-     daemon can never deadlock the generator.
+     bounded in-flight window, for the end-to-end benchmark.  The pipe
+     driver multiplexes reads and writes with select and keeps writes
+     nonblocking, so a busy daemon can never deadlock the generator.
 
-   Both drivers take an optional Client policy and then exercise the
-   full retry path: per-request deadlines, seeded backoff, bounded
-   re-sends (safe — requests are idempotent by cache key), breaker
-   pauses, and first-answer-wins dedup (a late answer to a timed-out
-   attempt counts as a duplicate, never a second result).  Responses
-   that fail to parse — chaos-torn or corrupted lines — are counted and
-   retried, so no corrupt payload ever reaches the report as an answer.
+   Both are transports over one request ledger, which counts every
+   request once: sent, then answered or given up, with retries,
+   duplicates and corrupt lines tallied by one set of rules.  With a
+   Client policy the drivers exercise the full retry path: lost attempts
+   (deadline expiry over pipes, a batch flush in-process) are re-sent
+   under the retry budget (safe — requests are idempotent by cache key),
+   and the pipe driver backs off and honours the breaker.
 
    Both report answered/ok/rejected/error counts, cache-outcome tallies,
    retry/duplicate/corrupt/gave-up tallies, throughput and exact
@@ -129,69 +128,6 @@ let generate w =
             };
       })
 
-(* --------------------------------------------------- driver-side tracing *)
-
-(* The drivers run their own event loop rather than Client.request, so
-   they emit spans after the fact: each request's root [client.request]
-   span id is preallocated before the first send and rides the wire as
-   [parent_span], and the span itself is emitted (backdated) when the
-   request resolves.  The daemon's serve.request subtree then re-parents
-   under this exact span when the trace files are merged. *)
-type tracing = {
-  spans : (string, string * int * string) Hashtbl.t;
-      (* id -> (trace_id, root span id, re-rendered request line) *)
-  mutable emitted : int;
-}
-
-let trace_prep requests =
-  if not (Obs.tracing ()) then None
-  else begin
-    let spans = Hashtbl.create 256 in
-    List.iter
-      (fun r ->
-        let tid =
-          match r.P.trace with
-          | Some t -> t.P.trace_id
-          | None -> "lg-" ^ r.P.id
-        in
-        let span = Obs.alloc_span_id () in
-        let line =
-          P.request_to_string
-            { r with P.trace = Some { P.trace_id = tid; parent_span = span } }
-        in
-        Hashtbl.replace spans r.P.id (tid, span, line))
-      requests;
-    Some { spans; emitted = 0 }
-  end
-
-let traced_line tr id line =
-  match tr with
-  | None -> line
-  | Some t -> (
-      match Hashtbl.find_opt t.spans id with
-      | Some (_, _, l) -> l
-      | None -> line)
-
-(* Close a request's root span.  Called at most once per id (answered,
-   or given up); ids that never resolve before the driver exits simply
-   have no root span — the server subtree still names the trace id. *)
-let trace_finish tr ~id ~start_s ~dur_s ~attempts ~ok =
-  match tr with
-  | None -> ()
-  | Some t -> (
-      match Hashtbl.find_opt t.spans id with
-      | None -> ()
-      | Some (tid, span, _) ->
-          Hashtbl.remove t.spans id;
-          t.emitted <- t.emitted + 1;
-          ignore
-            (Obs.emit_span_at
-               ~attrs:
-                 [ ("trace_id", Obs.S tid); ("id", Obs.S id);
-                   ("attempts", Obs.I attempts) ]
-               ~parent:0 ~id:span ~ok ~name:"client.request" ~start_s ~dur_s
-               ()))
-
 (* -------------------------------------------------------------- report *)
 
 type report = {
@@ -226,78 +162,6 @@ let quantile sorted q =
   else
     sorted.(min (n - 1)
               (int_of_float (Float.round (q *. float_of_int (n - 1)))))
-
-(* Fold a list of (response, latency) into a report. *)
-let build_report ?(retries = 0) ?(duplicates = 0) ?(corrupt_lines = 0)
-    ?(gave_up = 0) ~sent ~wall_s answers =
-  let ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let hits = ref 0 and misses = ref 0 and coalesced = ref 0 in
-  let degraded = ref 0 in
-  let lat = ref [] in
-  let traced = ref [] in
-  let samples = ref [] in
-  List.iter
-    (fun (resp, latency) ->
-      lat := latency :: !lat;
-      (match P.response_trace resp with
-      | Some t -> traced := (t.P.trace_id, latency) :: !traced
-      | None -> ());
-      (match resp with
-      | P.Done { cache; degraded = d; _ } ->
-          incr ok;
-          if d then incr degraded;
-          (match cache with
-          | P.Hit -> incr hits
-          | P.Miss -> incr misses
-          | P.Coalesced -> incr coalesced)
-      | P.Rejected _ -> incr rejected
-      | P.Failed _ -> incr errors);
-      samples := (latency, match resp with P.Done _ -> true | _ -> false)
-                 :: !samples)
-    answers;
-  for _ = 1 to gave_up do
-    samples := (Float.infinity, false) :: !samples
-  done;
-  let lats = Array.of_list !lat in
-  Array.sort compare lats;
-  let answered = Array.length lats in
-  let mean_s =
-    if answered = 0 then 0.
-    else Array.fold_left ( +. ) 0. lats /. float_of_int answered
-  in
-  (* Exemplars: trace ids of the slowest-decile answers (at least one
-     when anything was traced), worst first, capped — enough to jump
-     into `bg trace report --id` without drowning the report. *)
-  let exemplars =
-    let arr = Array.of_list !traced in
-    Array.sort (fun (_, a) (_, b) -> compare b a) arr;
-    let n = Array.length arr in
-    let keep = min 8 (max (min n 1) (n / 10)) in
-    Array.to_list (Array.sub arr 0 keep)
-  in
-  {
-    sent;
-    answered;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    hits = !hits;
-    misses = !misses;
-    coalesced = !coalesced;
-    degraded = !degraded;
-    retries;
-    duplicates;
-    corrupt_lines;
-    gave_up;
-    wall_s;
-    throughput_rps =
-      (if wall_s > 0. then float_of_int answered /. wall_s else 0.);
-    mean_s;
-    p50_s = quantile lats 0.50;
-    p99_s = quantile lats 0.99;
-    exemplars;
-    slo_samples = List.rev !samples;
-  }
 
 let hit_rate r = if r.ok = 0 then 0. else float_of_int r.hits /. float_of_int r.ok
 
@@ -348,109 +212,299 @@ let pp_report fmt r =
         (fun (tid, lat) -> Format.fprintf fmt " %s(%.2gs)" tid lat)
         ex
 
+(* -------------------------------------------------------------- ledger *)
+
+(* Every per-request fact and every state change lives in one ledger;
+   the drivers are transports that decide only when a line goes out and
+   when an attempt counts as lost.
+
+   A request is Waiting (never sent, or lost and due for a re-send at the
+   given time), In_flight since its current attempt went out, or
+   resolved — Answered or Gave_up — exactly once.  A reply line has one
+   meaning: a parseable reply for a sent, unresolved id resolves it (the
+   first answer wins, even one that beats its own re-send); a reply for
+   a resolved id is a duplicate, whether that request answered or gave
+   up; an unparseable line, or an id never sent, is corrupt.  So
+   answered + gave_up never exceeds sent.  (Replies carry no checksum:
+   a mangled line that still parses and names a sent id answers it.)
+
+   Tracing: the drivers run their own event loop rather than
+   Client.request, so each request's root [client.request] span id is
+   preallocated and rides the wire as [parent_span], and the span itself
+   is emitted (backdated) when the request resolves.  The daemon's
+   serve.request subtree then re-parents under this exact span when the
+   trace files are merged.  A request still unresolved when its driver
+   stops has no root span; the server subtree still names its trace
+   id. *)
+
+type state =
+  | Waiting of float  (* due time of the next send *)
+  | In_flight of float  (* when the current attempt went out *)
+  | Answered
+  | Gave_up
+
+type entry = {
+  id : string;
+  index : int;  (* trace position: lost attempts are handled in this order *)
+  line : string;  (* the wire line, trace context included *)
+  root : (string * int) option;  (* trace id, root span id *)
+  mutable attempts : int;
+  mutable first_s : float;
+  mutable state : state;
+}
+
+type ledger = {
+  client : Client.t option;
+  max_retries : int;
+  entries : (string, entry) Hashtbl.t;
+  flying : (string, entry) Hashtbl.t;
+  mutable fresh : entry list;  (* never sent, in trace order *)
+  mutable lost : entry list;  (* awaiting a re-send, earliest due first *)
+  mutable sent : int;
+  mutable retries : int;
+  mutable duplicates : int;
+  mutable corrupt : int;
+  mutable gave_up : int;
+  mutable answers : (P.response * float) list;  (* latency; latest first *)
+  started_s : float;
+}
+
+let ledger ?client requests =
+  let tracing = Obs.tracing () in
+  let entries = Hashtbl.create 256 in
+  let fresh =
+    List.mapi
+      (fun index r ->
+        let root, line =
+          if not tracing then (None, P.request_to_string r)
+          else
+            let tid =
+              match r.P.trace with
+              | Some t -> t.P.trace_id
+              | None -> "lg-" ^ r.P.id
+            in
+            let span = Obs.alloc_span_id () in
+            let trace = Some { P.trace_id = tid; parent_span = span } in
+            (Some (tid, span), P.request_to_string { r with P.trace })
+        in
+        let e =
+          { id = r.P.id; index; line; root; attempts = 0; first_s = 0.;
+            state = Waiting neg_infinity (* due at once *) }
+        in
+        Hashtbl.replace entries e.id e;
+        e)
+      requests
+  in
+  {
+    client;
+    max_retries =
+      (match client with
+      | None -> 0
+      | Some c -> (Client.config c).Client.max_retries);
+    entries;
+    flying = Hashtbl.create 64;
+    fresh;
+    lost = [];
+    sent = 0;
+    retries = 0;
+    duplicates = 0;
+    corrupt = 0;
+    gave_up = 0;
+    answers = [];
+    started_s = Obs.now_s ();
+  }
+
+let in_flight_count l = Hashtbl.length l.flying
+
+(* In-flight entries in trace order. *)
+let in_flight l =
+  List.sort
+    (fun a b -> compare a.index b.index)
+    (Hashtbl.fold (fun _ e acc -> e :: acc) l.flying [])
+
+(* Something is still to be sent, now or after a backoff. *)
+let pending l = l.fresh <> [] || l.lost <> []
+
+(* The next attempt's line, if one is due at [now]: a lost request whose
+   re-send is due goes first (it has waited longest), then the trace in
+   order. *)
+let send l ~now =
+  let next =
+    match (l.lost, l.fresh) with
+    | ({ state = Waiting due; _ } as e) :: rest, _ when due <= now ->
+        l.lost <- rest;
+        Some e
+    | _, e :: rest ->
+        l.fresh <- rest;
+        Some e
+    | _ -> None
+  in
+  Option.map
+    (fun e ->
+      if e.attempts = 0 then begin
+        l.sent <- l.sent + 1;
+        e.first_s <- now
+      end
+      else begin
+        l.retries <- l.retries + 1;
+        Option.iter Client.count_retry l.client
+      end;
+      e.attempts <- e.attempts + 1;
+      e.state <- In_flight now;
+      Hashtbl.replace l.flying e.id e;
+      e.line)
+    next
+
+let is_ok = function P.Done _ -> true | P.Rejected _ | P.Failed _ -> false
+
+(* The one place a request resolves, and emits its root span. *)
+let resolve l e ~now ~ok state =
+  (match e.state with
+  | Waiting _ -> l.lost <- List.filter (fun x -> x != e) l.lost
+  | _ -> Hashtbl.remove l.flying e.id);
+  e.state <- state;
+  Option.iter
+    (fun (tid, span) ->
+      ignore
+        (Obs.emit_span_at
+           ~attrs:
+             [ ("trace_id", Obs.S tid); ("id", Obs.S e.id);
+               ("attempts", Obs.I e.attempts) ]
+           ~parent:0 ~id:span ~ok ~name:"client.request" ~start_s:e.first_s
+           ~dur_s:(now -. e.first_s) ()))
+    e.root
+
+let receive l line =
+  match P.response_of_string line with
+  | Error _ -> l.corrupt <- l.corrupt + 1
+  | Ok resp -> (
+      match Hashtbl.find_opt l.entries (P.response_id resp) with
+      | Some { state = Answered | Gave_up; _ } ->
+          l.duplicates <- l.duplicates + 1
+      | Some e when e.attempts > 0 ->
+          let now = Obs.now_s () in
+          resolve l e ~now ~ok:(is_ok resp) Answered;
+          Option.iter Client.record_success l.client;
+          l.answers <- (resp, now -. e.first_s) :: l.answers
+      | _ -> l.corrupt <- l.corrupt + 1)
+
+(* An in-flight attempt that will not be answered: a failure for the
+   breaker, then a re-send due [backoff attempt] seconds from [now] while
+   the retry budget lasts, else a give-up. *)
+let lose l e ~now ~backoff =
+  Option.iter (fun c -> Client.record_failure c ~now) l.client;
+  if e.attempts > l.max_retries then begin
+    l.gave_up <- l.gave_up + 1;
+    resolve l e ~now ~ok:false Gave_up
+  end
+  else begin
+    Hashtbl.remove l.flying e.id;
+    let due = now +. backoff (e.attempts - 1) in
+    e.state <- Waiting due;
+    let rec insert = function
+      | ({ state = Waiting d; _ } as x) :: rest when d <= due ->
+          x :: insert rest
+      | rest -> e :: rest
+    in
+    l.lost <- insert l.lost
+  end
+
+let report l =
+  let ok = ref 0 and rejected = ref 0 and errors = ref 0 in
+  let hits = ref 0 and misses = ref 0 and coalesced = ref 0 in
+  let degraded = ref 0 in
+  List.iter
+    (fun (resp, _) ->
+      match resp with
+      | P.Done { cache; degraded = d; _ } -> (
+          incr ok;
+          if d then incr degraded;
+          match cache with
+          | P.Hit -> incr hits
+          | P.Miss -> incr misses
+          | P.Coalesced -> incr coalesced)
+      | P.Rejected _ -> incr rejected
+      | P.Failed _ -> incr errors)
+    l.answers;
+  let lats = Array.of_list (List.map snd l.answers) in
+  Array.sort compare lats;
+  let answered = Array.length lats in
+  let mean_s =
+    if answered = 0 then 0.
+    else Array.fold_left ( +. ) 0. lats /. float_of_int answered
+  in
+  (* Exemplars: trace ids of the slowest-decile answers (at least one
+     when anything was traced), worst first, capped — enough to jump
+     into `bg trace report --id` without drowning the report. *)
+  let exemplars =
+    let arr =
+      Array.of_list
+        (List.filter_map
+           (fun (resp, latency) ->
+             Option.map
+               (fun t -> (t.P.trace_id, latency))
+               (P.response_trace resp))
+           l.answers)
+    in
+    Array.sort (fun (_, a) (_, b) -> compare b a) arr;
+    let n = Array.length arr in
+    let keep = min 8 (max (min n 1) (n / 10)) in
+    Array.to_list (Array.sub arr 0 keep)
+  in
+  let wall_s = Obs.now_s () -. l.started_s in
+  {
+    sent = l.sent;
+    answered;
+    ok = !ok;
+    rejected = !rejected;
+    errors = !errors;
+    hits = !hits;
+    misses = !misses;
+    coalesced = !coalesced;
+    degraded = !degraded;
+    retries = l.retries;
+    duplicates = l.duplicates;
+    corrupt_lines = l.corrupt;
+    gave_up = l.gave_up;
+    wall_s;
+    throughput_rps =
+      (if wall_s > 0. then float_of_int answered /. wall_s else 0.);
+    mean_s;
+    p50_s = quantile lats 0.50;
+    p99_s = quantile lats 0.99;
+    exemplars;
+    (* Gave-ups score as failures at infinite latency, so no objective
+       can be gamed by abandonment. *)
+    slo_samples =
+      List.rev_map (fun (resp, latency) -> (latency, is_ok resp)) l.answers
+      @ List.init l.gave_up (fun _ -> (Float.infinity, false));
+  }
+
 (* ---------------------------------------------------- in-process driver *)
 
-(* The in-process driver feeds run_loop through the io record and
-   recovers chaos-dropped/-corrupted replies at batch boundaries: the
+(* The in-process driver feeds run_loop through the io record.  The
    flush callback fires after every batch's replies, and provided the
-   in-flight window never exceeds the engine's batch_size, every request
-   sent before a flush was answered by it — so an id still unanswered at
-   flush lost its reply to chaos, and is re-sent (bounded by the client
-   policy) or given up.  First answer wins; merged torn lines fail to
-   parse and count as corrupt. *)
+   in-flight window never exceeds the engine's batch_size, every attempt
+   sent before a flush was answered by it — so an attempt still in
+   flight at a flush lost its reply to chaos, and is re-sent at once. *)
 let drive_inproc ?(window = 32) ?client server requests =
   if window < 1 then invalid_arg "drive_inproc: window < 1";
-  let max_retries =
-    match client with None -> 0 | Some c -> (Client.config c).Client.max_retries
-  in
-  let tr = trace_prep requests in
-  let remaining =
-    ref
-      (List.map
-         (fun r -> (r.P.id, traced_line tr r.P.id (P.request_to_string r)))
-         requests)
-  in
-  let lines : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (id, line) -> Hashtbl.replace lines id line) !remaining;
-  let inflight : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let attempts : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let answered : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let sent = ref 0 in
-  let retries = ref 0 and duplicates = ref 0 in
-  let corrupt = ref 0 and gave_up = ref 0 in
-  let answers = ref [] in
-  let started = Obs.now_s () in
-  let handle_line resp_line =
-    match P.response_of_string resp_line with
-    | Error _ -> incr corrupt
-    | Ok resp -> (
-        let id = P.response_id resp in
-        if Hashtbl.mem answered id then incr duplicates
-        else
-          match Hashtbl.find_opt inflight id with
-          | None ->
-              (* Not in flight: either a late answer to an id we gave up
-                 on, or a corrupted payload whose mangled id still
-                 parses.  Never an answer either way. *)
-              if Hashtbl.mem lines id then incr duplicates else incr corrupt
-          | Some t0 ->
-              Hashtbl.remove inflight id;
-              Hashtbl.add answered id ();
-              Option.iter Client.record_success client;
-              let latency = Obs.now_s () -. t0 in
-              trace_finish tr ~id ~start_s:t0 ~dur_s:latency
-                ~attempts:(try Hashtbl.find attempts id with Not_found -> 1)
-                ~ok:(match resp with P.Done _ -> true | _ -> false);
-              answers := (resp, latency) :: !answers)
-  in
+  let l = ledger ?client requests in
   let read ~block:_ =
-    match !remaining with
-    | [] -> if Hashtbl.length inflight = 0 then `Eof else `Nothing
-    | (id, line) :: rest ->
-        if Hashtbl.length inflight >= window then `Nothing
-        else begin
-          remaining := rest;
-          let n = (try Hashtbl.find attempts id with Not_found -> 0) + 1 in
-          Hashtbl.replace attempts id n;
-          if n = 1 then begin
-            incr sent;
-            Hashtbl.replace inflight id (Obs.now_s ())
-          end
-          (* a retry keeps its first-send timestamp for latency *)
-          else if not (Hashtbl.mem inflight id) then
-            Hashtbl.replace inflight id (Obs.now_s ());
-          `Req (line, handle_line)
-        end
+    if in_flight_count l >= window then `Nothing
+    else
+      match send l ~now:(Obs.now_s ()) with
+      | Some line -> `Req (line, receive l)
+      | None ->
+          if in_flight_count l = 0 && not (pending l) then `Eof else `Nothing
   in
-  (* Batch boundary: every in-flight id predates the batch just replied
-     to (window <= batch_size), so survivors lost their reply line. *)
   let flush () =
-    let lost = Hashtbl.fold (fun id _ acc -> id :: acc) inflight [] in
     List.iter
-      (fun id ->
-        let n = try Hashtbl.find attempts id with Not_found -> 1 in
-        Option.iter (fun c -> Client.record_failure c ~now:(Obs.now_s ())) client;
-        if n > max_retries then begin
-          (match Hashtbl.find_opt inflight id with
-          | Some t0 ->
-              trace_finish tr ~id ~start_s:t0
-                ~dur_s:(Obs.now_s () -. t0)
-                ~attempts:n ~ok:false
-          | None -> ());
-          Hashtbl.remove inflight id;
-          incr gave_up
-        end
-        else begin
-          incr retries;
-          Option.iter Client.count_retry client;
-          remaining := (id, Hashtbl.find lines id) :: !remaining
-        end)
-      lost
+      (fun e -> lose l e ~now:(Obs.now_s ()) ~backoff:(fun _ -> 0.))
+      (in_flight l)
   in
-  let _stats = Server.run_loop server { Server.read; flush } in
-  build_report ~retries:!retries ~duplicates:!duplicates
-    ~corrupt_lines:!corrupt ~gave_up:!gave_up ~sent:!sent
-    ~wall_s:(Obs.now_s () -. started) !answers
+  ignore (Server.run_loop server { Server.read; flush } : Server.stats);
+  report l
 
 (* ------------------------------------------------------- pipe driver *)
 
@@ -471,155 +525,52 @@ let write_nonblock fd buf =
 (* Drive an external daemon speaking the protocol on [req_w]/[resp_r]
    (both pipe fds; [req_w] is closed when nothing more will ever be sent,
    so the daemon sees EOF and drains).  Closed-loop: at most [window]
-   requests in flight; [rate] adds an open-loop cap (requests issued no
-   faster than [rate]/s even when the window has room).  With [client],
-   attempts that outlive the policy deadline are re-sent after jittered
-   backoff (up to max_retries), the breaker pauses issuing after
-   consecutive failures, and late answers to timed-out attempts are
-   deduplicated — each request contributes at most one answer. *)
-let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
+   attempts in flight, issued only while the client's breaker admits.
+   With [client], an attempt that outlives the policy deadline is lost,
+   and re-sent after jittered backoff while the retry budget lasts. *)
+let drive_fds ?(window = 32) ?client ~req_w ~resp_r requests =
   if window < 1 then invalid_arg "drive: window < 1";
-  (match rate with
-  | Some r when r <= 0. -> invalid_arg "drive: rate must be positive"
-  | _ -> ());
   Unix.set_nonblock req_w;
   let reader = Server.Line_reader.create resp_r in
   let deadline = Option.bind client (fun c -> (Client.config c).Client.deadline_s) in
-  let max_retries =
-    match client with None -> 0 | Some c -> (Client.config c).Client.max_retries
-  in
-  let tr = trace_prep requests in
-  let pending =
-    ref
-      (List.map
-         (fun r -> (r.P.id, traced_line tr r.P.id (P.request_to_string r)))
-         requests)
-  in
-  let lines : (string, string) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun (id, line) -> Hashtbl.replace lines id line) !pending;
+  let l = ledger ?client requests in
   let out = Buffer.create 65536 in
-  let attempt_at : (string, float) Hashtbl.t = Hashtbl.create 256 in
-  let first_at : (string, float) Hashtbl.t = Hashtbl.create 256 in
-  let attempts : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let retry_at : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let answered_ids : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let sent = ref 0 in
-  let retries = ref 0 and duplicates = ref 0 in
-  let corrupt = ref 0 and gave_up = ref 0 in
-  let answers = ref [] in
   let closed_req = ref false in
-  let started = Obs.now_s () in
-  let admit now =
-    match client with None -> true | Some c -> Client.admit c ~now
-  in
-  let issue_allowed now =
-    match rate with
-    | None -> true
-    | Some r -> float_of_int !sent <= (now -. started) *. r
-  in
-  let enqueue_line id now =
-    Hashtbl.replace attempt_at id now;
-    if not (Hashtbl.mem first_at id) then Hashtbl.replace first_at id now;
-    Hashtbl.replace attempts id
-      ((try Hashtbl.find attempts id with Not_found -> 0) + 1);
-    Buffer.add_string out (Hashtbl.find lines id);
-    Buffer.add_char out '\n'
-  in
   let issue_some () =
     let now = Obs.now_s () in
-    let inflight () = Hashtbl.length attempt_at in
-    if admit now then begin
-      (* Due retries go out first — they have been waiting longest. *)
-      let due =
-        Hashtbl.fold
-          (fun id when_ acc -> if when_ <= now then id :: acc else acc)
-          retry_at []
-      in
-      List.iter
-        (fun id ->
-          if inflight () < window && Buffer.length out < 1 lsl 20 then begin
-            Hashtbl.remove retry_at id;
-            incr retries;
-            Option.iter Client.count_retry client;
-            enqueue_line id now
-          end)
-        due;
-      let continue = ref true in
-      while
-        !continue && !pending <> [] && inflight () < window
-        && Buffer.length out < 1 lsl 20
-        && issue_allowed now
-      do
-        match !pending with
-        | [] -> continue := false
-        | (id, _) :: rest ->
-            pending := rest;
-            incr sent;
-            enqueue_line id now
-      done
-    end
+    let rec go () =
+      if in_flight_count l < window && Buffer.length out < 1 lsl 20 then
+        match send l ~now with
+        | Some line ->
+            Buffer.add_string out line;
+            Buffer.add_char out '\n';
+            go ()
+        | None -> ()
+    in
+    match client with
+    | Some c when not (Client.admit c ~now) -> ()
+    | _ -> go ()
   in
-  (* Attempts past the deadline: failure for the breaker, then either a
-     backoff-scheduled re-send or (retry budget spent) a give-up. *)
   let check_deadlines () =
     match (deadline, client) with
     | Some d, Some c ->
         let now = Obs.now_s () in
-        let expired =
-          Hashtbl.fold
-            (fun id t0 acc -> if now -. t0 > d then id :: acc else acc)
-            attempt_at []
-        in
         List.iter
-          (fun id ->
-            Hashtbl.remove attempt_at id;
-            Client.record_failure c ~now;
-            let n = try Hashtbl.find attempts id with Not_found -> 1 in
-            if n > max_retries then begin
-              (match Hashtbl.find_opt first_at id with
-              | Some t0 ->
-                  trace_finish tr ~id ~start_s:t0 ~dur_s:(now -. t0)
-                    ~attempts:n ~ok:false
-              | None -> ());
-              incr gave_up
-            end
-            else
-              Hashtbl.replace retry_at id
-                (now +. Client.backoff_s c ~attempt:(n - 1)))
-          expired
+          (fun e ->
+            match e.state with
+            | In_flight t0 when now -. t0 > d ->
+                lose l e ~now ~backoff:(fun attempt ->
+                    Client.backoff_s c ~attempt)
+            | _ -> ())
+          (in_flight l)
     | _ -> ()
   in
-  let handle_line line =
-    match P.response_of_string line with
-    | Error _ -> incr corrupt
-    | Ok resp -> (
-        let id = P.response_id resp in
-        if Hashtbl.mem answered_ids id then incr duplicates
-        else
-          match Hashtbl.find_opt first_at id with
-          | None ->
-              (* Parses, but we never sent this id: a corrupted payload
-                 whose mangling survived the JSON parser.  Never an
-                 answer — the real request's deadline will retry it. *)
-              incr corrupt
-          | Some t0 ->
-              Hashtbl.add answered_ids id ();
-              let latency = Obs.now_s () -. t0 in
-              Hashtbl.remove attempt_at id;
-              Hashtbl.remove retry_at id;
-              Option.iter Client.record_success client;
-              trace_finish tr ~id ~start_s:t0 ~dur_s:latency
-                ~attempts:(try Hashtbl.find attempts id with Not_found -> 1)
-                ~ok:(match resp with P.Done _ -> true | _ -> false);
-              answers := (resp, latency) :: !answers)
-  in
-  (* Nothing more will ever be sent once the trace is drained, no retry
-     is scheduled, and (when a deadline exists) nothing in flight can
-     still expire into a retry. *)
+  (* Nothing more will ever be sent once nothing is pending or buffered
+     and (when a deadline exists) nothing in flight can still expire
+     into a re-send. *)
   let done_sending () =
-    !pending = [] && Buffer.length out = 0
-    && Hashtbl.length retry_at = 0
-    && (deadline = None || Hashtbl.length attempt_at = 0)
+    (not (pending l)) && Buffer.length out = 0
+    && (deadline = None || in_flight_count l = 0)
   in
   let eof = ref false in
   while not !eof do
@@ -629,20 +580,16 @@ let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
       closed_req := true;
       (try Unix.close req_w with Unix.Unix_error _ -> ())
     end;
-    let want_write =
-      (not !closed_req) && Buffer.length out > 0
+    let writes =
+      if (not !closed_req) && Buffer.length out > 0 then [ req_w ] else []
     in
-    let writes = if want_write then [ req_w ] else [] in
-    (* Tighter ticks while a deadline or scheduled retry is pending, so
+    (* Tighter ticks while a deadline or scheduled re-send is pending, so
        expiry latency stays small against sub-second deadlines. *)
     let tick =
-      if
-        Hashtbl.length retry_at > 0
-        || (deadline <> None && Hashtbl.length attempt_at > 0)
-      then 0.05
+      if l.lost <> [] || (deadline <> None && in_flight_count l > 0) then 0.05
       else 0.25
     in
-    (match Unix.select [ resp_r ] writes [] tick with
+    match Unix.select [ resp_r ] writes [] tick with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
         if writable <> [] then write_nonblock req_w out;
@@ -651,23 +598,21 @@ let drive_fds ?(window = 32) ?rate ?client ~req_w ~resp_r requests =
           let continue = ref true in
           while !continue do
             match Server.Line_reader.next ~block:false reader with
-            | `Line l -> handle_line l
+            | `Line line -> receive l line
             | `Nothing -> continue := false
             | `Eof ->
                 continue := false;
                 eof := true
           done
-        end)
+        end
   done;
   if not !closed_req then (try Unix.close req_w with Unix.Unix_error _ -> ());
-  build_report ~retries:!retries ~duplicates:!duplicates
-    ~corrupt_lines:!corrupt ~gave_up:!gave_up ~sent:!sent
-    ~wall_s:(Obs.now_s () -. started) !answers
+  report l
 
 (* Spawn [argv] (a `bg serve` command line), drive the trace through its
    stdin/stdout, reap it, and report.  The child's stderr passes
    through. *)
-let drive_subprocess ?window ?rate ?client argv requests =
+let drive_subprocess ?window ?client argv requests =
   (* cloexec on every pipe end: the child must NOT inherit our copies of
      req_w / resp_r, or closing req_w here would never deliver its EOF
      (the daemon itself would hold the write end open).  create_process
@@ -678,11 +623,8 @@ let drive_subprocess ?window ?rate ?client argv requests =
   let pid = Unix.create_process argv.(0) argv req_r resp_w Unix.stderr in
   Unix.close req_r;
   Unix.close resp_w;
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close resp_r with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid))
-      (fun () -> drive_fds ?window ?rate ?client ~req_w ~resp_r requests)
-  in
-  report
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close resp_r with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () -> drive_fds ?window ?client ~req_w ~resp_r requests)

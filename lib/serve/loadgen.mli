@@ -11,19 +11,24 @@
     concurrency — the property behind the warm-restart cache-hit
     acceptance test.
 
-    Both drivers take an optional {!Client} policy and then exercise the
-    full retry path: deadlines, seeded backoff, bounded re-sends (safe —
-    requests are idempotent by cache key), breaker pauses, and
-    first-answer-wins dedup, so each request contributes at most one
-    answer to the report however chaotic the daemon.  Unparseable
-    response lines (chaos-torn or corrupted) are counted and retried —
-    a corrupt payload is never scored as an answer.
+    Both drivers are transports over one private request ledger, which
+    gives each request exactly one outcome: sent once, then answered or
+    given up, never both and never twice.  A reply line has one meaning
+    under both drivers: a parseable reply for a sent, unresolved id
+    answers it (first answer wins); a reply for a request already
+    answered or given up is a duplicate; an unparseable line, or an id
+    that was never sent, is corrupt.  Hence [answered + gave_up <= sent]
+    and one SLO sample per resolved request.  Replies carry no checksum,
+    so a mangled line that still parses and names a sent id answers
+    it.  With an optional {!Client} policy the drivers retry lost
+    attempts under its budget (safe: requests are idempotent by cache
+    key).
 
-    When tracing is on ({!Bg_prelude.Obs.set_trace_file}), both drivers
-    preallocate a [client.request] root span id per request, send it on
-    the wire as [parent_span], and emit the (backdated) root span when
-    the request resolves — the client half of the cross-process causal
-    tree [Obs_tools.Trace.merge] assembles. *)
+    When tracing is on ({!Bg_prelude.Obs.set_trace_file}), the ledger
+    preallocates a [client.request] root span id per request, sends it
+    on the wire as [parent_span], and emits the (backdated) root span
+    once, when the request resolves: the client half of the
+    cross-process causal tree [Obs_tools.Trace.merge] assembles. *)
 
 val zipf_cdf : s:float -> n:int -> float array
 (** Cumulative distribution of the zipf([s]) law on ranks [1..n]
@@ -57,7 +62,7 @@ val generate : workload -> Protocol.request list
 
 type report = {
   sent : int;  (** distinct requests issued (first attempts) *)
-  answered : int;  (** responses received (of any status) *)
+  answered : int;  (** requests resolved by a reply (of any status) *)
   ok : int;
   rejected : int;  (** typed admission-control rejections *)
   errors : int;
@@ -66,8 +71,10 @@ type report = {
   coalesced : int;
   degraded : int;  (** [ok] answers served by the estimator tier *)
   retries : int;  (** wire re-sends beyond first attempts *)
-  duplicates : int;  (** late answers discarded by first-answer-wins *)
-  corrupt_lines : int;  (** unparseable response lines skipped *)
+  duplicates : int;
+      (** replies for a request already answered or given up *)
+  corrupt_lines : int;
+      (** unparseable reply lines, and replies naming an id never sent *)
   gave_up : int;  (** requests abandoned after the retry budget *)
   wall_s : float;
   throughput_rps : float;  (** answered / wall *)
@@ -85,32 +92,21 @@ type report = {
 val hit_rate : report -> float
 (** [hits / ok] ([0.] when nothing succeeded). *)
 
-val build_report :
-  ?retries:int ->
-  ?duplicates:int ->
-  ?corrupt_lines:int ->
-  ?gave_up:int ->
-  sent:int ->
-  wall_s:float ->
-  (Protocol.response * float) list ->
-  report
-(** Fold [(response, latency_s)] observations into a report. *)
-
 val report_to_json : report -> Core.Prelude.Jsonl.t
 val pp_report : Format.formatter -> report -> unit
 
 val drive_inproc :
   ?window:int -> ?client:Client.t -> Server.t -> Protocol.request list -> report
 (** Replay a trace against an in-process engine, closed-loop with at
-    most [window] (default 32) requests in flight — tests and the perf
-    gate drive this.  With [client], replies lost to chaos are detected
-    at batch boundaries and re-sent under the policy's retry budget;
-    this recovery requires [window <=] the engine's [batch_size] (every
-    in-flight request is then inside the batch being flushed). *)
+    most [window] (default 32) requests in flight — E30, tests and the
+    perf gate drive this.  An attempt still in flight when a batch's
+    replies are flushed lost its reply to chaos: it is re-sent at once
+    while [client]'s retry budget lasts (none without [client]), else
+    given up.  This requires [window <=] the engine's [batch_size]
+    (every in-flight request is then inside the batch being flushed). *)
 
 val drive_fds :
   ?window:int ->
-  ?rate:float ->
   ?client:Client.t ->
   req_w:Unix.file_descr ->
   resp_r:Unix.file_descr ->
@@ -119,17 +115,15 @@ val drive_fds :
 (** Replay a trace against a daemon speaking the protocol over a pipe
     pair: requests down [req_w] (closed once nothing more will ever be
     sent, so the daemon sees EOF), responses up [resp_r].  Closed-loop
-    with a bounded in-flight [window]; [rate] adds an open-loop cap
-    (requests issued no faster than [rate]/s).  Reads and writes are
-    multiplexed with [select] and writes are nonblocking, so a busy
-    daemon cannot deadlock the generator.  With [client], attempts that
-    outlive the policy deadline are re-sent after jittered backoff, the
-    breaker pauses issuing after consecutive failures, and late answers
-    to timed-out attempts count as duplicates, never second results. *)
+    with a bounded in-flight [window].  Reads and writes are multiplexed
+    with [select] and writes are nonblocking, so a busy daemon cannot
+    deadlock the generator.  With [client], nothing is issued while its
+    breaker is open, and an attempt that outlives the policy deadline is
+    lost: re-sent after jittered backoff while the retry budget lasts,
+    else given up — a reply that comes later is a duplicate. *)
 
 val drive_subprocess :
   ?window:int ->
-  ?rate:float ->
   ?client:Client.t ->
   string array ->
   Protocol.request list ->

@@ -173,18 +173,15 @@ let batch_counter = Atomic.make 0
 
 (* ------------------------------------------------------------- compute *)
 
-let is_raw_file path =
-  match
-    In_channel.with_open_bin path (fun ic -> really_input_string ic 8)
-  with
-  | magic -> magic = "BGDECAY1"
-  | exception End_of_file -> false
-
+(* Every space is validated like a CSV one before it is answered or
+   stored: a raw file is mapped and its cells checked (the digest reads
+   every cell anyway). *)
 let resolve_space = function
   | P.Inline (name, rows) -> D.of_matrix ~name rows
   | P.Csv text -> Io.of_csv text
   | P.File path ->
-      if is_raw_file path then Io.load_raw_mmap path else Io.load path
+      if Io.is_raw path then Io.load_raw_mmap ~validate:true path
+      else Io.load path
 
 let witness_json (w : Met.witness) =
   J.Obj

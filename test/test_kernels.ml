@@ -87,18 +87,6 @@ let test_gamma_matches_naive () =
         [ 0.5; 2.; 10. ])
     (families ())
 
-let test_holds_at_matches_naive () =
-  List.iter
-    (fun (name, d) ->
-      List.iter
-        (fun z ->
-          check_true
-            (Printf.sprintf "holds_at %s z=%g" name z)
-            (Bool.equal (Naive_ref.holds_at ~jobs:1 d z)
-               (Met.holds_at ~jobs:2 d z)))
-        [ 1.; 2.; 3.; 8. ])
-    (families ())
-
 (* The two sweep paths a test can force (Metricity's test-only entry). *)
 let paths = [ ("pruned", Met.Pruned); ("min-plus", Met.Minplus) ]
 
@@ -265,18 +253,20 @@ let prop_forced_paths_match_naive =
             [ 1; 4 ])
         paths)
 
-let prop_holds_at_near_zeta =
-  qcheck ~count:40 "holds_at = naive just below and above zeta (n 3-22)"
-    QCheck.(triple (int_range 0 10_000) (int_range 3 22) bool)
-    (fun (seed, n, sym) ->
-      let d = if sym then random_space ~n seed else random_asym_space ~n seed in
-      let z = Naive_ref.zeta ~jobs:1 d in
-      List.for_all
-        (fun z ->
-          Bool.equal
-            (Naive_ref.holds_at ~jobs:1 d z)
-            (Met.holds_at ~jobs:2 d z))
-        [ z -. 1e-6; z -. 1e-7; z; z +. 1e-6 ])
+(* One triple's threshold, bit for bit the naive bisection's, on triples
+   whose long side ranges from well inside the triangle to 1000 times the
+   sum of the other two. *)
+let prop_zeta_triple_is_naive =
+  qcheck ~count:500 "zeta_triple = naive, bit for bit"
+    QCheck.(
+      triple (float_range (-2.) 2.) (float_range (-2.) 2.)
+        (float_range (-0.3) 3.))
+    (fun (a, b, c) ->
+      let fxz = 10. ** a and fzy = 10. ** b in
+      let fxy = (fxz +. fzy) *. (10. ** c) in
+      Int64.equal
+        (Int64.bits_of_float (Met.zeta_triple fxy fxz fzy))
+        (Int64.bits_of_float (Naive_ref.zeta_triple fxy fxz fzy)))
 
 (* Each forced path against the naive sweep at [jobs] 1 and 4. *)
 let check_paths_match_naive name d =
@@ -768,14 +758,13 @@ let suite =
         case "zeta witness = naive, all families" test_zeta_matches_naive;
         case "phi witness = naive, all families" test_phi_matches_naive;
         case "gamma = naive, all families" test_gamma_matches_naive;
-        case "holds_at = naive" test_holds_at_matches_naive;
         case "tiled zeta/phi = naive at n=512" test_tiled_kernels_match_naive;
         prop_random_witness_identity;
         prop_random_gamma_identity;
         case "gamma ladder = naive on radio and churn spaces"
           test_gamma_ladder_matches_naive;
         prop_forced_paths_match_naive;
-        prop_holds_at_near_zeta;
+        prop_zeta_triple_is_naive;
         case "forced paths = naive on tie-heavy spaces"
           test_forced_paths_on_ties;
         case "forced paths and automatic choice agree" test_paths_agree;

@@ -69,6 +69,19 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* Every loadgen report counts each request once: none resolves twice,
+   none resolves unsent, and each resolution leaves one SLO sample. *)
+let counted_once (r : L.report) =
+  r.L.answered + r.L.gave_up <= r.L.sent
+  && List.length r.L.slo_samples = r.L.answered + r.L.gave_up
+
+let checked (r : L.report) =
+  check_true
+    (Printf.sprintf "sent %d, answered %d, gave up %d, %d SLO samples"
+       r.L.sent r.L.answered r.L.gave_up (List.length r.L.slo_samples))
+    (counted_once r);
+  r
+
 (* ------------------------------------------------------------ protocol *)
 
 let test_request_round_trip () =
@@ -439,12 +452,6 @@ let test_generate_validates () =
    window 1 and window 16 yields the same id -> result mapping. *)
 let test_replay_reproducible_at_any_concurrency () =
   let reqs = L.generate small_workload in
-  let results window =
-    let t = engine ~store:(Store.open_ ()) () in
-    ignore (L.drive_inproc ~window t reqs : L.report);
-    ()
-  in
-  ignore results;
   let run window =
     let t = engine ~store:(Store.open_ ()) () in
     let tbl = Hashtbl.create 64 in
@@ -492,7 +499,7 @@ let test_hit_rate_meets_analytic_floor () =
     |> List.length
   in
   let t = engine ~store:(Store.open_ ()) () in
-  let report = L.drive_inproc ~window:16 t reqs in
+  let report = checked (L.drive_inproc ~window:16 t reqs) in
   check_int "all answered" report.L.sent report.L.answered;
   check_int "all ok" report.L.sent report.L.ok;
   check_int "misses = distinct keys" distinct report.L.misses;
@@ -678,6 +685,41 @@ let with_tmp name f =
       rm (path ^ ".wal"))
     (fun () -> f path)
 
+(* A raw (BGDECAY1) file space is validated like a CSV one: a NaN, inf
+   or 0 cell is a typed error naming the cell for every op, and nothing
+   reaches the store. *)
+let test_raw_file_spaces_are_validated () =
+  List.iter
+    (fun (bad, shown) ->
+      with_tmp "bad.bgdecay" @@ fun path ->
+      Core.Decay.Decay_io.save_raw_fn ~n:4
+        (fun i j ->
+          if i = j then 0.
+          else if (i, j) = (0, 1) then bad
+          else 2. +. float (i + j))
+        path;
+      let store = Store.open_ () in
+      let t = engine ~store () in
+      let lines =
+        List.mapi
+          (fun k op ->
+            P.request_to_string
+              { P.id = Printf.sprintf "f%d" k; op; space = Some (P.File path);
+                trace = None })
+          [ P.Zeta; P.Phi; P.Gamma 1.; P.Summarize ]
+      in
+      List.iter
+        (fun line ->
+          match P.response_of_string line with
+          | Ok (P.Failed { reason; _ }) ->
+              check_true
+                (Printf.sprintf "%s cell named: %s" shown reason)
+                (contains ~sub:(shown ^ " at (0,1)") reason)
+          | _ -> Alcotest.failf "%s raw file answered: %s" shown line)
+        (run_lines t lines);
+      check_int (shown ^ ": the store gains nothing") 0 (Store.length store))
+    [ (Float.nan, "nan"); (Float.infinity, "inf"); (0., "0") ]
+
 let test_store_persists_across_reopen () =
   with_tmp "persist.jsonl" (fun path ->
       let s = Store.open_ ~path () in
@@ -751,13 +793,19 @@ let test_warm_restart_hits_persisted_cache () =
   with_tmp "warm.jsonl" (fun path ->
       let reqs = L.generate small_workload in
       let cold =
-        L.drive_inproc ~window:8 (engine ~store:(Store.open_ ~path ()) ()) reqs
+        checked
+          (L.drive_inproc ~window:8
+             (engine ~store:(Store.open_ ~path ()) ())
+             reqs)
       in
       check_int "cold run all ok" cold.L.sent cold.L.ok;
       check_true "cold run computed something" (cold.L.misses > 0);
       (* "Restart": a fresh engine + store loaded from the snapshot. *)
       let warm =
-        L.drive_inproc ~window:8 (engine ~store:(Store.open_ ~path ()) ()) reqs
+        checked
+          (L.drive_inproc ~window:8
+             (engine ~store:(Store.open_ ~path ()) ())
+             reqs)
       in
       check_int "warm run all ok" warm.L.sent warm.L.ok;
       check_int "warm run recomputes nothing" 0 warm.L.misses;
@@ -1030,11 +1078,135 @@ let test_chaotic_replies_recovered_by_retries () =
   in
   let w = { L.seed = 8; requests = 80; spaces = 12; nodes = 8; zipf_s = 1.1 } in
   let t = engine ~batch_size:16 ~store:(Store.open_ ()) ~chaos () in
-  let r = L.drive_inproc ~window:16 ~client t (L.generate w) in
+  let r = checked (L.drive_inproc ~window:16 ~client t (L.generate w)) in
   check_int "every id answered exactly once" r.L.sent r.L.answered;
   check_int "all ok" r.L.sent r.L.ok;
   check_int "nothing abandoned" 0 r.L.gave_up;
   check_true "faults actually fired" (r.L.retries > 0)
+
+(* The [client.request] root spans a traced run of [f] emits: the ids
+   they name, sorted. *)
+let client_roots f =
+  with_tmp "roots.jsonl" @@ fun path ->
+  Obs.set_trace_file path;
+  let v = Fun.protect ~finally:Obs.close_trace f in
+  let ids =
+    List.filter_map
+      (fun e ->
+        match (J.mem_str "name" e, J.member "attrs" e) with
+        | Some "client.request", Some attrs -> J.mem_str "id" attrs
+        | _ -> None)
+      (J.parse_lines (J.read_file path))
+  in
+  (v, List.sort compare ids)
+
+(* In-process chaos runs (drop, torn, corrupt) over several seeds: every
+   report counts each request once, and with a retrying client each id
+   is answered exactly once (one root span per id). *)
+let prop_chaos_runs_count_each_request_once =
+  qcheck ~count:6 "chaos runs count each request once"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let spec =
+        { Chaos.none with Chaos.drop = 0.08; torn = 0.05; corrupt = 0.05 }
+      in
+      let w = { L.seed; requests = 60; spaces = 10; nodes = 6; zipf_s = 1.1 } in
+      let reqs = L.generate w in
+      let run client =
+        let chaos = Chaos.create ~action:Chaos.Raise ~seed spec in
+        L.drive_inproc ~window:8 ?client
+          (engine ~batch_size:8 ~store:(Store.open_ ()) ~chaos ())
+          reqs
+      in
+      let bare = run None in
+      let retrying, roots =
+        client_roots (fun () ->
+            run
+              (Some
+                 (Client.create
+                    ~config:
+                      { Client.default_config with
+                        Client.deadline_s = None; max_retries = 20 }
+                    ~seed ())))
+      in
+      counted_once bare && counted_once retrying
+      && retrying.L.answered = retrying.L.sent
+      && retrying.L.gave_up = 0
+      && roots = List.sort compare (List.map (fun r -> r.P.id) reqs))
+
+(* A lost attempt leaves the window: at window 1, every dropped reply is
+   re-sent, not left holding the only slot. *)
+let test_window_one_resends_lost_replies () =
+  let chaos =
+    Chaos.create ~action:Chaos.Raise ~seed:1
+      { Chaos.none with Chaos.drop = 0.5 }
+  in
+  let client =
+    Client.create
+      ~config:
+        { Client.default_config with
+          Client.deadline_s = None; max_retries = 30 }
+      ~seed:2 ()
+  in
+  let w = { L.seed = 8; requests = 20; spaces = 5; nodes = 6; zipf_s = 1.1 } in
+  let r =
+    checked
+      (L.drive_inproc ~window:1 ~client
+         (engine ~batch_size:4 ~chaos ())
+         (L.generate w))
+  in
+  check_int "every id answered" r.L.sent r.L.answered;
+  check_true "drops cost re-sends" (r.L.retries > 0)
+
+(* Drive [reqs] through a /bin/sh stand-in for the daemon: [script] runs
+   with [args] as $1, $2, ...  *)
+let drive_fake ?client ~window script args reqs =
+  checked
+    (L.drive_subprocess ~window ?client
+       (Array.of_list ("/bin/sh" :: "-c" :: script :: "fake-daemon" :: args))
+       reqs)
+
+let failed_reply id =
+  P.response_to_string (P.Failed { id; reason = "fake"; trace = None })
+
+(* A reply that comes after its request gave up is a duplicate, not a
+   second outcome: the stand-in answers 0.5 s after a 0.1 s deadline,
+   with no retries left. *)
+let test_late_answer_after_give_up_is_a_duplicate () =
+  let client =
+    Client.create
+      ~config:
+        { Client.default_config with
+          Client.deadline_s = Some 0.1; max_retries = 0 }
+      ~seed:1 ()
+  in
+  let r =
+    drive_fake ~client ~window:1
+      "read -r line; sleep 0.5; printf '%s\\n' \"$1\""
+      [ failed_reply "late" ]
+      [ req ~id:"late" P.Zeta ]
+  in
+  check_int "sent" 1 r.L.sent;
+  check_int "gave up" 1 r.L.gave_up;
+  check_int "not answered" 0 r.L.answered;
+  check_int "the late reply is a duplicate" 1 r.L.duplicates;
+  check_int "one SLO sample" 1 (List.length r.L.slo_samples)
+
+(* Replies naming an id that was never sent, whether outside the trace
+   or not yet sent (window 1 holds "b" back until "a" is answered), are
+   corrupt and answer nothing. *)
+let test_replies_for_unsent_ids_are_corrupt () =
+  let r =
+    drive_fake ~window:1
+      "read -r a; printf '%s\\n%s\\n%s\\n' \"$1\" \"$2\" \"$3\"; \
+       read -r b; printf '%s\\n' \"$2\""
+      [ failed_reply "nobody"; failed_reply "b"; failed_reply "a" ]
+      [ req ~id:"a" P.Zeta; req ~id:"b" P.Zeta ]
+  in
+  check_int "both sent" 2 r.L.sent;
+  check_int "both answered once" 2 r.L.answered;
+  check_int "two corrupt replies" 2 r.L.corrupt_lines;
+  check_int "no duplicates" 0 r.L.duplicates
 
 (* ------------------------------------------------- end-to-end daemon *)
 
@@ -1045,9 +1217,10 @@ let test_pipe_driver_against_real_daemon () =
     let w = { L.seed = 5; requests = 60; spaces = 10; nodes = 8; zipf_s = 1.1 } in
     let reqs = L.generate w in
     let report =
-      L.drive_subprocess ~window:8
-        [| bg_exe; "serve"; "--batch-size"; "8"; "--jobs"; "2" |]
-        reqs
+      checked
+        (L.drive_subprocess ~window:8
+           [| bg_exe; "serve"; "--batch-size"; "8"; "--jobs"; "2" |]
+           reqs)
     in
     check_int "every request answered" report.L.sent report.L.answered;
     check_int "all ok" report.L.sent report.L.ok;
@@ -1055,32 +1228,100 @@ let test_pipe_driver_against_real_daemon () =
     check_true "p99 covers p50" (report.L.p99_s >= report.L.p50_s)
   end
 
+(* Run [bg args] to completion with [input] on stdin; returns the exit
+   status, stdout and stderr. *)
+let run_bg ~input args =
+  with_tmp "cli.in" @@ fun inp ->
+  with_tmp "cli.out" @@ fun out ->
+  with_tmp "cli.err" @@ fun err ->
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  let status =
+    Unix.system
+      (Filename.quote_command bg_exe args ~stdin:inp ~stdout:out ~stderr:err)
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  (status, read out, read err)
+
+(* The distributed-tracing contract over a client and a server span
+   file: one [client.request] root (parent 0) per resolved request and
+   trace id, and every wire-tagged server span under a client span of
+   its own trace, so the merge is one tree per request. *)
+let check_causal_trees ~client ~server ~resolved =
+  let spans path =
+    List.filter_map
+      (fun e ->
+        match (J.mem_str "type" e, J.member "attrs" e) with
+        | Some "span", Some attrs -> Some (e, attrs)
+        | _ -> None)
+      (J.parse_lines (J.read_file path))
+  in
+  let num k e = Option.get (J.mem_num k e) in
+  let roots = Hashtbl.create 64 and client_spans = Hashtbl.create 256 in
+  List.iter
+    (fun (e, attrs) ->
+      Option.iter
+        (fun tid ->
+          Hashtbl.replace client_spans (tid, num "id" e) ();
+          if J.mem_str "name" e = Some "client.request" then begin
+            check_true (tid ^ ": the root has no parent") (num "parent" e = 0.);
+            check_false (tid ^ ": one root") (Hashtbl.mem roots tid);
+            Hashtbl.replace roots tid ()
+          end)
+        (J.mem_str "trace_id" attrs))
+    (spans client);
+  check_int "one client.request root per resolved request" resolved
+    (Hashtbl.length roots);
+  let linked, strays =
+    List.fold_left
+      (fun (linked, strays) (_, attrs) ->
+        match (J.mem_str "trace_id" attrs, J.mem_num "parent_span" attrs) with
+        | Some tid, Some parent ->
+            if Hashtbl.mem roots tid && Hashtbl.mem client_spans (tid, parent)
+            then (linked + 1, strays)
+            else (linked, tid :: strays)
+        | _ -> (linked, strays))
+      (0, []) (spans server)
+  in
+  check_true
+    (Printf.sprintf "server spans under no client span of their trace: %s"
+       (String.concat " " strays))
+    (strays = []);
+  check_true "some server span is linked to its client" (linked > 0)
+
 (* Two `bg loadgen` bursts over one --cache file: a cold daemon, then a
    restarted one replaying the same seeded trace.  Loadgen sends f64
    lines, so the warm run answering everything from disk shows their
-   store keys survive a restart. *)
+   store keys survive a restart.  The cold burst also records client and
+   server traces, which must merge into one causal tree per request. *)
 let test_loadgen_bursts_share_the_cache () =
   if not (Sys.file_exists bg_exe) then Alcotest.skip ()
   else
     with_tmp "bursts-cache.jsonl" @@ fun cache ->
     with_tmp "bursts-cold.json" @@ fun cold_json ->
     with_tmp "bursts-warm.json" @@ fun warm_json ->
-    let burst json =
+    with_tmp "bursts-client.jsonl" @@ fun client ->
+    with_tmp "bursts-server.jsonl" @@ fun server ->
+    let burst json traces =
       let code =
         Unix.system
           (Filename.quote_command bg_exe
-             [ "loadgen"; "--requests"; "600"; "--spaces"; "80"; "--nodes";
-               "12"; "--seed"; "11"; "--window"; "24"; "--cache"; cache;
-               "--json"; json; "--slo"; "p99<=5,err<=1%" ]
+             ([ "loadgen"; "--requests"; "600"; "--spaces"; "80"; "--nodes";
+                "12"; "--seed"; "11"; "--window"; "24"; "--cache"; cache;
+                "--json"; json; "--slo"; "p99<=5,err<=1%" ]
+             @ traces)
              ~stdin:"/dev/null" ~stdout:"/dev/null" ~stderr:"/dev/null")
       in
       check_true "loadgen exits 0" (code = Unix.WEXITED 0);
       match J.member "report" (J.parse (J.read_file json)) with
-      | Some r -> fun k -> Option.get (J.mem_num k r)
+      | Some r -> r
       | None -> Alcotest.fail "no report in the loadgen JSON"
     in
-    let cold = burst cold_json in
-    let warm = burst warm_json in
+    let cold_report =
+      burst cold_json [ "--trace"; client; "--serve-trace"; server ]
+    in
+    let warm_report = burst warm_json [] in
+    let cold k = Option.get (J.mem_num k cold_report)
+    and warm k = Option.get (J.mem_num k warm_report) in
     List.iter
       (fun (name, r) ->
         check_true (name ^ ": answered = sent") (r "answered" = r "sent");
@@ -1091,7 +1332,26 @@ let test_loadgen_bursts_share_the_cache () =
     check_true "the warm burst recomputes nothing" (warm "misses" = 0.);
     check_true
       (Printf.sprintf "warm hit rate %.3f > 0.9" (warm "hit_rate"))
-      (warm "hit_rate" > 0.9)
+      (warm "hit_rate" > 0.9);
+    check_causal_trees ~client ~server
+      ~resolved:(int_of_float (cold "answered" +. cold "gave_up"));
+    (* The CLI view of the same contract: the report's slowest exemplar
+       opens its merged tree, and client and server files share no span
+       kinds, so diffing them is a one-line exit-2 refusal. *)
+    let exemplar =
+      match J.member "exemplars" cold_report with
+      | Some (J.Arr (first :: _)) -> Option.get (J.mem_str "trace_id" first)
+      | _ -> Alcotest.fail "no exemplar in the cold report"
+    in
+    let status, _, _ =
+      run_bg ~input:"" [ "trace"; "report"; client; server; "--id"; exemplar ]
+    in
+    check_true "trace report --id on the exemplar" (status = Unix.WEXITED 0);
+    let status, _, err = run_bg ~input:"" [ "trace"; "diff"; client; server ] in
+    check_true "trace diff of client vs server exits 2"
+      (status = Unix.WEXITED 2);
+    check_true "and says they share no span kinds"
+      (contains ~sub:"no span kinds" err)
 
 (* CLI validation (satellite): nonsense resource flags are one-line
    exit-2 answers, before any work starts. *)
@@ -1129,10 +1389,6 @@ let test_cli_rejects_bad_resource_flags () =
       (exit_of [ "loadgen"; "--spaces=-1" ]);
     check_int "loadgen --nodes 0 rejected" 2
       (exit_of [ "loadgen"; "--nodes"; "0" ]);
-    check_int "loadgen NaN --rate rejected" 2
-      (exit_of [ "loadgen"; "--rate"; "nan" ]);
-    check_int "loadgen --rate 0 rejected" 2
-      (exit_of [ "loadgen"; "--rate"; "0" ]);
     check_int "loadgen --deadline 0 rejected" 2
       (exit_of [ "loadgen"; "--deadline"; "0" ]);
     check_int "loadgen --client-retries -1 rejected" 2
@@ -1292,41 +1548,30 @@ let test_supervised_restart_rides_out_crashes () =
             ~seed:4 ()
         in
         let r =
-          L.drive_subprocess ~window:8 ~client
-            [| bg_exe; "serve"; "--supervise"; "--batch-size"; "8"; "--cache";
-               cache; "--chaos"; "drop=0.02,torn=0.02,crash=mid-batch:3";
-               "--chaos-seed"; "11"; "--jobs"; "1" |]
-            (L.generate w)
+          checked
+            (L.drive_subprocess ~window:8 ~client
+               [| bg_exe; "serve"; "--supervise"; "--batch-size"; "8";
+                  "--cache"; cache; "--chaos";
+                  "drop=0.02,torn=0.02,crash=mid-batch:3"; "--chaos-seed";
+                  "11"; "--jobs"; "1" |]
+               (L.generate w))
         in
         check_int "every request answered" r.L.sent r.L.answered;
         check_int "all ok" r.L.sent r.L.ok;
         check_int "nothing abandoned" 0 r.L.gave_up;
         check_true "the crash actually cost retries" (r.L.retries > 0);
         let warm =
-          L.drive_subprocess ~window:8
-            [| bg_exe; "serve"; "--batch-size"; "8"; "--cache"; cache; "--jobs";
-               "1" |]
-            (L.generate w)
+          checked
+            (L.drive_subprocess ~window:8
+               [| bg_exe; "serve"; "--batch-size"; "8"; "--cache"; cache;
+                  "--jobs"; "1" |]
+               (L.generate w))
         in
         check_int "warm: every request answered" warm.L.sent warm.L.answered;
         check_int "warm: nothing abandoned" 0 warm.L.gave_up;
         check_true
           (Printf.sprintf "warm hit rate %.3f > 0.5" (L.hit_rate warm))
           (L.hit_rate warm > 0.5))
-
-(* Run [bg args] to completion with [input] on stdin; returns the exit
-   status, stdout and stderr. *)
-let run_bg ~input args =
-  with_tmp "cli.in" @@ fun inp ->
-  with_tmp "cli.out" @@ fun out ->
-  with_tmp "cli.err" @@ fun err ->
-  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
-  let status =
-    Unix.system
-      (Filename.quote_command bg_exe args ~stdin:inp ~stdout:out ~stderr:err)
-  in
-  let read p = In_channel.with_open_bin p In_channel.input_all in
-  (status, read out, read err)
 
 let two_requests =
   String.concat ""
@@ -1682,6 +1927,7 @@ let suite =
         case "compute error isolated to its request"
           test_error_isolated_to_its_request;
         case "bad spaces answer typed errors" test_bad_space_answers_error;
+        case "raw file spaces are validated" test_raw_file_spaces_are_validated;
         case "overload sheds with typed rejections"
           test_overload_sheds_with_typed_rejections;
         case "malformed line does not stop the stream"
@@ -1724,6 +1970,13 @@ let suite =
         case "backoff is seeded equal jitter" test_client_backoff_schedule;
         case "retries recover chaotic replies"
           test_chaotic_replies_recovered_by_retries;
+        prop_chaos_runs_count_each_request_once;
+        case "window 1 re-sends lost replies"
+          test_window_one_resends_lost_replies;
+        case "late answer after a give-up is a duplicate"
+          test_late_answer_after_give_up_is_a_duplicate;
+        case "replies for ids never sent are corrupt"
+          test_replies_for_unsent_ids_are_corrupt;
       ] );
     ( "serve.restart",
       [
