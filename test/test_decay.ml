@@ -510,9 +510,23 @@ let test_theorem2_bound_on_grid () =
   check_true "bound dominates" (measured <= bound)
 
 let test_theorem2_bound_requires_fading () =
-  Alcotest.check_raises "A >= 1"
-    (Invalid_argument "Fading.theorem2_bound: requires A < 1") (fun () ->
-      ignore (Fad.theorem2_bound ~c:1. ~a:1.))
+  List.iter
+    (fun a ->
+      Alcotest.check_raises
+        (Printf.sprintf "A = %g" a)
+        (Invalid_argument "Fading.theorem2_bound: requires A < 1") (fun () ->
+          ignore (Fad.theorem2_bound ~c:1. ~a)))
+    [ 1.; nan ]
+
+let test_gamma_z_node_out_of_range () =
+  let d = D.of_points ~alpha:3. (Sp.grid_points ~rows:4 ~cols:4 ~spacing:1.) in
+  List.iter
+    (fun z ->
+      Alcotest.check_raises
+        (Printf.sprintf "z = %d" z)
+        (Invalid_argument "Fading.gamma_z: node out of range") (fun () ->
+          ignore (Fad.gamma_z d ~z ~r:1.)))
+    [ 16; 17; -1; 1000 ]
 
 let test_gamma_witness_is_separated () =
   let d = random_space ~n:10 81 in
@@ -785,6 +799,7 @@ let suite =
         case "uniform closed form" test_gamma_monotone_in_r_scaled;
         case "theorem 2 bound on grid" test_theorem2_bound_on_grid;
         case "theorem 2 requires A < 1" test_theorem2_bound_requires_fading;
+        case "gamma_z node out of range" test_gamma_z_node_out_of_range;
         case "witness separated" test_gamma_witness_is_separated;
       ] );
     ( "decay.spaces",

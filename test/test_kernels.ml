@@ -71,21 +71,61 @@ let test_phi_matches_naive () =
         [ 1; 4 ])
     (families ())
 
+(* Two more tie-heavy spaces for gamma: an 8x8 grid, where every
+   listener's candidates tie in rings, and an asymmetric space with
+   decays in 1..6. *)
+let gamma_tie_spaces () =
+  let g = Rng.create 29 in
+  [
+    ( "grid 8x8",
+      D.of_points ~alpha:3. (Sp.grid_points ~rows:8 ~cols:8 ~spacing:1.) );
+    ( "quantized-asym",
+      D.of_fn ~name:"quantized" 30 (fun _ _ -> float_of_int (1 + Rng.int g 6))
+    );
+  ]
+
+(* exact_limit 0 sends every listener down the greedy pass, where equal
+   weights must be picked in the reference order; 24 (the default)
+   solves the smaller candidate sets exactly.  Each listener's gamma_z
+   must match the reference's value and witness list too. *)
 let test_gamma_matches_naive () =
   List.iter
     (fun (name, d) ->
+      let tie_sorts = ref 0 in
       List.iter
-        (fun r ->
-          let reference = Naive_ref.gamma ~jobs:1 d ~r in
+        (fun (exact_limit, r) ->
+          let what =
+            Printf.sprintf "%s r=%g exact_limit=%d" name r exact_limit
+          in
+          let reference = Naive_ref.gamma ~exact_limit ~jobs:1 d ~r in
           List.iter
             (fun jobs ->
+              let g, k =
+                kernel_deltas (fun () ->
+                    Fad.gamma ~ctx:(Ctx.make ~jobs ~exact_limit ()) d ~r)
+              in
               check_exact_float
-                (Printf.sprintf "gamma %s r=%g jobs=%d" name r jobs)
-                reference
-                (Fad.gamma ~ctx:(ctx_j jobs) d ~r))
-            [ 1; 4 ])
-        [ 0.5; 2.; 10. ])
-    (families ())
+                (Printf.sprintf "gamma %s jobs=%d" what jobs)
+                reference g;
+              tie_sorts := !tie_sorts + List.assoc "gamma_tie_sorts" k)
+            [ 1; 2; 4 ];
+          for z = 0 to D.n d - 1 do
+            let v, set = Fad.gamma_z ~exact_limit d ~z ~r in
+            let v', set' = Naive_ref.gamma_z ~exact_limit d ~z ~r in
+            check_exact_float (Printf.sprintf "gamma_z %s z=%d" what z) v' v;
+            Alcotest.(check (list int))
+              (Printf.sprintf "gamma_z witness %s z=%d" what z)
+              set' set
+          done)
+        (List.concat_map
+           (fun exact_limit ->
+             List.map (fun r -> (exact_limit, r)) [ 0.5; 1.; 2.; 4.; 10. ])
+           [ 0; 24 ]);
+      if
+        List.mem name
+          [ "uniform"; "star"; "grid"; "grid 8x8"; "quantized-asym" ]
+      then check_true ("the greedy pass ranked ties, " ^ name) (!tie_sorts > 0))
+    (families () @ gamma_tie_spaces ())
 
 (* The two sweep paths a test can force (Metricity's test-only entry). *)
 let paths = [ ("pruned", Met.Pruned); ("min-plus", Met.Minplus) ]
@@ -181,8 +221,13 @@ module R = Core.Radio
 module Stat = Core.Decay.Statistics
 
 (* The spaces gamma's listener ladder is for, built as perfbench's
-   offline and churn workloads build them: an office and a clutter radio
-   space at n = 256 and a mobility snapshot at n = 176. *)
+   offline and churn workloads build them: a geometric, an office and a
+   clutter space at n = 256 and a mobility snapshot at n = 176. *)
+let geo_space ~n seed =
+  D.of_points ~alpha:3. (Sp.random_points (Rng.create seed) ~n ~side:25.)
+
+let geo256 = lazy (geo_space ~n:256 7)
+
 let radio_space ~office seed =
   let rng = Rng.create seed in
   let env, side =
@@ -201,6 +246,7 @@ let radio_space ~office seed =
 let ladder_spaces =
   lazy
     [
+      ("geometric", Lazy.force geo256);
       ("office", radio_space ~office:true 11);
       ("clutter", radio_space ~office:false 12);
       ( "evolve",
@@ -228,10 +274,25 @@ let test_gamma_ladder_matches_naive () =
             (k "gamma_exact" + k "gamma_greedy");
           check_true ("cut-offs are exact searches, " ^ what)
             (k "gamma_budget_cutoffs" <= k "gamma_exact");
+          check_true ("abandoned listeners are greedy ones, " ^ what)
+            (k "gamma_abandoned" <= k "gamma_greedy");
           if jobs = 1 then
             check_true ("the ladder skipped listeners, " ^ what)
-              (k "gamma_skipped" > 0))
-        [ 1; 2; 4 ])
+              (k "gamma_skipped" > 0);
+          if name = "geometric" then begin
+            check_true ("greedy passes gave up, " ^ what)
+              (k "gamma_abandoned" > 0);
+            check_int ("no ties to rank, " ^ what) 0 (k "gamma_tie_sorts")
+          end)
+        [ 1; 2; 4 ];
+      for z = 0 to n - 1 do
+        let v, set = Fad.gamma_z d ~z ~r:4. in
+        let v', set' = Naive_ref.gamma_z d ~z ~r:4. in
+        check_exact_float (Printf.sprintf "gamma_z %s z=%d" name z) v' v;
+        Alcotest.(check (list int))
+          (Printf.sprintf "gamma_z witness %s z=%d" name z)
+          set' set
+      done)
     (Lazy.force ladder_spaces)
 
 (* -------------------------------------------------- min-plus row passes *)
@@ -297,11 +358,6 @@ let test_forced_paths_on_ties () =
     { Met.x = 0; y = 1; z = 2; value = 1. } zw;
   check_witness "uniform phi is the initial triple"
     { Met.x = 0; y = 2; z = 1; value = 1. } pw
-
-let geo_space ~n seed =
-  D.of_points ~alpha:3. (Sp.random_points (Rng.create seed) ~n ~side:25.)
-
-let geo256 = lazy (geo_space ~n:256 7)
 
 let test_paths_agree () =
   (* Up to n = 96 against the naive sweep; above, the naive zeta alone

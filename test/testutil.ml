@@ -52,7 +52,7 @@ let kernel_deltas f =
     [ "sweeps"; "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
       "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes";
       "minplus_rows"; "gamma_visited"; "gamma_skipped"; "gamma_exact"; "gamma_greedy";
-      "gamma_budget_cutoffs" ]
+      "gamma_budget_cutoffs"; "gamma_abandoned"; "gamma_tie_sorts" ]
   in
   let read () =
     List.map (fun k -> Obs.counter_value (Obs.counter ("kernel." ^ k))) names
