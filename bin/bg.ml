@@ -1739,9 +1739,7 @@ let top_cmd =
       & info [ "prometheus" ]
           ~doc:
             "With --socket: print a Prometheus text-exposition scrape of \
-             the polled registry instead of the table (counters and \
-             gauges exactly; histograms as _sum/_count, bucket detail \
-             lives in --telemetry files).")
+             the polled registry instead of the table.")
   in
   (* One throughput sample needs two polls; remember the last one. *)
   let prev : (float * float) option ref = ref None in
@@ -1801,10 +1799,7 @@ let top_cmd =
     add_row t
       [ S "queue wait p99";
         S (Printf.sprintf "%.4gs" (j_num (hist "serve.queue_wait_s") "p99")) ];
-    add_row t
-      [ S "retries (client) / WAL appends";
-        S (Printf.sprintf "%d / %d" (counter "client.retries")
-             (counter "store.wal_appends")) ];
+    add_row t [ S "WAL appends"; I (counter "store.wal_appends") ];
     add_row t
       [ S "WAL recovered / torn";
         S (Printf.sprintf "%d / %d" (counter "store.wal_recovered")
@@ -1885,45 +1880,48 @@ let top_cmd =
       | Some _, Some _ -> user_error "--socket and --telemetry are exclusive"
       | None, None -> user_error "one of --socket or --telemetry is required"
       | Some path, None ->
-          let policy = Bg_serve.Client.create ~seed:0 () in
-          let conn = Bg_serve.Client.connect policy path in
+          let client = Bg_serve.Client.create ~seed:0 () in
+          let scrape =
+            { P.id = "metrics"; op = P.Metrics; space = None; trace = None }
+          in
           fun () -> (
-            match Bg_serve.Client.metrics conn with
-            | Error e -> user_error "metrics poll failed: %s" e
-            | Ok (P.Done { result; _ }) ->
+            let r = Bg_serve.Loadgen.drive_socket ~client path [ scrape ] in
+            match r.Bg_serve.Loadgen.responses with
+            | [ P.Done { result; _ } ] ->
                 if prometheus then
-                  (* Reconstruct a registry snapshot from the wire scrape:
-                     counters and gauges map exactly; histograms keep
-                     sum/count (bucket detail lives in telemetry files). *)
+                  (* The scrape carries every metric whole, histogram
+                     buckets included, so the snapshot rebuilds exactly. *)
+                  let module O = Core.Prelude.Obs in
+                  let num v = Option.value ~default:0. (J.num v) in
+                  let int v = int_of_float (num v) in
+                  let each kind f =
+                    List.map (fun (n, v) -> (n, f v)) (j_obj result kind)
+                  in
                   let snap =
-                    List.map
-                      (fun (n, v) ->
-                        ( n,
-                          Core.Prelude.Obs.Counter_snapshot
-                            (int_of_float
-                               (Option.value ~default:0. (J.num v))) ))
-                      (j_obj result "counters")
-                    @ List.map
-                        (fun (n, v) ->
-                          ( n,
-                            Core.Prelude.Obs.Gauge_snapshot
-                              (Option.value ~default:0. (J.num v)) ))
-                        (j_obj result "gauges")
-                    @ List.map
-                        (fun (n, h) ->
-                          ( n,
-                            Core.Prelude.Obs.Histogram_snapshot
-                              {
-                                count = int_of_float (j_num h "count");
-                                sum = j_num h "sum";
-                                buckets = [];
-                              } ))
-                        (j_obj result "histograms")
+                    each "counters" (fun v -> O.Counter_snapshot (int v))
+                    @ each "gauges" (fun v -> O.Gauge_snapshot (num v))
+                    @ each "histograms" (fun h ->
+                          O.Histogram_snapshot
+                            {
+                              count = int_of_float (j_num h "count");
+                              sum = j_num h "sum";
+                              buckets =
+                                List.filter_map
+                                  (fun (i, c) ->
+                                    Option.map (fun i -> (i, int c))
+                                      (int_of_string_opt i))
+                                  (j_obj h "buckets");
+                            })
                   in
                   print_string (Bg_serve.Telemetry.prometheus snap)
                 else render_wire result
-            | Ok (P.Rejected { reason; _ }) | Ok (P.Failed { reason; _ }) ->
-                user_error "metrics poll rejected: %s" reason)
+            | [ (P.Rejected { reason; _ } | P.Failed { reason; _ }) ] ->
+                user_error "metrics poll rejected: %s" reason
+            | _ ->
+                user_error
+                  "metrics poll failed: no answer from %s (gave up after %d \
+                   attempts)"
+                  path (r.Bg_serve.Loadgen.retries + 1))
       | None, Some path -> fun () -> render_telemetry path
     in
     let clear () =
@@ -1947,8 +1945,8 @@ let top_cmd =
          "Live view of a serving daemon: poll the metrics wire op over \
           --socket (or tail a --telemetry ring file) and render a \
           refreshing table of throughput, hit rate, queue depth, \
-          latency quantiles, degraded/retry/WAL/restart counters and \
-          SLO burn rates. --prometheus emits a text-exposition scrape \
+          latency quantiles, degraded/WAL/restart counters and SLO burn \
+          rates. --prometheus emits a text-exposition scrape \
           instead.")
     Term.(
       const run $ socket_arg $ telemetry_file_arg $ interval_arg

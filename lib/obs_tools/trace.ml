@@ -84,8 +84,8 @@ let kinds spans =
    wire carried the client span's id as [parent_span]); its parent is
    the span with the same [trace_id] attribute, NO [parent_span]
    attribute, and the matching {e original} id.  Client-side spans
-   (client.request / client.attempt) are exactly the link targets: they
-   name the trace but were not caused remotely.  An unmatched remote
+   (the ledger's client.request roots) are exactly the link targets:
+   they name the trace but were not caused remotely.  An unmatched remote
    child (its client file wasn't given) stays a root — the merge
    degrades, never drops. *)
 let merge files =

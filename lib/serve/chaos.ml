@@ -183,16 +183,6 @@ let mangle t line =
     end
     else `Deliver line
 
-(* Flush a pending torn prefix at stream end: the client sees the bare
-   partial line, exactly like a torn final write. *)
-let take_carry t =
-  if t.carry = "" then None
-  else begin
-    let c = t.carry in
-    t.carry <- "";
-    Some c
-  end
-
 let stall t =
   if t.spec.stall_prob > 0. && Rng.bernoulli t.rng t.spec.stall_prob then begin
     Obs.incr c_stalled;

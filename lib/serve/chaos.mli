@@ -23,8 +23,6 @@
 
 type crash_point = Mid_batch | Pre_snapshot | Mid_snapshot
 
-val crash_point_name : crash_point -> string
-
 type spec = {
   torn : float;
   drop : float;
@@ -68,10 +66,6 @@ val mangle :
     fragment); [`Drop] writes nothing; [`Drop_keep_carry] writes nothing
     now but holds a torn prefix that will garble the next delivery.
     Exactly three Bernoulli draws per call regardless of outcome. *)
-
-val take_carry : t -> string option
-(** Pending torn prefix, if any — emit it bare at stream end so the
-    client sees the partial final write. *)
 
 val stall : t -> unit
 (** Roll the stall fault once; sleeps [stall_s] on a hit. *)

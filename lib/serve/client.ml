@@ -1,27 +1,23 @@
-(* The typed retrying client for `bg serve`.
+(* The retry policy for `bg serve` clients: deadlines, seeded backoff,
+   bounded retries and a circuit breaker.  It holds no transport:
+   Loadgen's request ledger runs it over in-process, pipe and socket
+   transports alike.
 
    Retries are safe by construction: requests are idempotent (a repeat
    of the same line resolves to the same cache key, and at worst costs
-   one extra cache hit), so the client may re-send on any failure —
-   deadline overrun, torn line, corrupt payload, dead connection —
-   without risk of double effects.  The policy half of this module is
-   transport-free and drives Loadgen's pipe driver too; the conn half
-   speaks the Unix-socket transport directly.
+   one extra cache hit), so a client may re-send on any failure without
+   risk of double effects.
 
-   Backoff is exponential with seeded "equal jitter" (Rng.backoff): a
-   fleet of clients created from distinct seeds de-synchronizes its
-   retry storms, while one client replays an identical schedule from its
-   seed — determinism survives the failure path.
+   Backoff is exponential with seeded "equal jitter" (Rng.backoff):
+   distinct seeds de-synchronize a fleet's retry storms, one seed
+   replays one schedule.
 
-   The circuit breaker trips after breaker_threshold consecutive
-   failures: further requests fail fast (no network, no wait) until
-   breaker_cooldown_s has passed, then exactly one probe is let through
-   (half-open); its outcome closes or re-opens the breaker.  This keeps
-   a dead daemon from absorbing max_retries * backoff of latency per
-   request — and gives a supervised restart a quiet window to come
-   back. *)
+   The breaker trips after breaker_threshold consecutive failures and
+   admits nothing until breaker_cooldown_s has passed; admission then
+   moves it to half-open, and the next outcome closes or re-opens it.
+   A dead daemon cannot absorb max_retries * backoff per request, and a
+   supervised restart gets a quiet window to come back. *)
 
-module P = Protocol
 module Obs = Core.Prelude.Obs
 module Rng = Core.Prelude.Rng
 
@@ -52,14 +48,11 @@ type t = {
   mutable consecutive_failures : int;
   mutable state : breaker_state;
   mutable opened_at : float;
-  mutable retries : int;
   mutable breaker_opens : int;
 }
 
 let c_retries = Obs.counter "client.retries"
 let c_breaker_opens = Obs.counter "client.breaker_opens"
-let c_corrupt = Obs.counter "client.corrupt_lines"
-let c_deadline = Obs.counter "client.deadline_misses"
 
 let create ?(config = default_config) ~seed () =
   if config.max_retries < 0 then
@@ -80,12 +73,10 @@ let create ?(config = default_config) ~seed () =
     consecutive_failures = 0;
     state = Closed;
     opened_at = neg_infinity;
-    retries = 0;
     breaker_opens = 0;
   }
 
 let config t = t.config
-let retries t = t.retries
 let breaker_opens t = t.breaker_opens
 let breaker_state t = t.state
 
@@ -93,9 +84,7 @@ let backoff_s t ~attempt =
   Rng.backoff t.rng ~attempt ~base:t.config.backoff_base_s
     ~cap:t.config.backoff_cap_s
 
-let count_retry t =
-  t.retries <- t.retries + 1;
-  Obs.incr c_retries
+let count_retry _ = Obs.incr c_retries
 
 let record_success t =
   t.consecutive_failures <- 0;
@@ -127,195 +116,3 @@ let admit t ~now =
         true
       end
       else false
-
-(* ------------------------------------------------------ the connection *)
-
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write fd bytes !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
-type conn = {
-  policy : t;
-  path : string;
-  mutable fd : Unix.file_descr option;
-  mutable reader : Server.Line_reader.t option;
-  mutable corrupt_seen : int;
-}
-
-let connect policy path =
-  { policy; path; fd = None; reader = None; corrupt_seen = 0 }
-
-let disconnect conn =
-  (match conn.fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  conn.fd <- None;
-  conn.reader <- None
-
-let close = disconnect
-let corrupt_seen conn = conn.corrupt_seen
-
-let ensure_connected conn =
-  match (conn.fd, conn.reader) with
-  | Some fd, Some r -> Ok (fd, r)
-  | _ -> (
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX conn.path) with
-      | () ->
-          let r = Server.Line_reader.create fd in
-          conn.fd <- Some fd;
-          conn.reader <- Some r;
-          Ok (fd, r)
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error (Printf.sprintf "connect %s: %s" conn.path
-                   (Unix.error_message e)))
-
-(* One wire attempt: send the line, read until a well-formed response
-   with the request's id arrives or the deadline passes.  Corrupt lines
-   (chaos-mangled JSON, checksum-garbled payloads) are counted and
-   skipped — the caller never sees them — and responses for other ids
-   (stale answers from an earlier timed-out attempt) are ignored. *)
-let attempt conn req =
-  match ensure_connected conn with
-  | Error e -> Error e
-  | Ok (fd, reader) -> (
-      let line = P.request_to_string req ^ "\n" in
-      match write_all fd line with
-      | exception Unix.Unix_error (e, _, _) ->
-          disconnect conn;
-          Error ("write: " ^ Unix.error_message e)
-      | () ->
-          let deadline =
-            Option.map (fun d -> Obs.now_s () +. d) conn.policy.config.deadline_s
-          in
-          let rec await () =
-            match Server.Line_reader.next ~block:false reader with
-            | `Line l -> (
-                match P.response_of_string l with
-                | Ok resp when P.response_id resp = req.P.id -> Ok resp
-                | Ok _ -> await () (* stale id from a prior attempt *)
-                | Error _ ->
-                    conn.corrupt_seen <- conn.corrupt_seen + 1;
-                    Obs.incr c_corrupt;
-                    await ())
-            | `Eof ->
-                disconnect conn;
-                Error "connection closed by server"
-            | `Nothing -> (
-                let timeout =
-                  match deadline with
-                  | None -> 0.25
-                  | Some d -> Float.max 0. (d -. Obs.now_s ())
-                in
-                if timeout <= 0. && deadline <> None then begin
-                  Obs.incr c_deadline;
-                  (* The socket may still deliver this answer later; a
-                     fresh attempt must not read it as its own (ids
-                     match).  Reconnecting discards the stale stream. *)
-                  disconnect conn;
-                  Error "deadline exceeded"
-                end
-                else
-                  match Unix.select [ fd ] [] [] timeout with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-                  | [], _, _ -> await ()
-                  | _ ->
-                      Server.Line_reader.read_chunk reader;
-                      await ())
-          in
-          await ())
-
-(* The full policy loop: breaker gate, attempt, backoff, bounded
-   retries.  Every outcome is typed; a request never hangs.
-
-   Tracing: each logical request is one [client.request] root span;
-   every wire attempt and every backoff sleep is a child span.  The wire
-   carries the trace id plus the {e attempt} span's id as parent, so the
-   server's [serve.request] subtree lands under the exact attempt that
-   elicited it when trace files are merged — a retried request shows
-   each attempt with its own server-side work (including the post-crash
-   re-execution after a supervisor restart). *)
-let trace_seq = Atomic.make 0
-
-let request conn req =
-  let policy = conn.policy in
-  let trace_id =
-    match req.P.trace with
-    | Some t -> Some t.P.trace_id
-    | None ->
-        if Obs.tracing () then
-          Some
-            (Printf.sprintf "c%d-%s-%d" (Unix.getpid ()) req.P.id
-               (Atomic.fetch_and_add trace_seq 1))
-        else None
-  in
-  let trace_attrs =
-    match trace_id with None -> [] | Some tid -> [ ("trace_id", Obs.S tid) ]
-  in
-  let one_attempt attempt_no =
-    Obs.with_span "client.attempt"
-      ~attrs:(("attempt", Obs.I attempt_no) :: trace_attrs)
-      (fun () ->
-        let wire =
-          match trace_id with
-          | None -> req
-          | Some tid ->
-              {
-                req with
-                P.trace =
-                  Some
-                    {
-                      P.trace_id = tid;
-                      parent_span = Obs.current_span_id ();
-                    };
-              }
-        in
-        match attempt conn wire with
-        | Ok _ as r -> r
-        | Error e ->
-            Obs.add_span_attr "error" (Obs.S e);
-            Error e)
-  in
-  Obs.with_span "client.request"
-    ~attrs:(("id", Obs.S req.P.id) :: trace_attrs)
-    (fun () ->
-      let rec go attempt_no =
-        let now = Obs.now_s () in
-        if not (admit policy ~now) then begin
-          Obs.add_span_attr "breaker" (Obs.S "open");
-          Error "circuit breaker open"
-        end
-        else
-          match one_attempt attempt_no with
-          | Ok resp ->
-              record_success policy;
-              Ok resp
-          | Error e ->
-              record_failure policy ~now:(Obs.now_s ());
-              if attempt_no >= policy.config.max_retries then
-                Error
-                  (Printf.sprintf "%s (gave up after %d attempts)" e
-                     (attempt_no + 1))
-              else begin
-                count_retry policy;
-                Obs.with_span "client.backoff"
-                  ~attrs:(("attempt", Obs.I attempt_no) :: trace_attrs)
-                  (fun () ->
-                    Unix.sleepf (backoff_s policy ~attempt:attempt_no));
-                go (attempt_no + 1)
-              end
-      in
-      go 0)
-
-let ping conn =
-  request conn { P.id = "ping"; op = P.Ping; space = None; trace = None }
-
-let metrics conn =
-  request conn { P.id = "metrics"; op = P.Metrics; space = None; trace = None }

@@ -10,24 +10,24 @@
    is exactly what lets a second run against a restarted daemon hit the
    persistent store.
 
-   Two drivers replay a trace:
+   Three transports replay a trace:
    - in-process, against a Server.t, for E30, tests and the perf gate;
-   - over pipes against a spawned `bg serve` daemon, closed-loop with a
-     bounded in-flight window, for the end-to-end benchmark.  The pipe
-     driver multiplexes reads and writes with select and keeps writes
-     nonblocking, so a busy daemon can never deadlock the generator.
+   - over pipes against a spawned `bg serve` daemon, for the end-to-end
+     benchmark;
+   - over a Unix socket against `bg serve --socket`, reconnecting after
+     a refused connect or a connection lost with requests in flight
+     (bg top polls through it).
+   The last two share one closed-loop event loop with a bounded
+   in-flight window; it multiplexes reads and writes with select and
+   keeps writes nonblocking, so a busy daemon cannot deadlock it.
 
-   Both are transports over one request ledger, which counts every
-   request once: sent, then answered or given up, with retries,
-   duplicates and corrupt lines tallied by one set of rules.  With a
-   Client policy the drivers exercise the full retry path: lost attempts
-   (deadline expiry over pipes, a batch flush in-process) are re-sent
-   under the retry budget (safe — requests are idempotent by cache key),
-   and the pipe driver backs off and honours the breaker.
-
-   Both report answered/ok/rejected/error counts, cache-outcome tallies,
-   retry/duplicate/corrupt/gave-up tallies, throughput and exact
-   (sorted-sample) p50/p99 latencies. *)
+   All three run over one request ledger, which counts every request
+   once: sent, then answered or given up, with retries, duplicates and
+   corrupt lines tallied by one set of rules.  With a Client policy,
+   lost attempts are re-sent under its budget (safe — requests are
+   idempotent by cache key); the fd transports back off and honour its
+   breaker.  Reports carry answer counts, cache and resilience tallies,
+   throughput, exact p50/p99 latencies and the answering replies. *)
 
 module P = Protocol
 module J = Core.Prelude.Jsonl
@@ -154,6 +154,7 @@ type report = {
   slo_samples : (float * bool) list;
       (* (latency_s, ok) per resolved request; gave-ups score as
          (infinity, false) so no objective can be gamed by abandonment *)
+  responses : P.response list;  (* answering replies, in answer order *)
 }
 
 let quantile sorted q =
@@ -215,8 +216,8 @@ let pp_report fmt r =
 (* -------------------------------------------------------------- ledger *)
 
 (* Every per-request fact and every state change lives in one ledger;
-   the drivers are transports that decide only when a line goes out and
-   when an attempt counts as lost.
+   the transports decide only when a line goes out and when an attempt
+   counts as lost.
 
    A request is Waiting (never sent, or lost and due for a re-send at the
    given time), In_flight since its current attempt went out, or
@@ -228,12 +229,11 @@ let pp_report fmt r =
    answered + gave_up never exceeds sent.  (Replies carry no checksum:
    a mangled line that still parses and names a sent id answers it.)
 
-   Tracing: the drivers run their own event loop rather than
-   Client.request, so each request's root [client.request] span id is
-   preallocated and rides the wire as [parent_span], and the span itself
-   is emitted (backdated) when the request resolves.  The daemon's
-   serve.request subtree then re-parents under this exact span when the
-   trace files are merged.  A request still unresolved when its driver
+   Tracing: each request's root [client.request] span id is preallocated
+   and rides the wire as [parent_span], and the span itself is emitted
+   (backdated) when the request resolves.  The daemon's serve.request
+   subtree then re-parents under this exact span when the trace files
+   are merged.  A request still unresolved when its driver
    stops has no root span; the server subtree still names its trace
    id. *)
 
@@ -409,6 +409,23 @@ let lose l e ~now ~backoff =
     l.lost <- insert l.lost
   end
 
+(* Lose the attempts in flight for longer than [age] seconds: each is
+   due again at once or, with [backoff], after the client's jittered
+   backoff. *)
+let lose_in_flight l ~age ~backoff =
+  let now = Obs.now_s () in
+  let backoff attempt =
+    match l.client with
+    | Some c when backoff -> Client.backoff_s c ~attempt
+    | _ -> 0.
+  in
+  List.iter
+    (fun e ->
+      match e.state with
+      | In_flight t0 when now -. t0 > age -> lose l e ~now ~backoff
+      | _ -> ())
+    (in_flight l)
+
 let report l =
   let ok = ref 0 and rejected = ref 0 and errors = ref 0 in
   let hits = ref 0 and misses = ref 0 and coalesced = ref 0 in
@@ -478,6 +495,7 @@ let report l =
     slo_samples =
       List.rev_map (fun (resp, latency) -> (latency, is_ok resp)) l.answers
       @ List.init l.gave_up (fun _ -> (Float.infinity, false));
+    responses = List.rev_map fst l.answers;
   }
 
 (* ---------------------------------------------------- in-process driver *)
@@ -498,72 +516,71 @@ let drive_inproc ?(window = 32) ?client server requests =
       | None ->
           if in_flight_count l = 0 && not (pending l) then `Eof else `Nothing
   in
-  let flush () =
-    List.iter
-      (fun e -> lose l e ~now:(Obs.now_s ()) ~backoff:(fun _ -> 0.))
-      (in_flight l)
-  in
+  let flush () = lose_in_flight l ~age:neg_infinity ~backoff:false in
   ignore (Server.run_loop server { Server.read; flush } : Server.stats);
   report l
 
-(* ------------------------------------------------------- pipe driver *)
+(* --------------------------------------------------- pipe and socket *)
 
+(* Push as much of [buf] down [fd] as it will take right now; [false]
+   once the daemon has stopped reading. *)
 let write_nonblock fd buf =
-  (* Push as much of [buf] down the pipe as it will take right now. *)
   let s = Buffer.contents buf in
   let len = String.length s in
-  if len > 0 then begin
-    match Unix.write_substring fd s 0 len with
-    | n ->
-        Buffer.clear buf;
-        if n < len then Buffer.add_substring buf s n (len - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  end
+  len = 0
+  ||
+  match Unix.write_substring fd s 0 len with
+  | n ->
+      Buffer.clear buf;
+      if n < len then Buffer.add_substring buf s n (len - n);
+      true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    -> true
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
 
-(* Drive an external daemon speaking the protocol on [req_w]/[resp_r]
-   (both pipe fds; [req_w] is closed when nothing more will ever be sent,
-   so the daemon sees EOF and drains).  Closed-loop: at most [window]
-   attempts in flight, issued only while the client's breaker admits.
-   With [client], an attempt that outlives the policy deadline is lost,
-   and re-sent after jittered backoff while the retry budget lasts. *)
-let drive_fds ?(window = 32) ?client ~req_w ~resp_r requests =
-  if window < 1 then invalid_arg "drive: window < 1";
+(* Queue the due attempts' lines in [out], at most [window] in flight,
+   and none while the client's breaker is open. *)
+let issue l ~window out =
+  let now = Obs.now_s () in
+  let rec go () =
+    if in_flight_count l < window && Buffer.length out < 1 lsl 20 then
+      match send l ~now with
+      | Some line ->
+          Buffer.add_string out line;
+          Buffer.add_char out '\n';
+          go ()
+      | None -> ()
+  in
+  match l.client with
+  | Some c when not (Client.admit c ~now) -> ()
+  | _ -> go ()
+
+(* Run the ledger over one connection to a daemon: requests go down
+   [req_w], replies come up [resp_r] (one fd for a socket).  Closed-loop:
+   at most [window] attempts in flight.  With a client deadline, an
+   attempt that outlives it is lost.  Once nothing more will ever be
+   sent, a pipe's [req_w] is closed and a socket is shut down for
+   sending, so the daemon sees EOF and drains.  A pipe is read to EOF;
+   a socket is left as soon as every request is resolved, so a daemon
+   that accepts but never answers or closes cannot hold it once the
+   deadline has given its requests up. *)
+let pump l ~window ~req_w ~resp_r =
   Unix.set_nonblock req_w;
   let reader = Server.Line_reader.create resp_r in
-  let deadline = Option.bind client (fun c -> (Client.config c).Client.deadline_s) in
-  let l = ledger ?client requests in
-  let out = Buffer.create 65536 in
-  let closed_req = ref false in
-  let issue_some () =
-    let now = Obs.now_s () in
-    let rec go () =
-      if in_flight_count l < window && Buffer.length out < 1 lsl 20 then
-        match send l ~now with
-        | Some line ->
-            Buffer.add_string out line;
-            Buffer.add_char out '\n';
-            go ()
-        | None -> ()
-    in
-    match client with
-    | Some c when not (Client.admit c ~now) -> ()
-    | _ -> go ()
+  let deadline =
+    Option.bind l.client (fun c -> (Client.config c).Client.deadline_s)
   in
-  let check_deadlines () =
-    match (deadline, client) with
-    | Some d, Some c ->
-        let now = Obs.now_s () in
-        List.iter
-          (fun e ->
-            match e.state with
-            | In_flight t0 when now -. t0 > d ->
-                lose l e ~now ~backoff:(fun attempt ->
-                    Client.backoff_s c ~attempt)
-            | _ -> ())
-          (in_flight l)
-    | _ -> ()
+  let out = Buffer.create 65536 in
+  let socket = (Unix.fstat req_w).Unix.st_kind = Unix.S_SOCK in
+  let closed_req = ref false in
+  let end_sends () =
+    if not !closed_req then begin
+      closed_req := true;
+      try
+        if socket then Unix.shutdown req_w Unix.SHUTDOWN_SEND
+        else Unix.close req_w
+      with Unix.Unix_error _ -> ()
+    end
   in
   (* Nothing more will ever be sent once nothing is pending or buffered
      and (when a deadline exists) nothing in flight can still expire
@@ -573,13 +590,21 @@ let drive_fds ?(window = 32) ?client ~req_w ~resp_r requests =
     && (deadline = None || in_flight_count l = 0)
   in
   let eof = ref false in
-  while not !eof do
-    check_deadlines ();
-    issue_some ();
-    if (not !closed_req) && done_sending () then begin
-      closed_req := true;
-      (try Unix.close req_w with Unix.Unix_error _ -> ())
-    end;
+  let rec take_replies () =
+    match Server.Line_reader.next ~block:false reader with
+    | `Line line ->
+        receive l line;
+        take_replies ()
+    | `Nothing -> ()
+    | `Eof -> eof := true
+  in
+  let finished () =
+    !eof || (socket && done_sending () && in_flight_count l = 0)
+  in
+  while not (finished ()) do
+    Option.iter (fun age -> lose_in_flight l ~age ~backoff:true) deadline;
+    if not !closed_req then issue l ~window out;
+    if done_sending () then end_sends ();
     let writes =
       if (not !closed_req) && Buffer.length out > 0 then [ req_w ] else []
     in
@@ -592,27 +617,57 @@ let drive_fds ?(window = 32) ?client ~req_w ~resp_r requests =
     match Unix.select [ resp_r ] writes [] tick with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
-        if writable <> [] then write_nonblock req_w out;
+        if writable <> [] && not (write_nonblock req_w out) then end_sends ();
         if readable <> [] then begin
           Server.Line_reader.read_chunk reader;
-          let continue = ref true in
-          while !continue do
-            match Server.Line_reader.next ~block:false reader with
-            | `Line line -> receive l line
-            | `Nothing -> continue := false
-            | `Eof ->
-                continue := false;
-                eof := true
-          done
+          take_replies ()
         end
   done;
-  if not !closed_req then (try Unix.close req_w with Unix.Unix_error _ -> ());
+  end_sends ()
+
+(* Drive a daemon listening on the Unix socket at [path], one connection
+   at a time.  Whatever is in flight when a connection ends lost its
+   reply, and is re-sent over a new connection after backoff while the
+   retry budget lasts. *)
+let drive_socket ~client path requests =
+  let window = 32 in
+  let l = ledger ~client requests in
+  (* A daemon that closes first turns the next write into EPIPE, not a
+     signal. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+  @@ fun () ->
+  while pending l do
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let floor =
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () ->
+          pump l ~window ~req_w:fd ~resp_r:fd;
+          0.
+      | exception Unix.Unix_error _ ->
+          (* A refused connect is a connection that ended at once: the
+             due attempts go out into nothing.  The next connect waits
+             at least a tick. *)
+          issue l ~window (Buffer.create 4096);
+          0.05
+    in
+    lose_in_flight l ~age:neg_infinity ~backoff:true;
+    if pending l then
+      let due =
+        match (l.fresh, l.lost) with
+        | [], { state = Waiting due; _ } :: _ -> due
+        | _ -> neg_infinity
+      in
+      Unix.sleepf (Float.max floor (due -. Obs.now_s ()))
+  done;
   report l
 
 (* Spawn [argv] (a `bg serve` command line), drive the trace through its
    stdin/stdout, reap it, and report.  The child's stderr passes
    through. *)
-let drive_subprocess ?window ?client argv requests =
+let drive_subprocess ?(window = 32) ?client argv requests =
+  if window < 1 then invalid_arg "drive_subprocess: window < 1";
   (* cloexec on every pipe end: the child must NOT inherit our copies of
      req_w / resp_r, or closing req_w here would never deliver its EOF
      (the daemon itself would hold the write end open).  create_process
@@ -627,4 +682,7 @@ let drive_subprocess ?window ?client argv requests =
     ~finally:(fun () ->
       (try Unix.close resp_r with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] pid))
-    (fun () -> drive_fds ?window ?client ~req_w ~resp_r requests)
+    (fun () ->
+      let l = ledger ?client requests in
+      pump l ~window ~req_w ~resp_r;
+      report l)

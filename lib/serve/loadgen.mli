@@ -11,24 +11,27 @@
     concurrency — the property behind the warm-restart cache-hit
     acceptance test.
 
-    Both drivers are transports over one private request ledger, which
-    gives each request exactly one outcome: sent once, then answered or
-    given up, never both and never twice.  A reply line has one meaning
-    under both drivers: a parseable reply for a sent, unresolved id
-    answers it (first answer wins); a reply for a request already
-    answered or given up is a duplicate; an unparseable line, or an id
-    that was never sent, is corrupt.  Hence [answered + gave_up <= sent]
-    and one SLO sample per resolved request.  Replies carry no checksum,
-    so a mangled line that still parses and names a sent id answers
-    it.  With an optional {!Client} policy the drivers retry lost
-    attempts under its budget (safe: requests are idempotent by cache
-    key).
+    Three transports run over one private request ledger: in-process
+    ({!drive_inproc}), a spawned daemon's stdio ({!drive_subprocess})
+    and a Unix socket ({!drive_socket}).  The ledger is the only code
+    that sends requests to a daemon and matches their replies.  It gives
+    each request exactly one outcome: sent once, then answered or given
+    up, never both and never twice.  A parseable reply for a sent,
+    unresolved id answers it (first answer wins); a reply for a request
+    already answered or given up is a duplicate; an unparseable line,
+    or an id that was never sent, is corrupt.  Hence
+    [answered + gave_up <= sent] and one SLO sample per resolved
+    request.  Replies carry no checksum, so a mangled line that still
+    parses and names a sent id answers it.  {!Client} is the retry
+    policy: with one, lost attempts are re-sent under its budget (safe:
+    requests are idempotent by cache key).
 
     When tracing is on ({!Bg_prelude.Obs.set_trace_file}), the ledger
     preallocates a [client.request] root span id per request, sends it
-    on the wire as [parent_span], and emits the (backdated) root span
-    once, when the request resolves: the client half of the
-    cross-process causal tree [Obs_tools.Trace.merge] assembles. *)
+    on the wire as [parent_span], and emits the (backdated) root span,
+    with its [attempts] count, once, when the request resolves: the only
+    client span, and the client half of the cross-process causal tree
+    [Obs_tools.Trace.merge] assembles. *)
 
 val zipf_cdf : s:float -> n:int -> float array
 (** Cumulative distribution of the zipf([s]) law on ranks [1..n]
@@ -87,6 +90,9 @@ type report = {
   slo_samples : (float * bool) list;
       (** [(latency_s, ok)] per resolved request, for
           {!Slo.eval_samples}; gave-ups score as [(infinity, false)] *)
+  responses : Protocol.response list;
+      (** the reply that answered each answered request, in answer
+          order *)
 }
 
 val hit_rate : report -> float
@@ -105,28 +111,29 @@ val drive_inproc :
     given up.  This requires [window <=] the engine's [batch_size]
     (every in-flight request is then inside the batch being flushed). *)
 
-val drive_fds :
-  ?window:int ->
-  ?client:Client.t ->
-  req_w:Unix.file_descr ->
-  resp_r:Unix.file_descr ->
-  Protocol.request list ->
-  report
-(** Replay a trace against a daemon speaking the protocol over a pipe
-    pair: requests down [req_w] (closed once nothing more will ever be
-    sent, so the daemon sees EOF), responses up [resp_r].  Closed-loop
-    with a bounded in-flight [window].  Reads and writes are multiplexed
-    with [select] and writes are nonblocking, so a busy daemon cannot
-    deadlock the generator.  With [client], nothing is issued while its
-    breaker is open, and an attempt that outlives the policy deadline is
-    lost: re-sent after jittered backoff while the retry budget lasts,
-    else given up — a reply that comes later is a duplicate. *)
-
 val drive_subprocess :
   ?window:int ->
   ?client:Client.t ->
   string array ->
   Protocol.request list ->
   report
-(** Spawn [argv] (a [bg serve] command line), {!drive_fds} the trace
-    through its stdin/stdout, reap it, and report. *)
+(** Spawn [argv] (a [bg serve] command line), replay a trace through its
+    stdin and stdout, reap it, and report.  Closed-loop with at most
+    [window] (default 32) attempts in flight; [select] and nonblocking
+    writes keep a busy daemon from deadlocking the generator.  Its stdin
+    is closed once nothing more will be sent, so it drains.  With
+    [client], nothing is issued while its breaker is open, and an
+    attempt that outlives the policy deadline is lost: re-sent after
+    jittered backoff while the retry budget lasts, else given up — a
+    reply that comes later is a duplicate. *)
+
+val drive_socket : client:Client.t -> string -> Protocol.request list -> report
+(** The same loop, 32 attempts in flight at most, over a connection to
+    the [bg serve --socket] daemon at [path], shut down for sending (not
+    closed) once nothing more will be sent.  A refused connect, or a
+    connection that closes with attempts in flight, loses them: each is
+    re-sent over a new connection after backoff while the retry budget
+    lasts, else given up.  It returns once every request is answered or
+    given up, so under a [client] deadline a daemon that accepts but
+    never answers costs at most the retry budget.  [SIGPIPE] is ignored
+    while it runs. *)

@@ -304,8 +304,6 @@ let request_of_json_at ?left j =
               | exception Failure e -> Error e
               | Ok space -> Ok { id; op; space = Some space; trace })))
 
-let request_of_json j = request_of_json_at j
-
 (* The f64 text, most of a request line's bytes, is decoded where it
    lies in the line rather than copied out first. *)
 let request_of_string line =

@@ -139,9 +139,6 @@ val request_of_string : string -> (request, string) result
     for a [Failed] response. *)
 
 val request_to_json : request -> Core.Prelude.Jsonl.t
-val request_of_json : Core.Prelude.Jsonl.t -> (request, string) result
 
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
-val response_to_json : response -> Core.Prelude.Jsonl.t
-val response_of_json : Core.Prelude.Jsonl.t -> (response, string) result

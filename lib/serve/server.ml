@@ -306,7 +306,8 @@ let ping_result t ~queue_depth =
 
 (* The metrics op: one full registry scrape plus the server's own stats,
    answered at admission like ping so a scraper works during overload.
-   This is what `bg top --socket` polls. *)
+   Histograms carry their sparse (index, count) buckets, so `bg top
+   --socket --prometheus` rebuilds the snapshot exactly. *)
 let metrics_result t ~queue_depth =
   let st = t.stats in
   let now = Obs.now_s () in
@@ -323,7 +324,13 @@ let metrics_result t ~queue_depth =
               J.Obj
                 [ ("count", J.Num (float_of_int count)); ("sum", J.Num sum);
                   ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
-                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99)) ] )
+                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99));
+                  ( "buckets",
+                    J.Obj
+                      (List.map
+                         (fun (i, c) ->
+                           (string_of_int i, J.Num (float_of_int c)))
+                         buckets) ) ] )
             :: !histograms)
     (Obs.snapshot ());
   J.Obj
@@ -832,6 +839,7 @@ module Line_reader = struct
         split_buffer t
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> t.closed <- true
 
   let readable ~timeout t =
     match Unix.select [ t.fd ] [] [] timeout with
@@ -913,13 +921,29 @@ let serve_stdio config =
 (* A Unix-domain-socket front end: accept any number of clients, select
    across them, answer each request on the connection it arrived on.
    Responses are written synchronously (requests and responses are a few
-   KB; a client that stops reading only stalls its own connection's
-   replies).  A client that disconnects mid-request costs exactly its
+   KB), so a client that stops reading while its replies fill the
+   socket buffer stalls the whole daemon until it reads or goes.  A
+   client that disconnects mid-request costs exactly its
    own partial line — logged, counted (serve.client_disconnects),
-   dropped — and the remaining clients keep being served.  The daemon
+   dropped — and the remaining clients keep being served.  A reply
+   that cannot be written counts as a disconnect too; a client that
+   closes with nothing lost does not.  The daemon
    stops on SIGINT/SIGTERM (draining the queue and flushing the store
    first) or, with [?max_requests], after answering that many requests —
-   the hook the smoke tests use. *)
+   the hook the smoke tests use.
+
+   Replies are bound to the connection record, not its fd number, so a
+   client accepted on a recycled fd never reads a dropped one's answer.
+   A half-closed connection stays open until every request read from it
+   is answered.  run_loop reads with [~block:true] only with its queue
+   empty, so nothing is owed then: a reply chaos dropped counts too. *)
+type conn = {
+  fd : Unix.file_descr;
+  reader : Line_reader.t;
+  mutable owed : int;  (* requests read and not yet answered *)
+  mutable live : bool;  (* false once dropped *)
+}
+
 let serve_socket ?max_requests config path =
   (match Sys.file_exists path with
   | true -> Sys.remove path
@@ -933,31 +957,43 @@ let serve_socket ?max_requests config path =
   let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
   let old_int = Sys.signal Sys.sigint on_signal in
   let old_term = Sys.signal Sys.sigterm on_signal in
-  let clients : (Unix.file_descr, Line_reader.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  let clients : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
+  let conns () = Hashtbl.fold (fun _ c acc -> c :: acc) clients [] in
   let answered = ref 0 in
   let t = create config in
-  let drop fd =
-    (match Hashtbl.find_opt clients fd with
-    | Some r ->
+  (* Close [c].  Only a close that loses something counts as a
+     disconnect: a reply that could not be written ([broken]) or a
+     partial request line; a settled half-close loses nothing. *)
+  let drop ~broken c =
+    if c.live then begin
+      c.live <- false;
+      let partial = Line_reader.pending_partial c.reader in
+      if broken || partial > 0 then begin
         t.stats.disconnects <- t.stats.disconnects + 1;
-        Obs.incr c_disconnects;
-        let partial = Line_reader.pending_partial r in
-        if partial > 0 then
-          Printf.eprintf
-            "bg serve: client disconnected mid-request; dropped %d-byte \
-             partial line\n\
-             %!"
-            partial
-    | None -> ());
-    Hashtbl.remove clients fd;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+        Obs.incr c_disconnects
+      end;
+      if partial > 0 then
+        Printf.eprintf
+          "bg serve: client disconnected mid-request; dropped %d-byte \
+           partial line\n%!"
+          partial;
+      Hashtbl.remove clients c.fd;
+      try Unix.close c.fd with Unix.Unix_error _ -> ()
+    end
   in
-  let reply_to fd line =
-    (try write_all fd (line ^ "\n")
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-     -> drop fd);
+  (* Close once the client has stopped sending and is owed nothing. *)
+  let settle c =
+    if c.reader.Line_reader.closed && c.reader.Line_reader.lines = []
+       && c.owed <= 0
+    then drop ~broken:false c
+  in
+  let reply_to c line =
+    (if c.live then
+       try write_all c.fd (line ^ "\n")
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+       -> drop ~broken:true c);
+    c.owed <- c.owed - 1;
+    settle c;
     incr answered;
     match max_requests with
     | Some n when !answered >= n -> stop := true
@@ -966,19 +1002,20 @@ let serve_socket ?max_requests config path =
   (* Round-robin over client readers so one chatty client cannot starve
      the rest: take at most one buffered line per client per call. *)
   let read ~block =
+    (* Asked to block: nothing read so far is owed a reply. *)
+    if block then List.iter (fun c -> c.owed <- 0; settle c) (conns ());
     let take_buffered () =
-      Hashtbl.fold
-        (fun fd r acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-              match Line_reader.next ~block:false r with
-              | `Line l -> Some (`Req (l, reply_to fd))
-              | `Eof ->
-                  drop fd;
-                  None
-              | `Nothing -> None))
-        clients None
+      List.find_map
+        (fun c ->
+          match Line_reader.next ~block:false c.reader with
+          | `Line l ->
+              c.owed <- c.owed + 1;
+              Some (`Req (l, reply_to c))
+          | `Eof ->
+              settle c;
+              None
+          | `Nothing -> None)
+        (conns ())
     in
     let rec go block =
       if !stop then `Eof
@@ -986,7 +1023,13 @@ let serve_socket ?max_requests config path =
         match take_buffered () with
         | Some req -> req
         | None -> (
-            let fds = listener :: Hashtbl.fold (fun fd _ a -> fd :: a) clients [] in
+            let fds =
+              listener
+              :: List.filter_map
+                   (fun c ->
+                     if c.reader.Line_reader.closed then None else Some c.fd)
+                   (conns ())
+            in
             (* A finite timeout even when blocking, so signals and
                max_requests are noticed promptly. *)
             match Unix.select fds [] [] (if block then 0.25 else 0.) with
@@ -996,17 +1039,17 @@ let serve_socket ?max_requests config path =
                 List.iter
                   (fun fd ->
                     if fd = listener then begin
-                      let client, _ = Unix.accept listener in
-                      Hashtbl.replace clients client
-                        (Line_reader.create client)
+                      let fd, _ = Unix.accept listener in
+                      Hashtbl.replace clients fd
+                        { fd; reader = Line_reader.create fd; owed = 0;
+                          live = true }
                     end
                     else
                       match Hashtbl.find_opt clients fd with
                       | None -> ()
-                      | Some r -> (
-                          Line_reader.read_chunk r;
-                          if r.Line_reader.closed && r.Line_reader.lines = []
-                          then drop fd))
+                      | Some c ->
+                          Line_reader.read_chunk c.reader;
+                          settle c)
                   ready;
                 go block)
     in
@@ -1014,7 +1057,9 @@ let serve_socket ?max_requests config path =
   in
   let io = { read; flush = (fun () -> ()) } in
   let finish () =
-    Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;
+    List.iter
+      (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+      (conns ());
     (try Unix.close listener with Unix.Unix_error _ -> ());
     (try Sys.remove path with Sys_error _ -> ());
     Sys.set_signal Sys.sigint old_int;

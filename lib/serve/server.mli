@@ -30,7 +30,8 @@
     [ping] reports uptime, queue depth, hit rate, degraded-mode status,
     supervisor lineage (restarts, cumulative uptime across respawns) and
     SLO health; [metrics] adds a full registry snapshot (every counter,
-    gauge and histogram with p50/p99) — what [bg top --socket] polls.
+    gauge and histogram, the last with p50/p99 and its sparse
+    [(index, count)] buckets) — what [bg top --socket] polls.
 
     Every request gets one [serve.request] span (queue-wait, batch id
     and cache outcome as attrs) and lands in the [serve.latency_s] /
@@ -96,7 +97,9 @@ type stats = {
   mutable peak_queue : int;  (** high-water mark; [<= max_queue] always *)
   mutable degraded : int;  (** answers from the estimator tier *)
   mutable pings : int;
-  mutable disconnects : int;  (** socket clients gone before EOF handshake *)
+  mutable disconnects : int;
+      (** socket clients gone with a partial request line or a reply
+          that could not be written; a clean close is not counted *)
 }
 
 type t
@@ -127,13 +130,16 @@ type input =
 
 type io = {
   read : block:bool -> input;
-      (** [block:true] may wait for input; [block:false] must poll *)
+      (** [block:true] may wait for input; [block:false] must poll.
+          {!run_loop} asks [block:true] only with its queue empty, so
+          every line read before has been answered (or its reply
+          dropped by chaos). *)
   flush : unit -> unit;  (** called after each batch's replies *)
 }
 
 (** A nonblocking-capable line reader over a raw fd (select + internal
-    buffer) — the daemons' input stage, reused by {!Loadgen}'s pipe
-    driver for the response stream. *)
+    buffer) — the daemons' input stage, reused by {!Loadgen}'s pipe and
+    socket transports for the response stream. *)
 module Line_reader : sig
   type t
 
@@ -144,9 +150,6 @@ module Line_reader : sig
 
   val next : block:bool -> t -> [ `Line of string | `Nothing | `Eof ]
   (** Next complete line; with [block:false] this only polls. *)
-
-  val pending_partial : t -> int
-  (** Bytes of an incomplete trailing line sitting in the buffer. *)
 end
 
 val run_loop : ?should_stop:(unit -> bool) -> t -> io -> stats
@@ -165,7 +168,10 @@ val serve_stdio : config -> stats
 val serve_socket : ?max_requests:int -> config -> string -> stats
 (** The Unix-domain-socket daemon: listen at [path] (an existing file
     there is replaced), serve any number of concurrent clients, answer
-    each request on the connection it arrived on.  A client
+    each request on the connection it arrived on, and never on another
+    one that reuses its fd.  A client that half-closes its connection
+    keeps it until every request read from it is answered (a reply
+    chaos drops counts), then the daemon closes it.  A client
     disconnecting mid-request is logged and its partial line dropped;
     other clients are unaffected.  Stops on SIGINT / SIGTERM (draining
     first), or after [max_requests] answers when given. *)

@@ -747,8 +747,9 @@ let test_store_tolerates_corruption () =
       check_true "good entry readable"
         (Store.find s "good" = Some (J.Obj [ ("zeta", J.Num 2.) ]));
       (* Missing file is an empty store, not a crash. *)
-      let s2 = Store.open_ ~path:(tmp_path "never-written.jsonl") () in
-      check_int "missing file loads empty" 0 (Store.loaded s2))
+      with_tmp "never-written.jsonl" (fun path ->
+          let s2 = Store.open_ ~path () in
+          check_int "missing file loads empty" 0 (Store.loaded s2)))
 
 let test_store_lru_cap_and_snapshot_order () =
   with_tmp "lru.jsonl" (fun path ->
@@ -1395,16 +1396,15 @@ let test_cli_rejects_bad_resource_flags () =
       (exit_of [ "loadgen"; "--client-retries=-1" ])
   end
 
-(* A [bg serve --socket] daemon answering [max_requests] requests, its
-   stderr in [errf]; returns once the socket exists. *)
-let spawn_socket_daemon ~sock ~errf ~max_requests =
+(* A [bg serve --socket] daemon started with [flags], its stderr in
+   [errf]; returns once the socket exists. *)
+let spawn_socket_daemon ~sock ~errf flags =
   let errfd =
     Unix.openfile errf [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let pid =
     Unix.create_process bg_exe
-      [| bg_exe; "serve"; "--socket"; sock; "--max-requests";
-         string_of_int max_requests |]
+      (Array.of_list (bg_exe :: "serve" :: "--socket" :: sock :: flags))
       Unix.stdin Unix.stdout errfd
   in
   Unix.close errfd;
@@ -1418,6 +1418,24 @@ let spawn_socket_daemon ~sock ~errf ~max_requests =
   in
   await 100;
   pid
+
+(* SIGTERM (the drain path) and reap; the daemon's exit status. *)
+let stop_daemon pid =
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  snd (Unix.waitpid [] pid)
+
+(* Run [f sock] against a socket daemon started with [flags], which is
+   stopped afterwards; the daemon's stderr is removed with its socket. *)
+let with_socket_daemon name flags f =
+  let sock = tmp_path (name ^ ".sock") and errf = tmp_path (name ^ ".err") in
+  let pid = spawn_socket_daemon ~sock ~errf flags in
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (stop_daemon pid) with Unix.Unix_error _ -> ());
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ sock; errf ])
+    (fun () -> f sock)
 
 let socket_connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1468,7 +1486,7 @@ let test_socket_disconnect_mid_request () =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; errf ]
     in
     Fun.protect ~finally:cleanup @@ fun () ->
-    let pid = spawn_socket_daemon ~sock ~errf ~max_requests:1 in
+    let pid = spawn_socket_daemon ~sock ~errf [ "--max-requests"; "1" ] in
     (* Client A: half a request line, then gone. *)
     let a = socket_connect sock in
     socket_send a {|{"id":"half","op":"zeta|};
@@ -1500,7 +1518,7 @@ let test_socket_round_trip () =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; errf ]
     in
     Fun.protect ~finally:cleanup @@ fun () ->
-    let pid = spawn_socket_daemon ~sock ~errf ~max_requests:3 in
+    let pid = spawn_socket_daemon ~sock ~errf [ "--max-requests"; "3" ] in
     let c = socket_connect sock in
     let m = {|{"matrix": [[0, 1.5, 2], [1.2, 0, 3], [2, 1, 0]]}|} in
     socket_send c
@@ -1521,6 +1539,224 @@ let test_socket_round_trip () =
       = [ (Some "a", Some "ok"); (Some "b", Some "ok"); (Some "c", Some "error") ]);
     check_daemon_exit_0 pid
   end
+
+(* A client without a deadline: it re-sends nothing, so it may half-close
+   as soon as its lines are written. *)
+let patient_client () =
+  Client.create
+    ~config:{ Client.default_config with Client.deadline_s = None }
+    ~seed:0 ()
+
+(* Three zeta requests through [Loadgen.drive_socket], which shuts its
+   sending side down once they are written: the daemon keeps the
+   half-closed connection until all three are answered, then closes
+   it. *)
+let test_socket_half_close_gets_every_reply () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_socket_daemon "half" [] @@ fun sock ->
+    let reqs = List.map (fun id -> req ~id P.Zeta) [ "h1"; "h2"; "h3" ] in
+    let r = checked (L.drive_socket ~client:(patient_client ()) sock reqs) in
+    check_int "all three sent" 3 r.L.sent;
+    check_int "answered = sent" r.L.sent r.L.answered;
+    check_int "all ok" 3 r.L.ok;
+    check_int "one reply each, in the report"
+      3 (List.length r.L.responses)
+
+(* A client that closes with its reply unread makes the daemon's next
+   read on that connection fail with ECONNRESET: the daemon drops the
+   connection and goes on serving. *)
+let test_socket_reset_by_client_is_isolated () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_socket_daemon "reset" [] @@ fun sock ->
+    let line ~id = P.request_to_string (req ~id P.Zeta) ^ "\n" in
+    let a = socket_connect sock in
+    socket_send a (line ~id:"unread");
+    (* Wait until the reply sits unread in A's buffer, then close. *)
+    ignore (Unix.recv a (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ]);
+    Unix.close a;
+    Unix.sleepf 0.2;
+    let b = socket_connect sock in
+    socket_send b (line ~id:"next");
+    let got = socket_recv_line b in
+    Unix.close b;
+    match P.response_of_string got with
+    | Ok (P.Done { id = "next"; _ }) -> ()
+    | _ -> Alcotest.failf "client B got %S" got
+
+(* Client A sends a phi and closes while a stalled request holds the
+   daemon; client B then connects, which can reuse A's fd number, and
+   sends a zeta under the same id.  B's first reply must be its own
+   zeta, not A's phi. *)
+let test_socket_replies_stay_on_their_connection () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_socket_daemon "reuse" [ "--chaos"; "stall=1:0.5" ] @@ fun sock ->
+    let line ~id op = P.request_to_string (req ~id op) ^ "\n" in
+    let slow = socket_connect sock in
+    socket_send slow (line ~id:"slow" P.Zeta);
+    Unix.sleepf 0.15;
+    let a = socket_connect sock in
+    socket_send a (line ~id:"same" P.Phi);
+    Unix.close a;
+    let b = socket_connect sock in
+    socket_send b (line ~id:"same" P.Zeta);
+    let got = socket_recv_line b in
+    Unix.close b;
+    Unix.close slow;
+    match P.response_of_string got with
+    | Ok (P.Done { id = "same"; op_name = "zeta"; _ }) -> ()
+    | _ -> Alcotest.failf "client B's first reply: %S" got
+
+(* A deadline client over a daemon that drops a fifth of its replies:
+   each lost attempt expires, is re-sent on the same connection, and
+   every request is answered once. *)
+let test_socket_retries_dropped_replies () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_socket_daemon "drop"
+      [ "--chaos"; "drop=0.2"; "--chaos-seed"; "5"; "--batch-size"; "8" ]
+    @@ fun sock ->
+    let client =
+      Client.create
+        ~config:
+          { Client.default_config with
+            Client.deadline_s = Some 0.3;
+            max_retries = 10;
+            backoff_base_s = 0.01;
+            backoff_cap_s = 0.05;
+            breaker_threshold = 1000 }
+        ~seed:3 ()
+    in
+    let w =
+      { L.seed = 4; requests = 40; spaces = 8; nodes = 6; zipf_s = 1.1 }
+    in
+    let r = checked (L.drive_socket ~client sock (L.generate w)) in
+    check_int "every request answered" r.L.sent r.L.answered;
+    check_int "all ok" r.L.sent r.L.ok;
+    check_int "nothing abandoned" 0 r.L.gave_up;
+    check_true "drops cost re-sends" (r.L.retries > 0)
+
+(* A socket that listens but never accepts: the kernel completes the
+   connect and buffers the request, and no reply ever comes.  A deadline
+   client gives the request up after its retries and returns, without
+   waiting for an EOF that never arrives. *)
+let test_socket_silent_listener_gives_up () =
+  let sock = tmp_path "silent.sock" in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Sys.remove sock with Sys_error _ -> ())
+  @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 4;
+  let client =
+    Client.create
+      ~config:
+        { Client.default_config with
+          Client.deadline_s = Some 0.1;
+          max_retries = 1;
+          backoff_base_s = 0.01;
+          backoff_cap_s = 0.02 }
+      ~seed:1 ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = checked (L.drive_socket ~client sock [ req ~id:"unheard" P.Zeta ]) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check_int "sent once" 1 r.L.sent;
+  check_int "given up" r.L.sent r.L.gave_up;
+  check_int "one re-send" 1 r.L.retries;
+  check_true (Printf.sprintf "returned in %.2fs" elapsed) (elapsed < 5.)
+
+(* [bg top --socket] with nobody listening: the poll's connects are
+   refused, retried under the default policy (4 retries), then given
+   up with exit 2. *)
+let test_top_without_a_daemon_gives_up () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    let status, _, err =
+      run_bg ~input:""
+        [ "top"; "--socket"; tmp_path "nobody.sock"; "--iterations"; "1" ]
+    in
+    check_true "exit 2" (status = Unix.WEXITED 2);
+    check_true "metrics poll failed" (contains ~sub:"metrics poll failed" err);
+    check_true
+      (Printf.sprintf "five attempts: %s" err)
+      (contains ~sub:"gave up after 5 attempts" err)
+
+(* The operator view end to end: a daemon with telemetry and an SLO
+   takes 8 zeta requests over its socket; [bg top] renders its SLO row
+   and a Prometheus scrape whose histograms are whole; after the daemon
+   stops, its telemetry ring renders in [bg top] and [bg slo] scores it
+   healthy (exit 0) under the serving SLO and violated (exit 3) under a
+   hopeless one. *)
+let test_top_and_slo_against_a_live_daemon () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_tmp "top-telemetry.jsonl" @@ fun telemetry ->
+    with_socket_daemon "top"
+      [ "--telemetry"; telemetry; "--telemetry-interval"; "0.2"; "--slo";
+        "p99<=5,err<=50%" ]
+      (fun sock ->
+        let r =
+          checked
+            (L.drive_socket ~client:(patient_client ()) sock
+               (List.init 8 (fun i -> req ~id:(Printf.sprintf "r%d" i) P.Zeta)))
+        in
+        check_int "8 ok" 8 r.L.ok;
+        let status, table, _ =
+          run_bg ~input:""
+            [ "top"; "--socket"; sock; "--iterations"; "2"; "--interval"; "0.3" ]
+        in
+        check_true "bg top exits 0" (status = Unix.WEXITED 0);
+        check_true "the table has the SLO row" (contains ~sub:"slo p99<=5" table);
+        check_false "no client counter in the daemon's view"
+          (contains ~sub:"client" table);
+        let status, scrape, _ =
+          run_bg ~input:""
+            [ "top"; "--socket"; sock; "--iterations"; "1"; "--prometheus" ]
+        in
+        check_true "bg top --prometheus exits 0" (status = Unix.WEXITED 0);
+        let lines = String.split_on_char '\n' scrape in
+        check_true "serve_accepted 8" (List.mem "serve_accepted 8" lines);
+        (* Each poll closed its connection cleanly: no disconnects. *)
+        check_true "serve_client_disconnects 0"
+          (List.mem "serve_client_disconnects 0" lines);
+        (* Every histogram's +Inf bucket equals its _count. *)
+        let value_of prefix =
+          List.find_map
+            (fun l ->
+              if String.starts_with ~prefix l then
+                Some (String.sub l (String.length prefix)
+                        (String.length l - String.length prefix))
+              else None)
+            lines
+        in
+        List.iter
+          (fun name ->
+            let inf = value_of (name ^ "_bucket{le=\"+Inf\"} ")
+            and count = value_of (name ^ "_count ") in
+            check_true
+              (Printf.sprintf "%s: +Inf bucket %s = count %s" name
+                 (Option.value ~default:"-" inf)
+                 (Option.value ~default:"-" count))
+              (inf <> None && inf = count))
+          [ "serve_latency_s"; "serve_queue_wait_s" ]);
+    (* The daemon has drained and written its last snapshot. *)
+    let exit_of args =
+      match run_bg ~input:"" args with
+      | Unix.WEXITED c, _, _ -> c
+      | _ -> -1
+    in
+    check_int "bg top renders the ring" 0
+      (exit_of [ "top"; "--telemetry"; telemetry; "--iterations"; "1" ]);
+    check_int "healthy under the serving SLO" 0
+      (exit_of [ "slo"; "--spec"; "p99<=5,err<=50%"; telemetry ]);
+    check_int "violated under a hopeless one" 3
+      (exit_of [ "slo"; "--spec"; "p99<=0.0000001"; telemetry ])
 
 (* A supervised daemon that chaos-SIGKILLs itself mid-batch and drops
    or tears 2% of its replies: the supervisor restarts it on the same
@@ -1687,7 +1923,17 @@ let test_metrics_op_scrape () =
           match List.assoc_opt "serve.latency_s" kvs with
           | Some h ->
               check_true "latency histogram has quantiles"
-                (J.mem_num "p99" h <> None)
+                (J.mem_num "p99" h <> None);
+              let in_buckets =
+                match J.member "buckets" h with
+                | Some (J.Obj kvs) ->
+                    List.fold_left
+                      (fun n (_, c) -> n +. Option.value ~default:0. (J.num c))
+                      0. kvs
+                | _ -> Alcotest.fail "latency buckets missing"
+              in
+              check_true "its buckets hold every observation"
+                (in_buckets > 0. && Some in_buckets = J.mem_num "count" h)
           | None -> Alcotest.fail "serve.latency_s missing")
       | _ -> Alcotest.fail "histograms object missing");
       check_true "supervisor lineage included"
@@ -1863,12 +2109,14 @@ let test_telemetry_ring_and_deltas () =
       | _ -> Alcotest.fail "expected two lines")
 
 let test_prometheus_rendering () =
+  let b = Obs.bucket_of 0.1 in
   let text =
     Bg_serve.Telemetry.prometheus
       [ ("serve.accepted", Obs.Counter_snapshot 7);
         ("serve.queue_depth", Obs.Gauge_snapshot 2.5);
         ( "serve.latency_s",
-          Obs.Histogram_snapshot { count = 2; sum = 0.25; buckets = [] } ) ]
+          Obs.Histogram_snapshot
+            { count = 2; sum = 0.25; buckets = [ (b, 1); (b + 1, 1) ] } ) ]
   in
   let has needle =
     let nl = String.length needle and hl = String.length text in
@@ -1881,7 +2129,11 @@ let test_prometheus_rendering () =
     (fun needle -> check_true (needle ^ " present") (has needle))
     [ "# TYPE serve_accepted counter"; "serve_accepted 7";
       "serve_queue_depth 2.5"; "serve_latency_s_count 2";
-      "serve_latency_s_sum 0.25"; "serve_latency_s_bucket{le=\"+Inf\"} 0" ]
+      "serve_latency_s_sum 0.25";
+      Printf.sprintf "serve_latency_s_bucket{le=\"%.17g\"} 1"
+        (Obs.bucket_lower_bound (b + 1));
+      (* Prometheus requires the +Inf bucket to equal _count. *)
+      "serve_latency_s_bucket{le=\"+Inf\"} 2" ]
 
 let suite =
   [
@@ -2007,6 +2259,20 @@ let suite =
         case "mid-request disconnect is logged and isolated"
           test_socket_disconnect_mid_request;
         case "socket round trip: ok, ok, error" test_socket_round_trip;
+        case "socket half-close gets every reply"
+          test_socket_half_close_gets_every_reply;
+        case "socket replies stay on their connection"
+          test_socket_replies_stay_on_their_connection;
+        case "socket reset by a client is isolated"
+          test_socket_reset_by_client_is_isolated;
+        case "socket deadline client re-sends dropped replies"
+          test_socket_retries_dropped_replies;
+        case "socket client gives up on a listener that never answers"
+          test_socket_silent_listener_gives_up;
+        case "bg top with no daemon retries, then exits 2"
+          test_top_without_a_daemon_gives_up;
+        case "bg top and bg slo against a live daemon"
+          test_top_and_slo_against_a_live_daemon;
         case "supervised restart rides out chaos crashes"
           test_supervised_restart_rides_out_crashes;
         case "supervised --metrics prints the worker's registry"
