@@ -1269,20 +1269,23 @@ let serve_settings ~batch_size ~max_queue ~cache ~cache_entries
   in
   make_config
 
-(* The stats summary goes to stderr: in stdio mode stdout carries the
-   response stream and must stay clean JSONL. *)
-let print_serve_summary (st : Bg_serve.Server.stats) =
+(* The registry's serve.* summary goes to stderr: in stdio mode stdout
+   carries the response stream and must stay clean JSONL. *)
+let print_serve_summary () =
   let module Obs = Core.Prelude.Obs in
-  let h = Obs.histogram "serve.latency_s" in
+  let snap = Obs.snapshot () in
+  let c = Bg_serve.Telemetry.counter snap in
+  let lat = Bg_serve.Telemetry.buckets snap "serve.latency_s" in
   Printf.eprintf
     "bg serve: %d accepted, %d rejected, %d errors | %d computed, %d \
-     cache hits, %d coalesced, %d degraded | %d batches, peak queue %d | \
-     latency p50 %.4gs p99 %.4gs\n\
+     cache hits, %d coalesced, %d degraded | %d batches | latency p50 \
+     %.4gs p99 %.4gs\n\
      %!"
-    st.accepted st.rejected st.failed st.computed st.store_hits st.coalesced
-    st.degraded st.batches st.peak_queue
-    (Obs.histogram_quantile h 0.50)
-    (Obs.histogram_quantile h 0.99)
+    (c "serve.accepted") (c "serve.rejected") (c "serve.failed")
+    (c "serve.computed") (c "serve.store_hits") (c "serve.coalesced")
+    (c "serve.degraded") (c "serve.batches")
+    (Obs.quantile_of_buckets lat 0.50)
+    (Obs.quantile_of_buckets lat 0.99)
 
 let serve_slo_arg =
   Arg.(
@@ -1386,14 +1389,11 @@ let serve_cmd =
     else begin
       apply_obs ~profile ~append:worker trace;
       let config = make_config ~jobs () in
-      let stats =
-        or_user_error (fun () ->
-            match socket with
-            | None -> Bg_serve.Server.serve_stdio config
-            | Some path ->
-                Bg_serve.Server.serve_socket ?max_requests config path)
-      in
-      print_serve_summary stats;
+      or_user_error (fun () ->
+          match socket with
+          | None -> Bg_serve.Server.serve_stdio config
+          | Some path -> Bg_serve.Server.serve_socket ?max_requests config path);
+      print_serve_summary ();
       finish_obs metrics
     end
   in
@@ -1693,14 +1693,77 @@ let loadgen_cmd =
 
 (* ------------------------------------------------------------------ top *)
 
-(* JSON digging for bg top: every accessor degrades to a zero, never an
-   exception — telemetry is observed, not validated. *)
-let j_num j k = Option.value ~default:0. (J.mem_num k j)
+(* The one bg top table, for a polled metrics reply or a telemetry ring
+   line: [snap] is the daemon's registry and [prev] the one [dt] seconds
+   before it, which throughput needs; [extra] holds the rows only a live
+   daemon's reply carries (lineage and SLO). *)
+let top_table ~title ~uptime_s ~prev snap extra =
+  let module T = Bg_serve.Telemetry in
+  let open Core.Prelude.Table in
+  let c = T.counter snap in
+  let served = Bg_serve.Server.served snap in
+  let throughput =
+    match prev with
+    | Some (p, dt) when dt > 0. ->
+        float_of_int (Bg_serve.Server.served (T.diff ~prev:p snap)) /. dt
+    | _ -> 0.
+  in
+  let q name p = Core.Prelude.Obs.quantile_of_buckets (T.buckets snap name) p in
+  let pair a b = S (Printf.sprintf "%d / %d" a b) in
+  let t = create ~title [ "metric"; "value" ] in
+  List.iter (add_row t)
+    ([ [ S "uptime"; S (Printf.sprintf "%.1fs" uptime_s) ];
+       [ S "queue depth"; I (int_of_float (T.gauge snap "serve.queue_depth")) ];
+       [ S "throughput"; S (Printf.sprintf "%.1f req/s" throughput) ];
+       [ S "accepted / served"; pair (c "serve.accepted") served ];
+       [ S "hit rate";
+         S
+           (Printf.sprintf "%.3f"
+              (if served > 0 then
+                 float_of_int (c "serve.store_hits") /. float_of_int served
+               else 0.)) ];
+       [ S "rejected / failed"; pair (c "serve.rejected") (c "serve.failed") ];
+       [ S "degraded / coalesced";
+         pair (c "serve.degraded") (c "serve.coalesced") ];
+       [ S "latency p50 / p99";
+         S
+           (Printf.sprintf "%.4gs / %.4gs" (q "serve.latency_s" 0.5)
+              (q "serve.latency_s" 0.99)) ];
+       [ S "queue wait p99";
+         S (Printf.sprintf "%.4gs" (q "serve.queue_wait_s" 0.99)) ];
+       [ S "WAL appends"; I (c "store.wal_appends") ];
+       [ S "WAL recovered / torn";
+         pair (c "store.wal_recovered") (c "store.wal_torn") ] ]
+    @ extra);
+  print t
 
-let j_obj j k =
-  match J.member k j with
-  | Some (J.Obj kvs) -> kvs
-  | _ -> []
+(* The rows only a live daemon's metrics reply carries: supervisor
+   lineage and SLO burn.  A missing field reads as zero. *)
+let reply_rows result =
+  let open Core.Prelude.Table in
+  let num k j = Option.value ~default:0. (J.mem_num k j) in
+  [ S "restarts / total uptime";
+    S
+      (Printf.sprintf "%d / %.1fs"
+         (int_of_float (num "restarts" result))
+         (num "total_uptime_s" result)) ]
+  ::
+  (match J.member "slo" result with
+  | Some (J.Arr statuses) ->
+      List.map
+        (fun st ->
+          let burn =
+            Option.fold ~none:0. ~some:(num "burn") (J.member "window" st)
+          in
+          [ S ("slo " ^ Option.value ~default:"?" (J.mem_str "objective" st));
+            S
+              (Printf.sprintf "%s (burn %.2f)"
+                 (if Option.value ~default:true (J.mem_bool "healthy" st) then
+                    "ok"
+                  else "VIOLATED")
+                 burn) ])
+        statuses
+  | _ -> [])
 
 let top_cmd =
   let module P = Bg_serve.Protocol in
@@ -1738,143 +1801,19 @@ let top_cmd =
       value & flag
       & info [ "prometheus" ]
           ~doc:
-            "With --socket: print a Prometheus text-exposition scrape of \
-             the polled registry instead of the table.")
-  in
-  (* One throughput sample needs two polls; remember the last one. *)
-  let prev : (float * float) option ref = ref None in
-  let render_wire result =
-    let now = Core.Prelude.Obs.now_s () in
-    let stats = j_obj result "stats" in
-    let snum k = j_num (J.Obj stats) k in
-    let served = snum "served" in
-    let throughput =
-      match !prev with
-      | Some (ps, pt) when now > pt && served >= ps ->
-          (served -. ps) /. (now -. pt)
-      | _ -> 0.
-    in
-    prev := Some (served, now);
-    let hist name =
-      match List.assoc_opt name (j_obj result "histograms") with
-      | Some h -> h
-      | None -> J.Obj []
-    in
-    let counter name =
-      int_of_float (j_num (J.Obj (j_obj result "counters")) name)
-    in
-    let lat = hist "serve.latency_s" in
-    let hit_rate =
-      if served > 0. then snum "store_hits" /. served else 0.
-    in
-    let t =
-      Core.Prelude.Table.create ~title:"bg top" [ "metric"; "value" ]
-    in
-    let open Core.Prelude.Table in
-    add_row t [ S "uptime"; S (Printf.sprintf "%.1fs" (j_num result "uptime_s")) ];
-    add_row t
-      [ S "restarts / total uptime";
-        S
-          (Printf.sprintf "%d / %.1fs"
-             (int_of_float (j_num result "restarts"))
-             (j_num result "total_uptime_s")) ];
-    add_row t [ S "queue depth"; I (int_of_float (j_num result "queue_depth")) ];
-    add_row t [ S "throughput"; S (Printf.sprintf "%.1f req/s" throughput) ];
-    add_row t
-      [ S "accepted / served";
-        S (Printf.sprintf "%d / %d" (int_of_float (snum "accepted"))
-             (int_of_float served)) ];
-    add_row t [ S "hit rate"; S (Printf.sprintf "%.3f" hit_rate) ];
-    add_row t
-      [ S "rejected / failed";
-        S (Printf.sprintf "%d / %d" (int_of_float (snum "rejected"))
-             (int_of_float (snum "failed"))) ];
-    add_row t
-      [ S "degraded / coalesced";
-        S (Printf.sprintf "%d / %d" (int_of_float (snum "degraded"))
-             (int_of_float (snum "coalesced"))) ];
-    add_row t
-      [ S "latency p50 / p99";
-        S (Printf.sprintf "%.4gs / %.4gs" (j_num lat "p50") (j_num lat "p99")) ];
-    add_row t
-      [ S "queue wait p99";
-        S (Printf.sprintf "%.4gs" (j_num (hist "serve.queue_wait_s") "p99")) ];
-    add_row t [ S "WAL appends"; I (counter "store.wal_appends") ];
-    add_row t
-      [ S "WAL recovered / torn";
-        S (Printf.sprintf "%d / %d" (counter "store.wal_recovered")
-             (counter "store.wal_torn")) ];
-    (match J.member "slo" result with
-    | Some (J.Arr statuses) ->
-        List.iter
-          (fun st ->
-            let name =
-              Option.value ~default:"?" (J.mem_str "objective" st)
-            in
-            let burn = j_num (J.Obj (j_obj st "window")) "burn" in
-            let healthy =
-              Option.value ~default:true (J.mem_bool "healthy" st)
-            in
-            add_row t
-              [ S (Printf.sprintf "slo %s" name);
-                S
-                  (Printf.sprintf "%s (burn %.2f)"
-                     (if healthy then "ok" else "VIOLATED")
-                     burn) ])
-          statuses
-    | _ -> ());
-    print t
-  in
-  let render_telemetry path =
-    let lines =
-      or_user_error (fun () -> J.parse_lines (J.read_file path))
-      |> List.filter (fun l -> J.mem_str "type" l = Some "telemetry")
-    in
-    match List.rev lines with
-    | [] -> user_error "%s: no telemetry snapshots" path
-    | last :: _ ->
-        let t =
-          Core.Prelude.Table.create
-            ~title:
-              (Printf.sprintf "bg top (telemetry seq %d)"
-                 (int_of_float (j_num last "seq")))
-            [ "metric"; "value"; "delta" ]
-        in
-        let open Core.Prelude.Table in
-        add_row t
-          [ S "uptime"; S (Printf.sprintf "%.1fs" (j_num last "uptime_s"));
-            S "-" ];
-        List.iter
-          (fun (name, c) ->
-            add_row t
-              [ S name; I (int_of_float (j_num c "value"));
-                S (Printf.sprintf "+%d" (int_of_float (j_num c "delta"))) ])
-          (j_obj last "counters");
-        List.iter
-          (fun (name, g) ->
-            match J.num g with
-            | Some v -> add_row t [ S name; S (Printf.sprintf "%g" v); S "-" ]
-            | None -> ())
-          (j_obj last "gauges");
-        List.iter
-          (fun (name, h) ->
-            add_row t
-              [ S name;
-                S
-                  (Printf.sprintf "p50 %.4gs p99 %.4gs" (j_num h "p50")
-                     (j_num h "p99"));
-                S (Printf.sprintf "+%d" (int_of_float (j_num h "count_delta")))
-              ])
-          (j_obj last "histograms");
-        print t
+            "Print a Prometheus text-exposition scrape of the daemon's \
+             registry (polled, or the ring's last snapshot) instead of the \
+             table.")
   in
   let run socket telemetry interval iterations prometheus =
     if not (interval > 0.) then
       user_error "--interval must be positive (got %g)" interval;
     if iterations < 0 then
       user_error "--iterations must be non-negative (got %d)" iterations;
-    if prometheus && socket = None then
-      user_error "--prometheus requires --socket";
+    let show ~title ~uptime_s ~prev snap extra =
+      if prometheus then print_string (Bg_serve.Telemetry.prometheus snap)
+      else top_table ~title ~uptime_s ~prev snap extra
+    in
     let poll =
       match (socket, telemetry) with
       | Some _, Some _ -> user_error "--socket and --telemetry are exclusive"
@@ -1884,37 +1823,20 @@ let top_cmd =
           let scrape =
             { P.id = "metrics"; op = P.Metrics; space = None; trace = None }
           in
+          (* One throughput sample needs two polls; remember the last. *)
+          let last = ref None in
           fun () -> (
             let r = Bg_serve.Loadgen.drive_socket ~client path [ scrape ] in
             match r.Bg_serve.Loadgen.responses with
             | [ P.Done { result; _ } ] ->
-                if prometheus then
-                  (* The scrape carries every metric whole, histogram
-                     buckets included, so the snapshot rebuilds exactly. *)
-                  let module O = Core.Prelude.Obs in
-                  let num v = Option.value ~default:0. (J.num v) in
-                  let int v = int_of_float (num v) in
-                  let each kind f =
-                    List.map (fun (n, v) -> (n, f v)) (j_obj result kind)
-                  in
-                  let snap =
-                    each "counters" (fun v -> O.Counter_snapshot (int v))
-                    @ each "gauges" (fun v -> O.Gauge_snapshot (num v))
-                    @ each "histograms" (fun h ->
-                          O.Histogram_snapshot
-                            {
-                              count = int_of_float (j_num h "count");
-                              sum = j_num h "sum";
-                              buckets =
-                                List.filter_map
-                                  (fun (i, c) ->
-                                    Option.map (fun i -> (i, int c))
-                                      (int_of_string_opt i))
-                                  (j_obj h "buckets");
-                            })
-                  in
-                  print_string (Bg_serve.Telemetry.prometheus snap)
-                else render_wire result
+                let now = Core.Prelude.Obs.now_s () in
+                let snap = Bg_serve.Telemetry.of_json result in
+                show ~title:"bg top"
+                  ~uptime_s:
+                    (Option.value ~default:0. (J.mem_num "uptime_s" result))
+                  ~prev:(Option.map (fun (p, at) -> (p, now -. at)) !last)
+                  snap (reply_rows result);
+                last := Some (snap, now)
             | [ (P.Rejected { reason; _ } | P.Failed { reason; _ }) ] ->
                 user_error "metrics poll rejected: %s" reason
             | _ ->
@@ -1922,7 +1844,20 @@ let top_cmd =
                   "metrics poll failed: no answer from %s (gave up after %d \
                    attempts)"
                   path (r.Bg_serve.Loadgen.retries + 1))
-      | None, Some path -> fun () -> render_telemetry path
+      | None, Some path -> (
+          fun () ->
+            let module T = Bg_serve.Telemetry in
+            match List.rev (or_user_error (fun () -> T.read path)) with
+            | [] -> user_error "%s: no telemetry snapshots" path
+            | last :: rest ->
+                show
+                  ~title:(Printf.sprintf "bg top (telemetry seq %d)" last.T.seq)
+                  ~uptime_s:last.T.uptime_s
+                  ~prev:
+                    (match rest with
+                    | p :: _ -> Some (p.T.values, last.T.t_s -. p.T.t_s)
+                    | [] -> None)
+                  last.T.values [])
     in
     let clear () =
       if Unix.isatty Unix.stdout && not prometheus then
@@ -1943,11 +1878,11 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live view of a serving daemon: poll the metrics wire op over \
-          --socket (or tail a --telemetry ring file) and render a \
+          --socket (or tail a --telemetry ring file) and render one \
           refreshing table of throughput, hit rate, queue depth, \
-          latency quantiles, degraded/WAL/restart counters and SLO burn \
-          rates. --prometheus emits a text-exposition scrape \
-          instead.")
+          latency quantiles and degraded/WAL counters, plus restart and \
+          SLO burn rows from a live daemon. --prometheus emits a \
+          text-exposition scrape of either source instead.")
     Term.(
       const run $ socket_arg $ telemetry_file_arg $ interval_arg
       $ iterations_arg $ prometheus_arg)
@@ -1977,12 +1912,12 @@ let slo_cmd =
       | Ok s -> s
       | Error msg -> user_error "--spec: %s" msg
     in
-    let lines =
-      or_user_error (fun () -> J.parse_lines (J.read_file path))
-      |> List.filter (fun l -> J.mem_str "type" l = Some "telemetry")
-    in
+    let lines = or_user_error (fun () -> Bg_serve.Telemetry.read path) in
     if lines = [] then user_error "%s: no telemetry snapshots" path;
-    let statuses = Bg_serve.Slo.eval_telemetry spec lines in
+    let statuses =
+      Bg_serve.Slo.eval_telemetry spec
+        (List.map (fun l -> l.Bg_serve.Telemetry.deltas) lines)
+    in
     let t =
       Core.Prelude.Table.create
         ~title:(Printf.sprintf "SLO report: %s over %s" spec_text path)

@@ -10,10 +10,12 @@
    the same failures deterministically.
 
    Torn writes are simulated at line granularity: the victim line's
-   prefix is carried into the next delivery, producing exactly the
-   garbled merged line a real torn write followed by a fresh write
-   produces on a byte stream.  The carry lives in the mangler, so every
-   transport (stdio, socket, in-process) tears identically. *)
+   prefix is carried into the next delivery to the same target (the
+   reply function it was torn from, compared physically), producing
+   exactly the garbled merged line a real torn write followed by a fresh
+   write produces on that byte stream.  The carry lives in the mangler,
+   so every transport (stdio, socket, in-process) tears identically; a
+   socket daemon's other connections never see the fragment. *)
 
 module Rng = Core.Prelude.Rng
 module Obs = Core.Prelude.Obs
@@ -126,7 +128,8 @@ type t = {
   spec : spec;
   action : action;
   rng : Rng.t;
-  mutable carry : string; (* torn prefix awaiting the next delivery *)
+  mutable carry : ((string -> unit) * string) option;
+      (* a torn prefix and the target awaiting it *)
   mutable hits : (crash_point * int) list; (* arrivals per crash point *)
 }
 
@@ -137,14 +140,12 @@ let c_stalled = Obs.counter "chaos.stalled"
 let c_crashes = Obs.counter "chaos.crashes"
 
 let create ?(action = Sigkill) ~seed spec =
-  { spec; action; rng = Rng.create seed; carry = ""; hits = [] }
-
-let spec t = t.spec
+  { spec; action; rng = Rng.create seed; carry = None; hits = [] }
 
 (* One decision per response line, in a fixed draw order (drop, torn,
    corrupt), so the fault schedule is independent of which faults are
    enabled downstream of the first hit. *)
-let mangle t line =
+let mangle t ~target line =
   let dropped = Rng.bernoulli t.rng t.spec.drop in
   let torn = Rng.bernoulli t.rng t.spec.torn in
   let corrupted = Rng.bernoulli t.rng t.spec.corrupt in
@@ -154,19 +155,18 @@ let mangle t line =
   end
   else
     let line =
-      (* A pending torn prefix garbles this delivery, whatever else
-         happens to it. *)
-      if t.carry = "" then line
-      else begin
-        let merged = t.carry ^ line in
-        t.carry <- "";
-        merged
-      end
+      (* A torn prefix pending for this target garbles this delivery,
+         whatever else happens to it. *)
+      match t.carry with
+      | Some (owner, prefix) when owner == target ->
+          t.carry <- None;
+          prefix ^ line
+      | _ -> line
     in
     if torn && String.length line > 1 then begin
       Obs.incr c_torn;
       let cut = 1 + Rng.int t.rng (String.length line - 1) in
-      t.carry <- String.sub line 0 cut;
+      t.carry <- Some (target, String.sub line 0 cut);
       `Drop_keep_carry
     end
     else if corrupted && String.length line > 0 then begin

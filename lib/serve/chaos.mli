@@ -57,15 +57,20 @@ val create : ?action:action -> seed:int -> spec -> t
     {!Sigkill} (real daemons); experiments and unit tests pass
     {!Raise}. *)
 
-val spec : t -> spec
-
 val mangle :
-  t -> string -> [ `Deliver of string | `Drop | `Drop_keep_carry ]
-(** [mangle t line] decides this response line's fate.  [`Deliver s]
-    writes [s] (possibly corrupted, possibly prefixed by an earlier torn
-    fragment); [`Drop] writes nothing; [`Drop_keep_carry] writes nothing
-    now but holds a torn prefix that will garble the next delivery.
-    Exactly three Bernoulli draws per call regardless of outcome. *)
+  t ->
+  target:(string -> unit) ->
+  string ->
+  [ `Deliver of string | `Drop | `Drop_keep_carry ]
+(** [mangle t ~target line] decides the fate of this response line,
+    bound for [target] (its reply function).  [`Deliver s] writes [s]
+    (possibly corrupted, possibly prefixed by a fragment earlier torn
+    from a line for the same target, compared with [==]); [`Drop] writes
+    nothing; [`Drop_keep_carry] writes nothing now but holds a torn
+    prefix that will garble the next delivery to [target].  One prefix
+    is held at a time: a tear replaces a fragment still pending for
+    another target.  Exactly three Bernoulli draws per call regardless
+    of outcome. *)
 
 val stall : t -> unit
 (** Roll the stall fault once; sleeps [stall_s] on a hit. *)

@@ -504,20 +504,22 @@ let report l =
    flush callback fires after every batch's replies, and provided the
    in-flight window never exceeds the engine's batch_size, every attempt
    sent before a flush was answered by it — so an attempt still in
-   flight at a flush lost its reply to chaos, and is re-sent at once. *)
+   flight at a flush lost its reply to chaos, and is re-sent at once.
+   Every line shares one reply function, as on a single connection. *)
 let drive_inproc ?(window = 32) ?client server requests =
   if window < 1 then invalid_arg "drive_inproc: window < 1";
   let l = ledger ?client requests in
+  let reply = receive l in
   let read ~block:_ =
     if in_flight_count l >= window then `Nothing
     else
       match send l ~now:(Obs.now_s ()) with
-      | Some line -> `Req (line, receive l)
+      | Some line -> `Req (line, reply)
       | None ->
           if in_flight_count l = 0 && not (pending l) then `Eof else `Nothing
   in
   let flush () = lose_in_flight l ~age:neg_infinity ~backoff:false in
-  ignore (Server.run_loop server { Server.read; flush } : Server.stats);
+  Server.run_loop server { Server.read; flush };
   report l
 
 (* --------------------------------------------------- pipe and socket *)

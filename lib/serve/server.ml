@@ -46,10 +46,11 @@
 
    Observability: one serve.request span per request (attrs: id, op,
    batch, cache outcome, queue-wait and total latency), one serve.batch
-   span per cycle, serve.latency_s / serve.queue_wait_s histograms and
-   serve.{accepted,rejected,computed,degraded,...} counters — all
-   through the existing Obs registry, so `--metrics` and `--trace` just
-   work. *)
+   span per cycle, serve.latency_s / serve.queue_wait_s histograms,
+   serve.{accepted,rejected,computed,degraded,...} counters and the
+   serve.queue_depth gauge — the Obs registry is the only place the
+   daemon counts, so `--metrics`, `--trace`, ping, the metrics op and
+   telemetry all read the same numbers. *)
 
 module P = Protocol
 module J = Core.Prelude.Jsonl
@@ -112,22 +113,7 @@ let default_config =
     lineage = None;
   }
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable failed : int;
-  mutable served : int;
-  mutable computed : int;
-  mutable store_hits : int;
-  mutable coalesced : int;
-  mutable batches : int;
-  mutable peak_queue : int;
-  mutable degraded : int;
-  mutable pings : int;
-  mutable disconnects : int;
-}
-
-type t = { config : config; stats : stats; started_s : float }
+type t = { config : config; started_s : float }
 
 let create config =
   if config.batch_size < 1 then
@@ -143,19 +129,10 @@ let create config =
       if d.replicates < 1 then
         invalid_arg "Server.create: degrade replicates must be positive"
   | None -> ());
-  {
-    config;
-    stats =
-      {
-        accepted = 0; rejected = 0; failed = 0; served = 0; computed = 0;
-        store_hits = 0; coalesced = 0; batches = 0; peak_queue = 0;
-        degraded = 0; pings = 0; disconnects = 0;
-      };
-    started_s = Obs.now_s ();
-  }
+  { config; started_s = Obs.now_s () }
 
-let stats t = t.stats
-
+(* The daemon counts in the Obs registry only; every reader (ping,
+   metrics, telemetry, `bg serve`'s summary, `bg top`) reads these. *)
 let c_accepted = Obs.counter "serve.accepted"
 let c_rejected = Obs.counter "serve.rejected"
 let c_failed = Obs.counter "serve.failed"
@@ -169,7 +146,16 @@ let c_disconnects = Obs.counter "serve.client_disconnects"
 let h_latency = Obs.histogram "serve.latency_s"
 let h_queue_wait = Obs.histogram "serve.queue_wait_s"
 let h_batch_fill = Obs.histogram "serve.batch_fill"
+let g_queue_depth = Obs.gauge "serve.queue_depth"
 let batch_counter = Atomic.make 0
+
+(* Answered requests: each ok response outside ping and metrics counts
+   under exactly one of these. *)
+let served snap =
+  List.fold_left
+    (fun n name -> n + Telemetry.counter snap name)
+    0
+    [ "serve.computed"; "serve.store_hits"; "serve.coalesced"; "serve.degraded" ]
 
 (* ------------------------------------------------------------- compute *)
 
@@ -286,87 +272,38 @@ let slo_fields t ~now =
       [ ("slo", J.Arr (List.map Slo.status_to_json statuses));
         ("slo_healthy", J.Bool (not (Slo.violated statuses))) ]
 
-let ping_result t ~queue_depth =
-  let st = t.stats in
-  let now = Obs.now_s () in
-  let hit_rate =
-    if st.served > 0 then float_of_int st.store_hits /. float_of_int st.served
-    else 0.
-  in
-  J.Obj
-    ([ ("uptime_s", J.Num (Float.max 0. (now -. t.started_s)));
-       ("queue_depth", J.Num (float_of_int queue_depth));
-       ("accepted", J.Num (float_of_int st.accepted));
-       ("served", J.Num (float_of_int st.served));
-       ("hit_rate", J.Num hit_rate);
-       ("degraded_answers", J.Num (float_of_int st.degraded));
-       ("degrade_enabled", J.Bool (t.config.degrade <> None)) ]
-    @ lineage_fields t ~now
-    @ slo_fields t ~now)
-
-(* The metrics op: one full registry scrape plus the server's own stats,
-   answered at admission like ping so a scraper works during overload.
-   Histograms carry their sparse (index, count) buckets, so `bg top
-   --socket --prometheus` rebuilds the snapshot exactly. *)
-let metrics_result t ~queue_depth =
-  let st = t.stats in
-  let now = Obs.now_s () in
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Obs.Counter_snapshot v ->
-          counters := (name, J.Num (float_of_int v)) :: !counters
-      | Obs.Gauge_snapshot v -> gauges := (name, J.Num v) :: !gauges
-      | Obs.Histogram_snapshot { count; sum; buckets } ->
-          histograms :=
-            ( name,
-              J.Obj
-                [ ("count", J.Num (float_of_int count)); ("sum", J.Num sum);
-                  ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
-                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99));
-                  ( "buckets",
-                    J.Obj
-                      (List.map
-                         (fun (i, c) ->
-                           (string_of_int i, J.Num (float_of_int c)))
-                         buckets) ) ] )
-            :: !histograms)
-    (Obs.snapshot ());
-  J.Obj
-    ([ ("uptime_s", J.Num (Float.max 0. (now -. t.started_s)));
-       ("queue_depth", J.Num (float_of_int queue_depth));
-       ( "stats",
-         J.Obj
-           [ ("accepted", J.Num (float_of_int st.accepted));
-             ("rejected", J.Num (float_of_int st.rejected));
-             ("failed", J.Num (float_of_int st.failed));
-             ("served", J.Num (float_of_int st.served));
-             ("computed", J.Num (float_of_int st.computed));
-             ("store_hits", J.Num (float_of_int st.store_hits));
-             ("coalesced", J.Num (float_of_int st.coalesced));
-             ("batches", J.Num (float_of_int st.batches));
-             ("peak_queue", J.Num (float_of_int st.peak_queue));
-             ("degraded", J.Num (float_of_int st.degraded));
-             ("pings", J.Num (float_of_int st.pings));
-             ("disconnects", J.Num (float_of_int st.disconnects)) ] );
-       ("counters", J.Obj (List.rev !counters));
-       ("gauges", J.Obj (List.rev !gauges));
-       ("histograms", J.Obj (List.rev !histograms)) ]
-    @ lineage_fields t ~now
-    @ slo_fields t ~now)
-
+(* Ping and metrics, answered at admission so a probe or a scrape works
+   during overload: uptime, queue depth, lineage and SLO, plus ping's
+   health summary or the whole registry in Telemetry's form. *)
 let admission_response t ~queue_depth ~id ~op ~trace =
-  t.stats.pings <- t.stats.pings + 1;
   Obs.incr c_pings;
+  let now = Obs.now_s () in
+  let snap = Obs.snapshot () in
+  let body =
+    match op with
+    | P.Metrics -> Telemetry.json_fields snap
+    | _ ->
+        let served = served snap in
+        let hits = Telemetry.counter snap "serve.store_hits" in
+        let count name = J.Num (float_of_int (Telemetry.counter snap name)) in
+        [ ("accepted", count "serve.accepted");
+          ("served", J.Num (float_of_int served));
+          ( "hit_rate",
+            J.Num
+              (if served > 0 then float_of_int hits /. float_of_int served
+               else 0.) );
+          ("degraded_answers", count "serve.degraded");
+          ("degrade_enabled", J.Bool (t.config.degrade <> None)) ]
+  in
   P.Done
     {
       id;
       op_name = P.op_name op;
       result =
-        (match op with
-        | P.Metrics -> metrics_result t ~queue_depth
-        | _ -> ping_result t ~queue_depth);
+        J.Obj
+          ([ ("uptime_s", J.Num (Float.max 0. (now -. t.started_s)));
+             ("queue_depth", J.Num (float_of_int queue_depth)) ]
+          @ body @ lineage_fields t ~now @ slo_fields t ~now);
       cache = P.Miss;
       queue_wait_s = 0.;
       batch = 0;
@@ -401,7 +338,7 @@ let resolve req =
    behind the batch — the degraded-mode watermark signal.  Returns one
    response per request, in input order. *)
 let process_resolved ~queue_depth t resolved =
-  let cfg = t.config and st = t.stats in
+  let cfg = t.config in
   let batch = 1 + Atomic.fetch_and_add batch_counter 1 in
   let n = List.length resolved in
   Obs.with_span "serve.batch"
@@ -631,28 +568,13 @@ let process_resolved ~queue_depth t resolved =
                   Slo.record slo ~now_s:finished_s ~latency_s:elapsed_s
                     ~ok:(match response with P.Done _ -> true | _ -> false)
               | None -> ());
-              (match response with
-              | P.Done { degraded = true; _ } ->
-                  st.served <- st.served + 1;
-                  st.degraded <- st.degraded + 1;
-                  Obs.incr c_degraded
-              | P.Done { op_name = "ping"; _ } -> st.served <- st.served + 1
-              | P.Done { cache; _ } ->
-                  st.served <- st.served + 1;
-                  (match cache with
-                  | P.Hit ->
-                      st.store_hits <- st.store_hits + 1;
-                      Obs.incr c_store_hits
-                  | P.Miss ->
-                      st.computed <- st.computed + 1;
-                      Obs.incr c_computed
-                  | P.Coalesced ->
-                      st.coalesced <- st.coalesced + 1;
-                      Obs.incr c_coalesced)
-              | P.Failed _ ->
-                  st.failed <- st.failed + 1;
-                  Obs.incr c_failed
-              | P.Rejected _ -> ());
+              (match (r, response) with
+              | Health, _ | _, P.Rejected _ -> ()
+              | _, P.Done { degraded = true; _ } -> Obs.incr c_degraded
+              | _, P.Done { cache = P.Hit; _ } -> Obs.incr c_store_hits
+              | _, P.Done { cache = P.Miss; _ } -> Obs.incr c_computed
+              | _, P.Done { cache = P.Coalesced; _ } -> Obs.incr c_coalesced
+              | _, P.Failed _ -> Obs.incr c_failed);
               response))
         resolved)
 
@@ -675,20 +597,24 @@ let error_id line =
   | j -> Option.value (J.mem_str "id" j) ~default:"?"
 
 let run_loop ?(should_stop = fun () -> false) t io =
-  let cfg = t.config and st = t.stats in
+  let cfg = t.config in
   (* Response lines pass through the chaos mangler on their way out, so
-     every transport tears, drops and corrupts identically. *)
+     every transport tears, drops and corrupts identically.  A torn
+     prefix stays with the reply function it was torn from. *)
   let send =
     match cfg.chaos with
     | None -> fun reply line -> reply line
     | Some c -> (
         fun reply line ->
-          match Chaos.mangle c line with
+          match Chaos.mangle c ~target:reply line with
           | `Deliver l -> reply l
           | `Drop | `Drop_keep_carry -> ())
   in
   let queue : (P.request * float * resolved * (string -> unit)) Queue.t =
     Queue.create ()
+  in
+  let publish_depth () =
+    Obs.set_gauge g_queue_depth (float_of_int (Queue.length queue))
   in
   let eof = ref false in
   let admit line reply =
@@ -705,7 +631,6 @@ let run_loop ?(should_stop = fun () -> false) t io =
         if Queue.length queue >= cfg.max_queue then begin
           (* Shed load with a typed answer: the queue is bounded by
              construction, and accepted requests keep a bounded wait. *)
-          st.rejected <- st.rejected + 1;
           Obs.incr c_rejected;
           (match cfg.slo with
           | Some slo ->
@@ -731,13 +656,11 @@ let run_loop ?(should_stop = fun () -> false) t io =
         else
           match parsed with
           | Error reason ->
-              st.failed <- st.failed + 1;
               Obs.incr c_failed;
               send reply
                 (P.response_to_string
                    (P.Failed { id = error_id line; reason; trace = None }))
           | Ok req ->
-              st.accepted <- st.accepted + 1;
               Obs.incr c_accepted;
               (* Resolve at admission and queue the request without its
                  rows: a backlog then holds each space's cells once, flat
@@ -745,7 +668,8 @@ let run_loop ?(should_stop = fun () -> false) t io =
                  of being promoted with every queued request. *)
               let t0 = Obs.now_s () in
               let r = resolve req in
-              Queue.add ({ req with P.space = None }, t0, r, reply) queue
+              Queue.add ({ req with P.space = None }, t0, r, reply) queue;
+              publish_depth ()
   in
   let rec drain ~block =
     if not (!eof || should_stop ()) then
@@ -762,7 +686,6 @@ let run_loop ?(should_stop = fun () -> false) t io =
        the blocking read surfaces as `Nothing, so should_stop is
        re-checked promptly. *)
     drain ~block:(Queue.is_empty queue && not (should_stop ()));
-    st.peak_queue <- max st.peak_queue (Queue.length queue);
     Option.iter (fun tel -> Telemetry.maybe_snapshot tel) cfg.telemetry;
     if not (Queue.is_empty queue) then begin
       let batch = ref [] in
@@ -773,10 +696,10 @@ let run_loop ?(should_stop = fun () -> false) t io =
         batch := (req, t0, r) :: !batch;
         replies := reply :: !replies
       done;
+      publish_depth ();
       let responses =
         process_resolved ~queue_depth:(Queue.length queue) t (List.rev !batch)
       in
-      st.batches <- st.batches + 1;
       Obs.incr c_batches;
       (* Group commit: make the batch's store entries durable before any
          reply leaves — an answered request is never lost to a crash. *)
@@ -795,8 +718,7 @@ let run_loop ?(should_stop = fun () -> false) t io =
     (fun tel ->
       Telemetry.force_snapshot tel;
       Telemetry.close tel)
-    cfg.telemetry;
-  st
+    cfg.telemetry
 
 (* ------------------------------------------------- line-buffered reads *)
 
@@ -920,26 +842,29 @@ let serve_stdio config =
 
 (* A Unix-domain-socket front end: accept any number of clients, select
    across them, answer each request on the connection it arrived on.
-   Responses are written synchronously (requests and responses are a few
-   KB), so a client that stops reading while its replies fill the
-   socket buffer stalls the whole daemon until it reads or goes.  A
-   client that disconnects mid-request costs exactly its
-   own partial line — logged, counted (serve.client_disconnects),
-   dropped — and the remaining clients keep being served.  A reply
-   that cannot be written counts as a disconnect too; a client that
-   closes with nothing lost does not.  The daemon
-   stops on SIGINT/SIGTERM (draining the queue and flushing the store
-   first) or, with [?max_requests], after answering that many requests —
-   the hook the smoke tests use.
+   Accepted sockets are nonblocking, and a reply that cannot be written
+   whole right away breaks its connection: a client that stops reading
+   loses its connection and the replies still owed to it (its retry
+   policy re-sends them), never the daemon's attention to the others.
+   A client that disconnects mid-request costs exactly its own partial
+   line — logged, counted (serve.client_disconnects), dropped — and the
+   remaining clients keep being served.  A broken reply counts as a
+   disconnect too; a client that closes with nothing lost does not.
+   The daemon stops on SIGINT/SIGTERM (draining the queue and flushing
+   the store first) or, with [?max_requests], after answering that many
+   requests — the hook the smoke tests use.
 
    Replies are bound to the connection record, not its fd number, so a
-   client accepted on a recycled fd never reads a dropped one's answer.
-   A half-closed connection stays open until every request read from it
-   is answered.  run_loop reads with [~block:true] only with its queue
-   empty, so nothing is owed then: a reply chaos dropped counts too. *)
+   client accepted on a recycled fd never reads a dropped one's answer;
+   each connection has one reply function, which is what chaos keeps a
+   torn prefix with.  A half-closed connection stays open until every
+   request read from it is answered.  run_loop reads with [~block:true]
+   only with its queue empty, so nothing is owed then: a reply chaos
+   dropped counts too. *)
 type conn = {
   fd : Unix.file_descr;
   reader : Line_reader.t;
+  reply : string -> unit;
   mutable owed : int;  (* requests read and not yet answered *)
   mutable live : bool;  (* false once dropped *)
 }
@@ -968,10 +893,7 @@ let serve_socket ?max_requests config path =
     if c.live then begin
       c.live <- false;
       let partial = Line_reader.pending_partial c.reader in
-      if broken || partial > 0 then begin
-        t.stats.disconnects <- t.stats.disconnects + 1;
-        Obs.incr c_disconnects
-      end;
+      if broken || partial > 0 then Obs.incr c_disconnects;
       if partial > 0 then
         Printf.eprintf
           "bg serve: client disconnected mid-request; dropped %d-byte \
@@ -989,9 +911,10 @@ let serve_socket ?max_requests config path =
   in
   let reply_to c line =
     (if c.live then
+       (* EAGAIN included: a reply that does not fit breaks the
+          connection. *)
        try write_all c.fd (line ^ "\n")
-       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-       -> drop ~broken:true c);
+       with Unix.Unix_error _ -> drop ~broken:true c);
     c.owed <- c.owed - 1;
     settle c;
     incr answered;
@@ -1010,7 +933,7 @@ let serve_socket ?max_requests config path =
           match Line_reader.next ~block:false c.reader with
           | `Line l ->
               c.owed <- c.owed + 1;
-              Some (`Req (l, reply_to c))
+              Some (`Req (l, c.reply))
           | `Eof ->
               settle c;
               None
@@ -1040,9 +963,13 @@ let serve_socket ?max_requests config path =
                   (fun fd ->
                     if fd = listener then begin
                       let fd, _ = Unix.accept listener in
-                      Hashtbl.replace clients fd
-                        { fd; reader = Line_reader.create fd; owed = 0;
-                          live = true }
+                      Unix.set_nonblock fd;
+                      let reader = Line_reader.create fd in
+                      let rec c =
+                        { fd; reader; reply = (fun l -> reply_to c l);
+                          owed = 0; live = true }
+                      in
+                      Hashtbl.replace clients fd c
                     end
                     else
                       match Hashtbl.find_opt clients fd with

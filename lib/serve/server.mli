@@ -27,17 +27,20 @@
 
     [ping] and [metrics] requests are answered at admission — a health
     probe or telemetry scrape works precisely when the queue is full.
-    [ping] reports uptime, queue depth, hit rate, degraded-mode status,
-    supervisor lineage (restarts, cumulative uptime across respawns) and
-    SLO health; [metrics] adds a full registry snapshot (every counter,
-    gauge and histogram, the last with p50/p99 and its sparse
-    [(index, count)] buckets) — what [bg top --socket] polls.
+    Both report uptime, queue depth, supervisor lineage (restarts,
+    cumulative uptime across respawns) and SLO health.  [ping] adds
+    accepted and {!served} counts, hit rate and degraded-mode status;
+    [metrics] adds the whole registry in {!Telemetry}'s form (every
+    counter, gauge and histogram, the last with p50/p99 and its sparse
+    per-bucket [(index, count)] pairs) — what [bg top --socket] polls.
 
-    Every request gets one [serve.request] span (queue-wait, batch id
-    and cache outcome as attrs) and lands in the [serve.latency_s] /
-    [serve.queue_wait_s] histograms; admission, batch, degraded-answer
-    and disconnect counters are [serve.*] in the {!Bg_prelude.Obs}
-    registry.  A request that carried {!Protocol.trace_context} gets the
+    The daemon counts only in the {!Bg_prelude.Obs} registry: every
+    request gets one [serve.request] span (queue-wait, batch id and
+    cache outcome as attrs) and lands in the [serve.latency_s] /
+    [serve.queue_wait_s] histograms; admission, batch, cache-outcome,
+    degraded-answer and disconnect counters are [serve.*] counters, and
+    the admission queue's length is the [serve.queue_depth] gauge.  A
+    request that carried {!Protocol.trace_context} gets the
     [trace_id] / [parent_span] recorded on its [serve.request] span and
     backdated [serve.queue_wait] / [serve.kernel] child spans, so
     [Obs_tools.Trace.merge] can stitch the server's work under the
@@ -85,30 +88,21 @@ type config = {
 
 val default_config : config
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected : int;  (** shed by admission control *)
-  mutable failed : int;  (** parse errors + compute errors *)
-  mutable served : int;  (** [ok] responses *)
-  mutable computed : int;  (** cache misses actually computed *)
-  mutable store_hits : int;
-  mutable coalesced : int;  (** duplicates folded into a batch-mate *)
-  mutable batches : int;
-  mutable peak_queue : int;  (** high-water mark; [<= max_queue] always *)
-  mutable degraded : int;  (** answers from the estimator tier *)
-  mutable pings : int;
-  mutable disconnects : int;
-      (** socket clients gone with a partial request line or a reply
-          that could not be written; a clean close is not counted *)
-}
-
 type t
 
 val create : config -> t
 (** @raise Invalid_argument if [batch_size < 1], [max_queue < 1], or a
     [degrade] field is out of range. *)
 
-val stats : t -> stats
+val served : Telemetry.snapshot -> int
+(** Answered requests in a registry snapshot: [serve.computed] +
+    [serve.store_hits] + [serve.coalesced] + [serve.degraded], under one
+    of which every [ok] response outside [ping] and [metrics] counts.
+    The other [serve.*] counters: [accepted], [rejected] (shed by
+    admission control), [failed] (parse and compute errors), [batches],
+    [pings] (ping and metrics requests) and [client_disconnects] (socket
+    clients gone with a partial request line or a reply that could not
+    be written whole; a clean close is not counted). *)
 
 val process_batch :
   ?queue_depth:int ->
@@ -152,7 +146,7 @@ module Line_reader : sig
   (** Next complete line; with [block:false] this only polls. *)
 end
 
-val run_loop : ?should_stop:(unit -> bool) -> t -> io -> stats
+val run_loop : ?should_stop:(unit -> bool) -> t -> io -> unit
 (** The generic serve loop over any transport: drain available input
     (blocking only when idle), take a batch, {!Store.sync} the journal,
     reply in order, flush; finish when [`Eof] and the queue is empty.
@@ -160,16 +154,19 @@ val run_loop : ?should_stop:(unit -> bool) -> t -> io -> stats
     queued work, and exits — the SIGTERM drain path.  Flushes the store
     on exit. *)
 
-val serve_stdio : config -> stats
+val serve_stdio : config -> unit
 (** The [bg serve] stdin/stdout daemon: JSONL requests on stdin, JSONL
     responses on stdout, until EOF.  SIGTERM / SIGINT drain the current
     queue and flush the store snapshot before exit. *)
 
-val serve_socket : ?max_requests:int -> config -> string -> stats
+val serve_socket : ?max_requests:int -> config -> string -> unit
 (** The Unix-domain-socket daemon: listen at [path] (an existing file
     there is replaced), serve any number of concurrent clients, answer
     each request on the connection it arrived on, and never on another
-    one that reuses its fd.  A client that half-closes its connection
+    one that reuses its fd.  A reply that cannot be written whole at
+    once (the client stopped reading) closes that connection, counted in
+    [serve.client_disconnects]; the daemon never waits on one client.
+    A client that half-closes its connection
     keeps it until every request read from it is answered (a reply
     chaos drops counts), then the daemon closes it.  A client
     disconnecting mid-request is logged and its partial line dropped;

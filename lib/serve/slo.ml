@@ -42,8 +42,6 @@ let objective_name = function
       Printf.sprintf "%s<=%g" qs threshold_s
   | Error_rate e -> Printf.sprintf "err<=%g" e
 
-let spec_to_string spec = String.concat "," (List.map objective_name spec)
-
 let parse_one entry =
   let entry = String.trim entry in
   let key, value =
@@ -146,8 +144,6 @@ let create spec =
     life_total = 0;
   }
 
-let spec t = t.slo_spec
-
 let is_bad objective ev =
   match objective with
   | Latency { threshold_s; _ } -> (not ev.ok) || ev.latency_s > threshold_s
@@ -234,42 +230,26 @@ let bad_latency_of_buckets ~threshold_s buckets =
     (fun n (i, count) -> if i > threshold_bucket then n + count else n)
     0 buckets
 
-(* Replay telemetry lines: sum each snapshot's deltas per objective.
+(* Score a ring's deltas: per objective, sum what each snapshot adds.
    Latency objectives read the serve.latency_s buckets; the error
    objective reads the admission counters (rejected and failed are bad,
-   accepted + rejected is the request total).  A missing field reads as
-   zero — telemetry is observed, not validated. *)
-let eval_telemetry spec lines =
-  let fields k j = match J.member k j with Some (J.Obj kvs) -> kvs | _ -> [] in
-  let int k j = Option.fold ~none:0 ~some:int_of_float (J.mem_num k j) in
-  let counter line name =
-    Option.fold ~none:0 ~some:(int "delta")
-      (List.assoc_opt name (fields "counters" line))
-  in
-  let buckets h =
-    List.filter_map
-      (fun (k, v) ->
-        match (int_of_string_opt k, J.num v) with
-        | Some b, Some c -> Some (b, int_of_float c)
-        | _ -> None)
-      (fields "buckets_delta" h)
-  in
-  let add objective (bad, total) line =
+   accepted + rejected is the request total). *)
+let eval_telemetry spec deltas =
+  let add objective (bad, total) d =
     match objective with
-    | Latency { threshold_s; _ } -> (
-        match List.assoc_opt "serve.latency_s" (fields "histograms" line) with
-        | None -> (bad, total)
-        | Some h ->
-            ( bad + bad_latency_of_buckets ~threshold_s (buckets h),
-              total + int "count_delta" h ))
+    | Latency { threshold_s; _ } ->
+        let buckets = Telemetry.buckets d "serve.latency_s" in
+        ( bad + bad_latency_of_buckets ~threshold_s buckets,
+          total + List.fold_left (fun n (_, c) -> n + c) 0 buckets )
     | Error_rate _ ->
-        let rejected = counter line "serve.rejected" in
-        ( bad + counter line "serve.failed" + rejected,
-          total + counter line "serve.accepted" + rejected )
+        let count = Telemetry.counter d in
+        let rejected = count "serve.rejected" in
+        ( bad + count "serve.failed" + rejected,
+          total + count "serve.accepted" + rejected )
   in
   List.map
     (fun o ->
-      let bad, total = List.fold_left (add o) (0, 0) lines in
+      let bad, total = List.fold_left (add o) (0, 0) deltas in
       score o ~bad ~total)
     spec
 

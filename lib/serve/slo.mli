@@ -17,8 +17,9 @@
 
     The tracker ({!t}) is what a live server threads its responses
     through; {!eval_samples} scores a finished loadgen run;
-    {!eval_telemetry} scores a recorded telemetry ring (log2-bucket
-    resolution: a bucket straddling the threshold counts as good). *)
+    {!eval_telemetry} scores the deltas of a recorded telemetry ring
+    (log2-bucket resolution: a bucket straddling the threshold counts as
+    good). *)
 
 type objective =
   | Latency of { quantile : float; threshold_s : float }
@@ -34,8 +35,6 @@ val parse_spec : string -> (spec, string) result
 (** Parse a comma-separated spec; [Error] carries a one-line reason.
     The empty string is an error (an SLO with no objectives is a
     mistake, not a vacuous pass). *)
-
-val spec_to_string : spec -> string
 
 type status = {
   objective : objective;
@@ -53,8 +52,6 @@ type t
 val create : spec -> t
 (** A tracker whose sliding window spans the last 60 seconds. *)
 
-val spec : t -> spec
-
 val record : t -> now_s:float -> latency_s:float -> ok:bool -> unit
 (** Feed one finished request.  [ok = false] (a failed or rejected
     answer) counts against error-rate objectives and is also bad for
@@ -70,13 +67,13 @@ val eval_samples : spec -> (float * bool) list -> status list
 (** Score a finished run: each sample is [(latency_s, ok)].  Window and
     lifetime coincide. *)
 
-val eval_telemetry : spec -> Core.Prelude.Jsonl.t list -> status list
-(** Score a recorded [--telemetry] ring ({!Telemetry}): per objective,
-    sum every snapshot's deltas.  A latency objective counts the
-    [serve.latency_s] [count_delta] as events and
-    {!bad_latency_of_buckets} of its [buckets_delta] as bad; the error
+val eval_telemetry : spec -> Telemetry.snapshot list -> status list
+(** Score a recorded [--telemetry] ring: the {!Telemetry.line} [deltas]
+    of each line.  Per objective, sum what every snapshot adds.  A
+    latency objective counts the [serve.latency_s] bucket deltas as
+    events and {!bad_latency_of_buckets} of them as bad; the error
     objective counts [serve.accepted] + [serve.rejected] as events and
-    [serve.failed] + [serve.rejected] as bad.  Missing fields read as
+    [serve.failed] + [serve.rejected] as bad.  Missing metrics read as
     zero.  Window and lifetime coincide, as in {!eval_samples}. *)
 
 val bad_latency_of_buckets :

@@ -1,8 +1,14 @@
 (* The persistent cross-restart result store.
 
-   In memory this is exactly one Bg_prelude.Memo table: max-entries cap,
-   per-entry LRU eviction, hit/miss/eviction counters mirrored into the
-   Obs registry under memo.store.  On disk it is two files:
+   In memory this is one hash table under the store's one lock: a
+   max-entries cap with per-entry LRU eviction, counted in the Obs
+   registry as memo.store.hits / misses / evictions.  Every entry
+   carries a recency stamp (a table-wide tick, bumped on every touch);
+   an insert that would pass the cap drops the stalest entry first.
+   That scan is O(entries) but runs only on an overflowing insert,
+   never on a hit, and the table caps out in the thousands, where a
+   scan is nanoseconds against the O(n^3) sweep a hit saves.  On disk
+   it is two files:
 
      PATH       the JSONL snapshot — one {"key":K,"result":V} line per
                 entry, least recently used first — written atomically
@@ -24,22 +30,27 @@
    Compaction is snapshot-then-truncate: [flush] writes the full table
    atomically and only then truncates the journal to zero.  A crash
    between the two replays journal entries that are already in the
-   snapshot — Memo.set is idempotent, so that is merely redundant.
+   snapshot — re-inserting an entry is idempotent, so that is merely
+   redundant.
 
    Loading stays corruption-tolerant by construction: snapshot lines
    that fail to parse are counted and skipped (a damaged entry costs one
    recompute); journal damage truncates to the valid prefix. *)
 
 module J = Core.Prelude.Jsonl
-module Memo = Core.Prelude.Memo
 module Obs = Core.Prelude.Obs
 
+type entry = { value : J.t; mutable stamp : int }
+
 type t = {
-  memo : (string, J.t) Memo.t;
+  tbl : (string, entry) Hashtbl.t;
+  max_entries : int;
+  mutable tick : int;
+  mutable evictions : int;
   path : string option;
   flush_every : int;
   chaos : Chaos.t option;
-  lock : Mutex.t; (* guards [dirty], [wal_fd] and serializes flushes *)
+  lock : Mutex.t; (* guards every mutable field; serializes flushes *)
   mutable dirty : int;
   mutable wal_fd : Unix.file_descr option;
   mutable wal_unsynced : int; (* appends since the last fsync *)
@@ -49,6 +60,9 @@ type t = {
   wal_torn : int;
 }
 
+let c_hits = Obs.counter "memo.store.hits"
+let c_misses = Obs.counter "memo.store.misses"
+let c_evictions = Obs.counter "memo.store.evictions"
 let c_corrupt = Obs.counter "store.corrupt_dropped"
 let c_loaded = Obs.counter "store.loaded"
 let c_flushes = Obs.counter "store.flushes"
@@ -129,19 +143,43 @@ let read_wal path =
       in
       go [] 0 lines
 
+let touch t e =
+  t.tick <- t.tick + 1;
+  e.stamp <- t.tick
+
+(* Insert or overwrite; a new key at the cap first drops the least
+   recently used entry.  Caller holds the lock. *)
+let insert t key value =
+  if (not (Hashtbl.mem t.tbl key)) && Hashtbl.length t.tbl >= t.max_entries
+  then begin
+    let victim =
+      Hashtbl.fold
+        (fun k e best ->
+          match best with
+          | Some (_, s) when s <= e.stamp -> best
+          | _ -> Some (k, e.stamp))
+        t.tbl None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove t.tbl k) victim;
+    t.evictions <- t.evictions + 1;
+    Obs.incr c_evictions
+  end;
+  let e = { value; stamp = 0 } in
+  touch t e;
+  Hashtbl.replace t.tbl key e
+
 let open_ ?(max_entries = 4096) ?(flush_every = 256) ?path ?chaos () =
+  if max_entries < 1 then
+    invalid_arg "Store.open_: max_entries must be positive";
   if flush_every < 1 then
     invalid_arg "Store.open_: flush_every must be positive";
-  let memo = Memo.create ~max_size:max_entries ~name:"store" () in
-  let loaded, corrupt, wal_recovered, wal_torn =
+  let entries, corrupt, wentries, wal_torn =
     match path with
-    | None -> (0, 0, 0, 0)
+    | None -> ([], 0, [], 0)
     | Some p ->
         let entries, corrupt = read_snapshot p in
-        List.iter (fun (k, v) -> Memo.set memo k v) entries;
         let wentries, torn = read_wal (wal_path p) in
-        List.iter (fun (k, v) -> Memo.set memo k v) wentries;
-        (List.length entries, corrupt, List.length wentries, torn)
+        (entries, corrupt, wentries, torn)
   in
   let wal_fd =
     Option.map
@@ -151,18 +189,42 @@ let open_ ?(max_entries = 4096) ?(flush_every = 256) ?path ?chaos () =
           0o644)
       path
   in
-  Obs.add c_loaded loaded;
+  let t =
+    { tbl = Hashtbl.create 64; max_entries; tick = 0; evictions = 0; path;
+      flush_every; chaos; lock = Mutex.create (); dirty = 0; wal_fd;
+      wal_unsynced = 0; loaded = List.length entries; corrupt;
+      wal_recovered = List.length wentries; wal_torn }
+  in
+  List.iter (fun (k, v) -> insert t k v) (entries @ wentries);
+  Obs.add c_loaded t.loaded;
   Obs.add c_corrupt corrupt;
-  Obs.add c_wal_recovered wal_recovered;
+  Obs.add c_wal_recovered t.wal_recovered;
   Obs.add c_wal_torn wal_torn;
-  { memo; path; flush_every; chaos; lock = Mutex.create (); dirty = 0;
-    wal_fd; wal_unsynced = 0; loaded; corrupt; wal_recovered; wal_torn }
-
-let find t key = Memo.find_opt t.memo key
+  t
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+let find t key =
+  Mutex.lock t.lock;
+  let r =
+    Option.map
+      (fun e ->
+        touch t e;
+        e.value)
+      (Hashtbl.find_opt t.tbl key)
+  in
+  Mutex.unlock t.lock;
+  Obs.incr (if r = None then c_misses else c_hits);
+  r
+
+(* Every entry, least recently used first: the snapshot order, which
+   re-inserted reproduces the same LRU state.  Caller holds the lock. *)
+let entries t =
+  Hashtbl.fold (fun k e acc -> (e.stamp, k, e.value) :: acc) t.tbl []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  |> List.map (fun (_, k, v) -> (k, v))
 
 let flush t =
   match t.path with
@@ -180,7 +242,7 @@ let flush t =
                     (J.to_string
                        (J.Obj [ ("key", J.Str key); ("result", result) ]));
                   output_char oc '\n')
-                (Memo.to_alist t.memo));
+                (entries t));
           (* The snapshot is durably in place (atomic rename); the
              journal's contents are now redundant.  Truncate-and-fsync —
              a crash between rename and truncate only replays entries
@@ -195,9 +257,9 @@ let flush t =
           Obs.incr c_flushes)
 
 let add t key v =
-  Memo.set t.memo key v;
   let need_flush =
     locked t (fun () ->
+        insert t key v;
         (match t.wal_fd with
         | Some fd ->
             let rec_ = Bytes.of_string (wal_record key v) in
@@ -231,12 +293,10 @@ let close t =
           (try Unix.close fd with Unix.Unix_error _ -> ())
       | None -> ())
 
-let length t = Memo.length t.memo
-let hits t = Memo.hits t.memo
-let misses t = Memo.misses t.memo
-let evictions t = Memo.evictions t.memo
+let length t = locked t (fun () -> Hashtbl.length t.tbl)
+let entries t = locked t (fun () -> entries t)
+let evictions t = t.evictions
 let loaded t = t.loaded
 let corrupt_dropped t = t.corrupt
 let wal_recovered t = t.wal_recovered
 let wal_torn t = t.wal_torn
-let path t = t.path

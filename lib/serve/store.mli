@@ -1,11 +1,13 @@
 (** The digest-keyed result store shared across requests {e and} daemon
     restarts — crash-safe via a write-ahead journal.
 
-    In memory this is one {!Bg_prelude.Memo} table — a max-entries cap
-    and per-entry LRU eviction, with hit/miss/eviction counters mirrored
-    into the {!Bg_prelude.Obs} registry as [memo.store.*].  It is the
-    only result cache: the kernels themselves keep nothing.  On disk it
-    is two files:
+    In memory this is one table under the store's lock — a max-entries
+    cap and per-entry LRU eviction (every {!find} hit and {!add}
+    refreshes recency), counted in the {!Bg_prelude.Obs} registry as
+    [memo.store.hits], [memo.store.misses] and [memo.store.evictions].
+    Lookups and inserts may come from any domain.  It is the only result
+    cache: the kernels themselves keep nothing.  On disk it is two
+    files:
 
     - [PATH] — a JSONL snapshot (one [{"key":K,"result":V}] line per
       entry, least recently used first) written atomically through
@@ -38,7 +40,8 @@ val open_ :
   ?chaos:Chaos.t ->
   unit ->
   t
-(** Open a store capped at [max_entries] (default 4096, LRU-evicted).
+(** Open a store capped at [max_entries] (default 4096): an insert of a
+    new key at the cap first evicts the least recently used entry.
     With [?path], the snapshot at [path] is loaded (leniently; a missing
     file is an empty store), the journal at [path ^ ".wal"] is replayed
     to its longest valid prefix and then opened for appends, and {!add}
@@ -46,16 +49,17 @@ val open_ :
     path always journals.  Without [?path] the store is memory-only.
     [?chaos] arms the [pre-snapshot]
     and [mid-snapshot] crash points inside {!flush}.
-    @raise Invalid_argument if [flush_every < 1]. *)
+    @raise Invalid_argument if [max_entries < 1] or [flush_every < 1]. *)
 
 val find : t -> string -> Core.Prelude.Jsonl.t option
 (** Cached result under a key ([<digest>/<op_key>]); refreshes LRU
-    recency and counts a hit or miss. *)
+    recency and counts [memo.store.hits] or [memo.store.misses]. *)
 
 val add : t -> string -> Core.Prelude.Jsonl.t -> unit
-(** Insert a computed result: journal it ([store.wal_appends]), evict
-    LRU entries beyond the cap, and compact when the flush threshold is
-    reached.  Durable after the next {!sync} or {!flush}. *)
+(** Insert or overwrite a computed result: evict the LRU entry if the
+    key is new and the store is full, journal it ([store.wal_appends]),
+    and compact when the flush threshold is reached.  Counts as neither
+    hit nor miss.  Durable after the next {!sync} or {!flush}. *)
 
 val sync : t -> unit
 (** fsync journal appends since the last {!sync} ([store.wal_syncs]).
@@ -72,9 +76,14 @@ val close : t -> unit
 (** {!flush}, then close the journal descriptor. *)
 
 val length : t -> int
-val hits : t -> int
-val misses : t -> int
+(** Cached entries, always [<= max_entries]. *)
+
+val entries : t -> (string * Core.Prelude.Jsonl.t) list
+(** Every entry, least recently used first — the snapshot order
+    ({!add}ing them in this order reproduces the same LRU state). *)
+
 val evictions : t -> int
+(** Entries this store dropped at its cap. *)
 
 val loaded : t -> int
 (** Entries restored from the snapshot at {!open_}. *)
@@ -87,5 +96,3 @@ val wal_recovered : t -> int
 
 val wal_torn : t -> int
 (** Journal lines discarded as the torn tail at {!open_}. *)
-
-val path : t -> string option

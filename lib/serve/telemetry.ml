@@ -1,10 +1,15 @@
-(* Periodic metrics snapshots for a live daemon.
+(* The one JSON form of a registry snapshot, and periodic snapshots of a
+   live daemon in a ring file.
 
-   One JSONL line per interval with absolute values *and* deltas against
-   the previous snapshot: absolutes make any single line a complete
-   scrape, deltas make rate computation (bg top, bg slo) trivial without
-   the consumer having to handle counter resets — the producer already
-   clamped them.
+   A snapshot encodes as three objects keyed by metric name: counters,
+   gauges, and histograms with their sparse per-bucket (index, count)
+   pairs.  The metrics wire op answers with these fields; a ring line
+   carries them for the absolute values and once more under "deltas"
+   for the activity since the previous line.  [of_json] reads any of
+   them back, so `bg top`, `bg slo` and the Prometheus rendering decode
+   one form, and [diff] is the one place deltas are taken: a counter or
+   histogram that went backwards (a respawned process starts from zero)
+   is a fresh baseline, never a negative delta.
 
    The file is a ring.  Append-only between rewrites (a supervised
    worker respawn reopens in append mode and keeps the ring going);
@@ -16,8 +21,107 @@
 module Obs = Core.Prelude.Obs
 module J = Core.Prelude.Jsonl
 
+type snapshot = (string * Obs.metric_snapshot) list
+
+(* ---------------------------------------------------------------- codec *)
+
+let json_fields snap =
+  let int i = J.Num (float_of_int i) in
+  let pick f =
+    J.Obj
+      (List.filter_map
+         (fun (name, m) -> Option.map (fun v -> (name, v)) (f m))
+         snap)
+  in
+  [ ( "counters",
+      pick (function Obs.Counter_snapshot v -> Some (int v) | _ -> None) );
+    ( "gauges",
+      pick (function Obs.Gauge_snapshot v -> Some (J.Num v) | _ -> None) );
+    ( "histograms",
+      pick (function
+        | Obs.Histogram_snapshot { count; sum; buckets } ->
+            Some
+              (J.Obj
+                 [ ("count", int count); ("sum", J.Num sum);
+                   ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
+                   ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99));
+                   ( "buckets",
+                     J.Obj
+                       (List.map
+                          (fun (i, c) -> (string_of_int i, int c))
+                          buckets) ) ])
+        | _ -> None) ) ]
+
+(* A missing or malformed field reads as zero: telemetry is observed,
+   not validated.  Non-finite floats come back from the strings Jsonl
+   writes them as. *)
+let of_json j =
+  let fields k j = match J.member k j with Some (J.Obj kvs) -> kvs | _ -> [] in
+  let num = function
+    | J.Num f -> f
+    | J.Str s -> Option.value ~default:0. (float_of_string_opt s)
+    | _ -> 0.
+  in
+  let int v = int_of_float (num v) in
+  let mem k j = Option.value ~default:J.Null (J.member k j) in
+  let each kind f = List.map (fun (name, v) -> (name, f v)) (fields kind j) in
+  each "counters" (fun v -> Obs.Counter_snapshot (int v))
+  @ each "gauges" (fun v -> Obs.Gauge_snapshot (num v))
+  @ each "histograms" (fun h ->
+        Obs.Histogram_snapshot
+          {
+            count = int (mem "count" h);
+            sum = num (mem "sum" h);
+            buckets =
+              List.filter_map
+                (fun (i, c) ->
+                  Option.map (fun i -> (i, int c)) (int_of_string_opt i))
+                (fields "buckets" h)
+              |> List.sort compare;
+          })
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 let delta ~prev ~cur = if cur >= prev then cur - prev else cur
-let delta_f ~prev ~cur = if cur >= prev then cur -. prev else cur
+
+let diff ~prev snap =
+  List.map
+    (fun (name, m) ->
+      ( name,
+        match (m, List.assoc_opt name prev) with
+        | Obs.Counter_snapshot cur, Some (Obs.Counter_snapshot p) ->
+            Obs.Counter_snapshot (delta ~prev:p ~cur)
+        | Obs.Histogram_snapshot h, Some (Obs.Histogram_snapshot p)
+          when h.count >= p.count ->
+            let before i = Option.value ~default:0 (List.assoc_opt i p.buckets) in
+            Obs.Histogram_snapshot
+              {
+                count = h.count - p.count;
+                sum = h.sum -. p.sum;
+                buckets =
+                  List.filter_map
+                    (fun (i, c) ->
+                      match delta ~prev:(before i) ~cur:c with
+                      | 0 -> None
+                      | d -> Some (i, d))
+                    h.buckets;
+              }
+        (* First sight, a histogram that was reset, or a gauge (a level,
+           not a sum): the whole value is the delta. *)
+        | m, _ -> m ))
+    snap
+
+let counter snap name =
+  match List.assoc_opt name snap with Some (Obs.Counter_snapshot v) -> v | _ -> 0
+
+let gauge snap name =
+  match List.assoc_opt name snap with Some (Obs.Gauge_snapshot v) -> v | _ -> 0.
+
+let buckets snap name =
+  match List.assoc_opt name snap with
+  | Some (Obs.Histogram_snapshot h) -> h.buckets
+  | _ -> []
+
+(* ----------------------------------------------------------------- ring *)
 
 (* Lines the ring keeps after a rewrite. *)
 let max_lines = 512
@@ -30,7 +134,7 @@ type t = {
   mutable written : int; (* lines in the file right now *)
   mutable last_s : float; (* last snapshot time; nan = never *)
   mutable seq : int;
-  mutable prev : (string * Obs.metric_snapshot) list;
+  mutable prev : snapshot;
   started_s : float;
 }
 
@@ -49,9 +153,8 @@ let read_tail path =
   end
 
 let create ?(interval_s = 1.) path =
-  (* Continue an existing ring rather than clobbering it: the respawned
-     worker's first delta then clamps against the old process's last
-     absolute values. *)
+  (* Continue an existing ring rather than clobbering it.  This process's
+     first deltas are taken against zero: everything it counted is new. *)
   let lines, written = read_tail path in
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
@@ -67,79 +170,6 @@ let create ?(interval_s = 1.) path =
     prev = [];
     started_s = Obs.now_s ();
   }
-
-let interval_s t = t.ival_s
-
-let prev_of t name =
-  List.assoc_opt name t.prev
-
-let obj_of_pairs pairs = J.Obj pairs
-
-let snapshot_json t ~now snap =
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Obs.Counter_snapshot cur ->
-          let prev =
-            match prev_of t name with
-            | Some (Obs.Counter_snapshot p) -> p
-            | _ -> 0
-          in
-          counters :=
-            ( name,
-              obj_of_pairs
-                [ ("value", J.Num (float_of_int cur));
-                  ("delta", J.Num (float_of_int (delta ~prev ~cur))) ] )
-            :: !counters
-      | Obs.Gauge_snapshot v -> gauges := (name, J.Num v) :: !gauges
-      | Obs.Histogram_snapshot { count; sum; buckets } ->
-          let pcount, psum, pbuckets =
-            match prev_of t name with
-            | Some (Obs.Histogram_snapshot p) -> (p.count, p.sum, p.buckets)
-            | _ -> (0, 0., [])
-          in
-          let reset = count < pcount in
-          let bucket_delta (i, cur) =
-            let prev =
-              if reset then 0
-              else
-                match List.assoc_opt i pbuckets with
-                | Some p -> p
-                | None -> 0
-            in
-            (string_of_int i, J.Num (float_of_int (delta ~prev ~cur)))
-          in
-          let bd =
-            List.filter_map
-              (fun (i, c) ->
-                let (k, v) = bucket_delta (i, c) in
-                match v with J.Num 0. -> None | _ -> Some (k, v))
-              buckets
-          in
-          histograms :=
-            ( name,
-              obj_of_pairs
-                [ ("count", J.Num (float_of_int count));
-                  ( "count_delta",
-                    J.Num (float_of_int (delta ~prev:pcount ~cur:count)) );
-                  ("sum", J.Num sum);
-                  ("sum_delta", J.Num (delta_f ~prev:psum ~cur:sum));
-                  ("p50", J.Num (Obs.quantile_of_buckets buckets 0.5));
-                  ("p99", J.Num (Obs.quantile_of_buckets buckets 0.99));
-                  ("buckets_delta", J.Obj bd) ] )
-            :: !histograms)
-    snap;
-  J.Obj
-    [
-      ("type", J.Str "telemetry");
-      ("seq", J.Num (float_of_int t.seq));
-      ("t_s", J.Num now);
-      ("uptime_s", J.Num (now -. t.started_s));
-      ("counters", J.Obj (List.rev !counters));
-      ("gauges", J.Obj (List.rev !gauges));
-      ("histograms", J.Obj (List.rev !histograms));
-    ]
 
 let rewrite_ring t =
   let tmp = t.path ^ ".tmp" in
@@ -167,8 +197,14 @@ let append_line t line =
 let force_snapshot ?now t =
   let now = match now with Some n -> n | None -> Obs.now_s () in
   let snap = Obs.snapshot () in
-  let line = J.to_string (snapshot_json t ~now snap) in
-  append_line t line;
+  let line =
+    J.Obj
+      ([ ("type", J.Str "telemetry"); ("seq", J.Num (float_of_int t.seq));
+         ("t_s", J.Num now); ("uptime_s", J.Num (now -. t.started_s)) ]
+      @ json_fields snap
+      @ [ ("deltas", J.Obj (json_fields (diff ~prev:t.prev snap))) ])
+  in
+  append_line t (J.to_string line);
   t.prev <- snap;
   t.seq <- t.seq + 1;
   t.last_s <- now
@@ -179,6 +215,30 @@ let maybe_snapshot ?now t =
     force_snapshot ~now t
 
 let close t = close_out_noerr t.oc
+
+type line = {
+  seq : int;
+  t_s : float;
+  uptime_s : float;
+  values : snapshot;
+  deltas : snapshot;
+}
+
+let read path =
+  J.parse_lines (J.read_file path)
+  |> List.filter_map (fun j ->
+         if J.mem_str "type" j <> Some "telemetry" then None
+         else
+           let num k = Option.value ~default:0. (J.mem_num k j) in
+           Some
+             {
+               seq = int_of_float (num "seq");
+               t_s = num "t_s";
+               uptime_s = num "uptime_s";
+               values = of_json j;
+               deltas =
+                 of_json (Option.value ~default:J.Null (J.member "deltas" j));
+             })
 
 (* ---------------------------------------------------------- prometheus *)
 

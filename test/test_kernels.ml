@@ -1,13 +1,15 @@
 (* The optimized flat/log-domain kernels must be bit-for-bit the naive
    sweeps in [Naive_ref]: same witness triple, same value, at every job
    count, on every space family.  Plus: every call sweeps (no kernel
-   keeps results), Memo unit behaviour, and pruning-counter sanity. *)
+   keeps results), the unit behaviour of the one result cache (the serve
+   store's LRU table), and pruning-counter sanity. *)
 
 module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
 module Fad = Core.Decay.Fading
 module Sp = Core.Decay.Spaces
-module Memo = Core.Prelude.Memo
+module Store = Bg_serve.Store
+module J = Core.Prelude.Jsonl
 module Rng = Core.Prelude.Rng
 module Ctx = Core.Decay.Ctx
 open Testutil
@@ -672,63 +674,75 @@ let test_kernels_keep_no_results () =
   check_int "a second Analysis.run sweeps as much" (sweeps first)
     (sweeps second)
 
-(* -------------------------------------------------------------- Memo *)
+(* ------------------------------------------------- the one result cache *)
 
-(* Look up, and on a miss compute and store: the serve store's pattern. *)
-let find_or_compute m k compute =
-  match Memo.find_opt m k with
-  | Some v -> v
+(* Look up, and on a miss compute and store: the server's pattern over
+   the serve store, here with int keys and values. *)
+let find_or_compute s k compute =
+  let key = string_of_int k in
+  match Store.find s key with
+  | Some v -> int_of_float (Option.get (J.num v))
   | None ->
       let v = compute () in
-      Memo.set m k v;
+      Store.add s key (J.Num (float_of_int v));
       v
 
+(* memo.store.hits + memo.store.misses gained over [f ()]. *)
+let lookups f =
+  let v, d = counter_deltas [ "memo.store.hits"; "memo.store.misses" ] f in
+  (v, List.assoc "memo.store.hits" d, List.assoc "memo.store.misses" d)
+
 let test_memo_basics () =
-  let m : (int, int) Memo.t = Memo.create ~max_size:4 () in
+  let s = Store.open_ ~max_entries:4 () in
   let computes = ref 0 in
   let f k =
-    find_or_compute m k (fun () ->
+    find_or_compute s k (fun () ->
         incr computes;
         k * k)
   in
-  check_int "computes" 9 (f 3);
-  check_int "cached" 9 (f 3);
+  let (), hits, misses =
+    lookups (fun () ->
+        check_int "computes" 9 (f 3);
+        check_int "cached" 9 (f 3))
+  in
   check_int "computed once" 1 !computes;
-  check_int "hits" 1 (Memo.hits m);
-  check_int "misses" 1 (Memo.misses m);
-  Memo.set m 3 10;
-  check_true "set overwrites" (Memo.find_opt m 3 = Some 10);
-  check_int "overwrite keeps one entry" 1 (Memo.length m)
+  check_int "hits" 1 hits;
+  check_int "misses" 1 misses;
+  Store.add s "3" (J.Num 10.);
+  check_true "add overwrites" (Store.find s "3" = Some (J.Num 10.));
+  check_int "overwrite keeps one entry" 1 (Store.length s)
 
 let test_memo_eviction_bounds_size () =
-  let m : (int, int) Memo.t = Memo.create ~max_size:3 () in
+  let s = Store.open_ ~max_entries:3 () in
   for k = 0 to 9 do
-    Memo.set m k k
+    Store.add s (string_of_int k) (J.Num (float_of_int k))
   done;
-  check_int "size stays bounded" 3 (Memo.length m);
-  check_int "one eviction per overflowing insert" 7 (Memo.evictions m);
-  Alcotest.(check (list int))
-    "the three most recent survive, least recent first" [ 7; 8; 9 ]
-    (List.map fst (Memo.to_alist m));
-  check_true "values survive" (Memo.find_opt m 8 = Some 8)
+  check_int "size stays bounded" 3 (Store.length s);
+  check_int "one eviction per overflowing insert" 7 (Store.evictions s);
+  Alcotest.(check (list string))
+    "the three most recent survive, least recent first" [ "7"; "8"; "9" ]
+    (List.map fst (Store.entries s));
+  check_true "values survive" (Store.find s "8" = Some (J.Num 8.))
 
 let test_memo_concurrent () =
-  let m : (int, int) Memo.t = Memo.create () in
-  let domains =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref 0 in
-            for k = 0 to 99 do
-              acc :=
-                !acc + find_or_compute m (k mod 10) (fun () -> (k mod 10) * 7)
-            done;
-            !acc))
+  let s = Store.open_ () in
+  let sums, hits, misses =
+    lookups (fun () ->
+        Array.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                let acc = ref 0 in
+                for k = 0 to 99 do
+                  acc :=
+                    !acc
+                    + find_or_compute s (k mod 10) (fun () -> (k mod 10) * 7)
+                done;
+                !acc))
+        |> Array.map Domain.join)
   in
-  let sums = Array.map Domain.join domains in
   Array.iter (fun s -> check_int "each domain sums identically" sums.(0) s)
     sums;
-  check_int "ten distinct keys" 10 (Memo.length m);
-  check_int "every lookup counted once" 400 (Memo.hits m + Memo.misses m)
+  check_int "ten distinct keys" 10 (Store.length s);
+  check_int "every lookup counted once" 400 (hits + misses)
 
 (* ------------------------------------------- lazy views under the pool *)
 

@@ -14,7 +14,6 @@ module D = Core.Decay.Decay_space
 module Met = Core.Decay.Metricity
 module Fad = Core.Decay.Fading
 module Ctx = Core.Decay.Ctx
-module Memo = Core.Prelude.Memo
 module Rng = Core.Prelude.Rng
 module Obs = Core.Prelude.Obs
 open Testutil
@@ -579,7 +578,9 @@ let test_bad_space_answers_error () =
 
 (* Overload: with a tiny queue and an eager client, surplus requests are
    shed with typed rejections, every id is answered exactly once, and
-   the queue never exceeds its bound. *)
+   the queue never exceeds its bound.  The queue only grows at
+   admission, right after a read, so the serve.queue_depth gauge
+   sampled at every read sees its peak. *)
 let test_overload_sheds_with_typed_rejections () =
   let max_queue = 8 in
   let t = engine ~batch_size:4 ~max_queue () in
@@ -590,7 +591,10 @@ let test_overload_sheds_with_typed_rejections () =
   in
   let remaining = ref lines in
   let answered : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let peak_queue = ref 0. in
   let read ~block:_ =
+    peak_queue :=
+      Float.max !peak_queue (Obs.gauge_value (Obs.gauge "serve.queue_depth"));
     match !remaining with
     | [] -> `Eof
     | line :: rest ->
@@ -610,17 +614,20 @@ let test_overload_sheds_with_typed_rejections () =
                     | P.Failed _ -> "error")
               | Error e -> Alcotest.failf "bad response line: %s" e )
   in
-  let stats = Server.run_loop t { Server.read; flush = (fun () -> ()) } in
+  let (), counts =
+    counter_deltas [ "serve.accepted"; "serve.rejected" ] (fun () ->
+        Server.run_loop t { Server.read; flush = (fun () -> ()) })
+  in
+  let accepted = List.assoc "serve.accepted" counts
+  and rejected = List.assoc "serve.rejected" counts in
   check_int "every id answered exactly once" total (Hashtbl.length answered);
-  check_true "some requests were shed" (stats.Server.rejected > 0);
-  check_int "accepted + rejected = sent" total
-    (stats.Server.accepted + stats.Server.rejected);
+  check_true "some requests were shed" (rejected > 0);
+  check_int "accepted + rejected = sent" total (accepted + rejected);
   check_true
-    (Printf.sprintf "peak queue %d within bound %d" stats.Server.peak_queue
-       max_queue)
-    (stats.Server.peak_queue <= max_queue);
+    (Printf.sprintf "peak queue %g within bound %d" !peak_queue max_queue)
+    (!peak_queue > 0. && !peak_queue <= float_of_int max_queue);
   check_int "rejections are typed"
-    stats.Server.rejected
+    rejected
     (Hashtbl.fold
        (fun _ v acc -> if v = "rejected" then acc + 1 else acc)
        answered 0)
@@ -770,22 +777,22 @@ let test_store_lru_cap_and_snapshot_order () =
       check_int "reloaded the capped set" 3 (Store.loaded s');
       check_true "d present after reload" (Store.find s' "d" <> None))
 
-(* Per-entry LRU in the underlying Memo: recently used entries survive
-   an overflowing insert; only the stalest is dropped. *)
+(* Per-entry LRU in the store's table: recently used entries survive an
+   overflowing insert; only the stalest is dropped. *)
 let test_memo_per_entry_lru () =
-  let m = Memo.create ~max_size:3 () in
-  Memo.set m "a" 1;
-  Memo.set m "b" 2;
-  Memo.set m "c" 3;
-  ignore (Memo.find_opt m "a");
-  Memo.set m "d" 4;
-  check_int "still 3 entries" 3 (Memo.length m);
-  check_true "b (least recently used) evicted" (Memo.find_opt m "b" = None);
-  check_true "a survived" (Memo.find_opt m "a" = Some 1);
-  check_true "d inserted" (Memo.find_opt m "d" = Some 4);
-  check_int "one eviction" 1 (Memo.evictions m);
-  (* to_alist is LRU-first: the next victim leads. *)
-  let order = List.map fst (Memo.to_alist m) in
+  let s = Store.open_ ~max_entries:3 () in
+  Store.add s "a" (J.Num 1.);
+  Store.add s "b" (J.Num 2.);
+  Store.add s "c" (J.Num 3.);
+  ignore (Store.find s "a");
+  Store.add s "d" (J.Num 4.);
+  check_int "still 3 entries" 3 (Store.length s);
+  check_true "b (least recently used) evicted" (Store.find s "b" = None);
+  check_true "a survived" (Store.find s "a" = Some (J.Num 1.));
+  check_true "d inserted" (Store.find s "d" = Some (J.Num 4.));
+  check_int "one eviction" 1 (Store.evictions s);
+  (* entries is LRU-first: the next victim leads. *)
+  let order = List.map fst (Store.entries s) in
   check_int "alist covers the table" 3 (List.length order)
 
 (* -------------------------------------------------------- warm restart *)
@@ -850,8 +857,11 @@ let test_chaos_mangle_is_seeded () =
   let spec = { Chaos.none with Chaos.torn = 0.3; drop = 0.2; corrupt = 0.3 } in
   let run seed =
     let c = Chaos.create ~action:Chaos.Raise ~seed spec in
+    let target (_ : string) = () in
     List.init 200 (fun i ->
-        match Chaos.mangle c (Printf.sprintf {|{"id":"x%d","v":12345}|} i) with
+        match
+          Chaos.mangle c ~target (Printf.sprintf {|{"id":"x%d","v":12345}|} i)
+        with
         | `Deliver s -> "d:" ^ s
         | `Drop -> "drop"
         | `Drop_keep_carry -> "torn")
@@ -1671,6 +1681,111 @@ let test_socket_silent_listener_gives_up () =
   check_int "one re-send" 1 r.L.retries;
   check_true (Printf.sprintf "returned in %.2fs" elapsed) (elapsed < 5.)
 
+(* The next line on [fd], if one starts arriving within [secs]. *)
+let recv_line_within fd secs =
+  match Unix.select [ fd ] [] [] secs with
+  | [], _, _ -> None
+  | _ -> Some (socket_recv_line fd)
+
+let wire_line r = P.request_to_string r ^ "\n"
+
+let health ~id op = { P.id; op; space = None; trace = None }
+
+(* Client A floods metrics requests and never reads its replies.  Once
+   they fill A's socket, a reply that cannot be written whole breaks A's
+   connection instead of blocking the daemon: client B's ping is still
+   answered at once, and B's metrics count the one disconnect. *)
+let test_socket_reader_that_stops_does_not_stall () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_socket_daemon "stall" [] @@ fun sock ->
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    let a = socket_connect sock and b = socket_connect sock in
+    Fun.protect
+      ~finally:(fun () ->
+        (* Closing A first frees a daemon stuck writing to it. *)
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ];
+        Sys.set_signal Sys.sigpipe sigpipe)
+    @@ fun () ->
+    Unix.set_nonblock a;
+    let flood = wire_line (health ~id:"a" P.Metrics) in
+    (* Send until the daemon closes A, or for 3 s while A's socket is
+       full: a daemon blocked writing to A stops reading from it. *)
+    let give_up = Unix.gettimeofday () +. 3. in
+    let rec send n =
+      match Unix.write_substring a flood 0 (String.length flood) with
+      | _ -> send (n + 1)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+        when Unix.gettimeofday () < give_up ->
+          Unix.sleepf 0.01;
+          send n
+      | exception Unix.Unix_error _ -> n
+    in
+    let sent = send 0 in
+    socket_send b (wire_line (health ~id:"b" P.Ping));
+    (match recv_line_within b 3. with
+    | Some line -> (
+        match P.response_of_string line with
+        | Ok (P.Done { id = "b"; op_name = "ping"; _ }) -> ()
+        | _ -> Alcotest.failf "client B got %S" line)
+    | None ->
+        Alcotest.failf "no ping reply within 3 s after A sent %d unread requests"
+          sent);
+    socket_send b (wire_line (health ~id:"m" P.Metrics));
+    match Option.map P.response_of_string (recv_line_within b 3.) with
+    | Some (Ok (P.Done { result; _ })) ->
+        check_int "A's broken connection is one disconnect" 1
+          (Bg_serve.Telemetry.counter
+             (Bg_serve.Telemetry.of_json result)
+             "serve.client_disconnects")
+    | _ -> Alcotest.fail "no metrics reply for client B"
+
+(* Two clients alternate pings on a daemon that tears half its reply
+   lines.  A torn prefix garbles a later reply on its own connection
+   only: under chaos seeds 1, 3 and 6 no line either client reads names
+   the other's ids. *)
+let test_socket_torn_fragments_stay_on_their_connection () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    List.iter
+      (fun seed ->
+        with_socket_daemon "torn"
+          [ "--chaos"; "torn=0.5"; "--chaos-seed"; string_of_int seed ]
+        @@ fun sock ->
+        let a = socket_connect sock and b = socket_connect sock in
+        Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b)
+        @@ fun () ->
+        let leaks = ref [] in
+        for i = 0 to 3 do
+          List.iter
+            (fun (fd, me, other) ->
+              socket_send fd
+                (wire_line (health ~id:(Printf.sprintf "%s%d" me i) P.Ping));
+              match recv_line_within fd 0.2 with
+              | Some l when contains ~sub:(Printf.sprintf {|"id":"%s|} other) l ->
+                  leaks := l :: !leaks
+              | _ -> ())
+            [ (a, "A", "B"); (b, "B", "A") ]
+        done;
+        check_true
+          (Printf.sprintf "seed %d: no client read the other's ids: %s" seed
+             (String.concat " | " !leaks))
+          (!leaks = []))
+      [ 1; 3; 6 ]
+
+(* A hopeless objective turns a completed loadgen run into exit 3,
+   distinct from 1 (lost requests) and 2 (usage error). *)
+let test_loadgen_slo_violation_exits_3 () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    let status, _, err =
+      run_bg ~input:""
+        [ "loadgen"; "--requests"; "40"; "--spaces"; "8"; "--nodes"; "8";
+          "--seed"; "5"; "--window"; "8"; "--slo"; "p99<=0.0000001" ]
+    in
+    check_true (Printf.sprintf "exit 3 (stderr: %s)" err)
+      (status = Unix.WEXITED 3)
+
 (* [bg top --socket] with nobody listening: the poll's connects are
    refused, retried under the default policy (4 retries), then given
    up with exit 2. *)
@@ -1757,6 +1872,57 @@ let test_top_and_slo_against_a_live_daemon () =
       (exit_of [ "slo"; "--spec"; "p99<=5,err<=50%"; telemetry ]);
     check_int "violated under a hopeless one" 3
       (exit_of [ "slo"; "--spec"; "p99<=0.0000001"; telemetry ])
+
+(* One table for either source: after 8 requests to a --telemetry
+   socket daemon, [bg top --socket] and, once the daemon has stopped,
+   [bg top --telemetry] read the same accepted / served and queue-depth
+   rows, and [--prometheus] prints serve_accepted 8 from both. *)
+let test_top_reads_the_same_from_socket_and_ring () =
+  if not (Sys.file_exists bg_exe) then Alcotest.skip ()
+  else
+    with_tmp "top-same.jsonl" @@ fun telemetry ->
+    let top args =
+      match run_bg ~input:"" ("top" :: "--iterations" :: "1" :: args) with
+      | Unix.WEXITED 0, out, _ -> String.split_on_char '\n' out
+      | _, _, err -> Alcotest.failf "bg top %s: %s" (String.concat " " args) err
+    in
+    (* A table row without its padding, which depends on the widest row. *)
+    let row name lines =
+      List.find_map
+        (fun l ->
+          match List.map String.trim (String.split_on_char '|' l) with
+          | [ ""; n; v; "" ] when n = name -> Some v
+          | _ -> None)
+        lines
+    in
+    let live, live_scrape =
+      with_socket_daemon "top-same" [ "--telemetry"; telemetry ] (fun sock ->
+          let r =
+            checked
+              (L.drive_socket ~client:(patient_client ()) sock
+                 (List.init 8 (fun i -> req ~id:(Printf.sprintf "s%d" i) P.Zeta)))
+          in
+          check_int "8 ok" 8 r.L.ok;
+          (top [ "--socket"; sock ], top [ "--socket"; sock; "--prometheus" ]))
+    in
+    let ring = top [ "--telemetry"; telemetry ]
+    and ring_scrape = top [ "--telemetry"; telemetry; "--prometheus" ] in
+    check_true "accepted / served reads 8 / 8 live"
+      (row "accepted / served" live = Some "8 / 8");
+    List.iter
+      (fun name ->
+        check_true
+          (Printf.sprintf "%s: socket %s, ring %s" name
+             (Option.value ~default:"-" (row name live))
+             (Option.value ~default:"-" (row name ring)))
+          (row name live <> None && row name live = row name ring))
+      [ "accepted / served"; "queue depth" ];
+    List.iter
+      (fun (source, scrape) ->
+        check_true (source ^ ": serve_accepted 8") (List.mem "serve_accepted 8" scrape);
+        check_true (source ^ ": the queue-depth gauge")
+          (List.mem "serve_queue_depth 0" scrape))
+      [ ("socket", live_scrape); ("ring", ring_scrape) ]
 
 (* A supervised daemon that chaos-SIGKILLs itself mid-batch and drops
    or tears 2% of its replies: the supervisor restarts it on the same
@@ -1903,6 +2069,7 @@ let test_metrics_op_scrape () =
   in
   let t = engine ~store:(Store.open_ ()) ~slo ~lineage () in
   let now = Obs.now_s () in
+  let computed_before = Obs.counter_value (Obs.counter "serve.computed") in
   ignore (Server.process_batch t [ (req P.Zeta, now) ]);
   match Server.process_batch ~queue_depth:3 t
           [ ({ P.id = "m"; op = P.Metrics; space = None; trace = None }, now) ]
@@ -1910,9 +2077,11 @@ let test_metrics_op_scrape () =
   | [ P.Done { op_name = "metrics"; result; _ } ] ->
       check_true "queue depth echoed"
         (J.mem_num "queue_depth" result = Some 3.);
-      let stats = Option.get (J.member "stats" result) in
-      check_true "computed count present"
-        (J.mem_num "computed" stats = Some 1.);
+      check_true "no stats block beside the registry"
+        (J.member "stats" result = None);
+      let snap = Bg_serve.Telemetry.of_json result in
+      check_int "computed count present" (computed_before + 1)
+        (Bg_serve.Telemetry.counter snap "serve.computed");
       (match J.member "counters" result with
       | Some (J.Obj kvs) ->
           check_true "registry counters scraped"
@@ -2034,17 +2203,20 @@ let test_slo_scores_telemetry_ring () =
   let fast = Obs.bucket_of 0.01 and slow = Obs.bucket_of 0.2 in
   let snapshot ~accepted ~failed ~buckets =
     Printf.sprintf
-      {|{"type":"telemetry","seq":1,"counters":{"serve.accepted":{"value":0,"delta":%d},"serve.rejected":{"value":0,"delta":0},"serve.failed":{"value":0,"delta":%d}},"histograms":{"serve.latency_s":{"count":0,"count_delta":%d,"buckets_delta":{%s}}}}|}
+      {|{"type":"telemetry","seq":1,"t_s":0,"uptime_s":0,"counters":{},"deltas":{"counters":{"serve.accepted":%d,"serve.rejected":0,"serve.failed":%d},"histograms":{"serve.latency_s":{"count":%d,"sum":0,"buckets":{%s}}}}}|}
       accepted failed
       (List.fold_left (fun n (_, c) -> n + c) 0 buckets)
       (String.concat ","
          (List.map (fun (b, c) -> Printf.sprintf {|"%d":%d|} b c) buckets))
   in
   let ring =
-    J.parse_lines
-      (snapshot ~accepted:90 ~failed:1 ~buckets:[ (fast, 80); (slow, 10) ]
-      ^ "\n"
-      ^ snapshot ~accepted:10 ~failed:0 ~buckets:[ (fast, 10) ])
+    with_tmp "slo-ring.jsonl" @@ fun path ->
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          (snapshot ~accepted:90 ~failed:1 ~buckets:[ (fast, 80); (slow, 10) ]
+          ^ "\n"
+          ^ snapshot ~accepted:10 ~failed:0 ~buckets:[ (fast, 10) ]));
+    List.map (fun l -> l.Bg_serve.Telemetry.deltas) (Bg_serve.Telemetry.read path)
   in
   let score text =
     match Bg_serve.Slo.parse_spec text with
@@ -2070,42 +2242,59 @@ let test_slo_scores_telemetry_ring () =
   | _ -> Alcotest.fail "two objectives expected"
 
 let test_telemetry_ring_and_deltas () =
-  check_int "monotonic counter delta" 5 (Bg_serve.Telemetry.delta ~prev:10 ~cur:15);
-  check_int "reset counter yields the new count" 3
-    (Bg_serve.Telemetry.delta ~prev:10 ~cur:3);
-  check_float ~eps:1e-9 "float accumulator reset clamps" 0.5
-    (Bg_serve.Telemetry.delta_f ~prev:2. ~cur:0.5);
+  let module T = Bg_serve.Telemetry in
+  let c v = [ ("c", Obs.Counter_snapshot v) ] in
+  check_true "monotonic counter delta" (T.diff ~prev:(c 10) (c 15) = c 5);
+  check_true "reset counter yields the new count"
+    (T.diff ~prev:(c 10) (c 3) = c 3);
+  let h count sum =
+    [ ("h", Obs.Histogram_snapshot { count; sum; buckets = [ (40, count) ] }) ]
+  in
+  (match T.diff ~prev:(h 4 2.) (h 1 0.5) with
+  | [ ("h", Obs.Histogram_snapshot d) ] ->
+      check_float ~eps:1e-9 "float accumulator reset clamps" 0.5 d.sum
+  | _ -> Alcotest.fail "one histogram delta expected");
+  (* The one codec: a snapshot encodes and decodes to itself, non-finite
+     gauges and the daemon's live serve.* metrics included. *)
+  let round_trip snap =
+    compare (T.of_json (J.parse (J.to_string (J.Obj (T.json_fields snap))))) snap
+    = 0
+  in
+  check_true "encoder and decoder round-trip a snapshot"
+    (round_trip
+       [ ("a", Obs.Counter_snapshot 7); ("b", Obs.Gauge_snapshot Float.nan);
+         ("c", Obs.Gauge_snapshot Float.neg_infinity);
+         ( "d",
+           Obs.Histogram_snapshot
+             { count = 3; sum = 0.1; buckets = [ (0, 1); (40, 2) ] } ) ]);
+  check_true "... and the live serve.* registry"
+    (round_trip
+       (List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"serve." name)
+          (Obs.snapshot ())));
   let path = Filename.temp_file "bg_telemetry_test" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      let c = Obs.counter "test.serve.telemetry_ring" in
-      let tel = Bg_serve.Telemetry.create ~interval_s:0.001 path in
+      let name = "test.serve.telemetry_ring" in
+      let c = Obs.counter name in
+      let tel = T.create ~interval_s:0.001 path in
       Obs.add c 2;
-      Bg_serve.Telemetry.force_snapshot tel;
+      T.force_snapshot tel;
       Obs.add c 3;
-      Bg_serve.Telemetry.force_snapshot tel;
-      Bg_serve.Telemetry.close tel;
-      let lines =
-        J.parse_lines (J.read_file path)
-        |> List.filter (fun l -> J.mem_str "type" l = Some "telemetry")
-      in
+      T.force_snapshot tel;
+      T.close tel;
+      let lines = T.read path in
       check_int "two snapshots recorded" 2 (List.length lines);
-      let counter_of line =
-        match J.member "counters" line with
-        | Some (J.Obj kvs) -> List.assoc "test.serve.telemetry_ring" kvs
-        | _ -> Alcotest.fail "counters missing"
-      in
       match lines with
       | [ a; b ] ->
-          check_true "seq increments"
-            (J.mem_num "seq" b > J.mem_num "seq" a);
-          check_true "first snapshot carries the full count as delta"
-            (J.mem_num "delta" (counter_of a) = Some 2.);
-          check_true "second snapshot carries only the new activity"
-            (J.mem_num "delta" (counter_of b) = Some 3.);
-          check_true "cumulative value rides along"
-            (J.mem_num "value" (counter_of b) = Some 5.)
+          check_true "seq increments" (b.T.seq > a.T.seq);
+          check_int "first snapshot carries the full count as delta" 2
+            (T.counter a.T.deltas name);
+          check_int "second snapshot carries only the new activity" 3
+            (T.counter b.T.deltas name);
+          check_int "cumulative value rides along" 5
+            (T.counter b.T.values name)
       | _ -> Alcotest.fail "expected two lines")
 
 let test_prometheus_rendering () =
@@ -2269,10 +2458,18 @@ let suite =
           test_socket_retries_dropped_replies;
         case "socket client gives up on a listener that never answers"
           test_socket_silent_listener_gives_up;
+        case "a client that stops reading does not stall the daemon"
+          test_socket_reader_that_stops_does_not_stall;
+        case "torn fragments stay on their connection"
+          test_socket_torn_fragments_stay_on_their_connection;
+        case "loadgen --slo violation exits 3"
+          test_loadgen_slo_violation_exits_3;
         case "bg top with no daemon retries, then exits 2"
           test_top_without_a_daemon_gives_up;
         case "bg top and bg slo against a live daemon"
           test_top_and_slo_against_a_live_daemon;
+        case "bg top reads the same from the socket and the ring"
+          test_top_reads_the_same_from_socket_and_ring;
         case "supervised restart rides out chaos crashes"
           test_supervised_restart_rides_out_crashes;
         case "supervised --metrics prints the worker's registry"

@@ -43,23 +43,25 @@ let planar_instance ?(n_links = 8) ?(alpha = 3.) ?(side = 20.) seed =
 
 let ids links = List.sort compare (List.map (fun l -> l.Core.Sinr.Link.id) links)
 
-(* The kernel.* Obs counters, read as deltas over [f ()] and keyed by the
-   name after "kernel." — the registry is process-wide, so tests never
-   read absolute values. *)
-let kernel_deltas f =
+(* Obs counters read as deltas over [f ()], keyed by name — the registry
+   is process-wide, so tests never read absolute values. *)
+let counter_deltas names f =
   let module Obs = Core.Prelude.Obs in
+  let read () = List.map (fun n -> Obs.counter_value (Obs.counter n)) names in
+  let before = read () in
+  let v = f () in
+  (v, List.combine names (List.map2 ( - ) (read ()) before))
+
+(* The kernel.* counters as deltas, keyed by the name after "kernel.". *)
+let kernel_deltas f =
   let names =
     [ "sweeps"; "triples"; "plain_skips"; "cheap_skips"; "deep"; "exp_evals";
       "bisections"; "row_prunes"; "pair_prunes"; "tile_prunes";
       "minplus_rows"; "gamma_visited"; "gamma_skipped"; "gamma_exact"; "gamma_greedy";
       "gamma_budget_cutoffs"; "gamma_abandoned"; "gamma_tie_sorts" ]
   in
-  let read () =
-    List.map (fun k -> Obs.counter_value (Obs.counter ("kernel." ^ k))) names
-  in
-  let before = read () in
-  let v = f () in
-  (v, List.combine names (List.map2 ( - ) (read ()) before))
+  let v, deltas = counter_deltas (List.map (( ^ ) "kernel.") names) f in
+  (v, List.map2 (fun k (_, d) -> (k, d)) names deltas)
 
 (* Covered triples eliminated wholesale by the row/pair/tile bounds. *)
 let pruned_fraction deltas =
